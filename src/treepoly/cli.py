@@ -11,14 +11,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from typing import Optional, Sequence
 
-from .alphamaps import spider_suite
+from .alphamaps import EnumerationGuardError, spider_suite
 from .graphs import spider2, spider12
-from .intpoly import analyze, family_graph, indpoly_tree, scan_row
+from .intpoly import GuardLimitError, analyze, family_graph, indpoly_tree, scan_row
 from .proofcheck import AUDIT_LIMIT, SAMPLE_SIZE, verify_base, verify_star
 from .reports import all_ok
 
@@ -159,11 +158,10 @@ def cmd_scan(args) -> int:
     )
     cells = _scan_cells(args)
     work = [(fam, m, n) for fam in families for m, n in cells]
-    jobs = args.jobs or int(os.environ.get("TREEPOLY_JOBS", "1"))
-    if jobs > 1:
+    if args.jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(args.jobs) as pool:
             rows = pool.starmap(scan_row, work)
     else:
         rows = [scan_row(*item) for item in work]
@@ -367,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit2 as exc:
         return exc.code
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, EnumerationGuardError, GuardLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -30,6 +30,7 @@ from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from .alphamaps import (
+    EnumerationGuardError,
     Weights,
     admissible_maps,
     bare_leg_count,
@@ -875,7 +876,9 @@ class _EngineSlice:
             if v == size:
                 out.append(self._pattern(tuple(values)))
                 if len(out) > PATTERN_GUARD:
-                    raise RuntimeError("slice pattern guard exceeded")
+                    raise EnumerationGuardError(
+                        f"slice pattern enumeration exceeds guard of {PATTERN_GUARD} patterns"
+                    )
                 return
             for a in (0, 1, 2):
                 if a and any(values[u] and values[u] + a >= 3 for u in earlier[v]):
@@ -992,31 +995,22 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
         allowed = [
             [p for p in sl.patterns if p.tau in _TAU_ALLOWED[v0val]] for sl in slices
         ]
-        if v0val != 1:
-            bad = [[p for p in pats if p.internal_bad or p.solo_bad] for pats in allowed]
-            good = [
-                [p for p in pats if not (p.internal_bad or p.solo_bad)]
-                for pats in allowed
-            ]
-            for i in range(3):
-                pools = [good[j] for j in range(i)] + [bad[i]] + [
-                    allowed[j] for j in range(i + 1, 3)
-                ]
-                for combo in iproduct(*pools):
-                    result = emit(v0val, combo)
-                    if result is not None:
-                        yield result
-        else:
-            bad = [[p for p in pats if p.internal_bad] for pats in allowed]
-            good = [[p for p in pats if not p.internal_bad] for pats in allowed]
-            for i in range(3):
-                pools = [good[j] for j in range(i)] + [bad[i]] + [
-                    allowed[j] for j in range(i + 1, 3)
-                ]
-                for combo in iproduct(*pools):
-                    result = emit(v0val, combo)
-                    if result is not None:
-                        yield result
+        # A root component is unbalanced on its own only when v0 is not 1;
+        # with v0 at 1 it joins the spine, handled by the d grouping below.
+        solo = v0val != 1
+        bad = [
+            [p for p in pats if p.internal_bad or (solo and p.solo_bad)] for pats in allowed
+        ]
+        good = [
+            [p for p in pats if not (p.internal_bad or (solo and p.solo_bad))]
+            for pats in allowed
+        ]
+        for i in range(3):
+            for combo in iproduct(*good[:i], bad[i], *allowed[i + 1 :]):
+                result = emit(v0val, combo)
+                if result is not None:
+                    yield result
+        if v0val == 1:
             by_d = []
             for pats in good:
                 groups: dict[int, list] = {}
@@ -1077,52 +1071,52 @@ def _coverage_report(
     return rep
 
 
-def verify_base(
-    m: int,
-    n: int,
-    audit_limit: int = AUDIT_LIMIT,
-    sample_size: int = SAMPLE_SIZE,
-    seed: int = 0,
-) -> list[CheckReport]:
-    """Run the full pairing-certificate battery for the base family at (m, n)."""
+def _pairing_reports(
+    ctx: FamilyContext, prefix: str, label: str, final: int, analyze, classify, pair, target
+) -> tuple[list[CheckReport], set[Weights]]:
+    """The pairing argument of both families: classify(w, analyze(w)) puts each
+    negative map in a class, the final class may reach only the top diagonal,
+    and every other class is paired through pair(w, a, cls); target(beta, cls)
+    says how a partner misses its target class, or returns None.  Returns the
+    six reports and the negative set for the coverage audit."""
     t0 = time.perf_counter()
-    ctx = FamilyContext("t3mn", m, n)
-    top = m + n + 5
-    rep_partition = CheckReport("class-partition", m, n)
-    rep_vanish = CheckReport("final-class-vanishing", m, n)
-    rep_image = CheckReport("image-in-target", m, n)
-    rep_disjoint = CheckReport("target-disjointness", m, n)
-    rep_pairing = CheckReport("pairing-positivity", m, n)
-    rep_inject = CheckReport("pair-injectivity", m, n)
+    m, n = ctx.m, ctx.n
+    lemmas = (
+        "class-partition", "final-class-vanishing", "image-in-target",
+        "target-disjointness", "pairing-positivity", "pair-injectivity",
+    )
+    reports = [CheckReport(prefix + lemma, m, n) for lemma in lemmas]
+    rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject = reports
     images: dict[Weights, tuple[int, Weights]] = {}
     negatives: set[Weights] = set()
     for w, exp in negative_members(ctx):
         negatives.add(w)
-        a = analyze_map(ctx, w)
-        matches = negative_class_matches(a)
+        a = analyze(w)
+        matches = classify(w, a)
         rep_partition.cases += 1
         if len(matches) != 1:
-            rep_partition.record(w, f"matches classes {matches}")
+            rep_partition.record(w, f"matches {label}es {matches}")
             continue
         cls = matches[0]
-        if cls == 30:
+        if cls == final:
             rep_vanish.cases += 1
-            stray = [k for (x, y), c in exp.items() if x == y != top and c]
-            for x in stray:
-                rep_vanish.record(w, f"diagonal coefficient at {x} is nonzero")
+            # every diagonal below the top index, as in _diagonal_report
+            for (x, y), c in exp.items():
+                if c and x == y <= m + n + 4:
+                    rep_vanish.record(w, f"diagonal coefficient at {x} is nonzero")
             continue
         try:
-            beta = partner(ctx, a, cls)
+            beta = pair(w, a, cls)
         except PartnerError as exc:
-            rep_image.record(w, f"class {cls}: {exc}")
+            rep_image.record(w, f"{label} {cls}: {exc}")
             continue
-        b = analyze_map(ctx, beta)
         bexp = _safe_expansion(ctx, beta)
         rep_image.cases += 1
         if min_coefficient(bexp) < 0:
-            rep_image.record(beta, f"class {cls}: partner shadow is negative")
-        if cls not in positive_class_matches(b):
-            rep_image.record(w, f"class {cls}: partner misses its target class")
+            rep_image.record(beta, f"{label} {cls}: partner shadow is negative")
+        miss = target(beta, cls)
+        if miss is not None:
+            rep_image.record(w, f"{label} {cls}: {miss}")
         # The target classes are audited on realized partners: two negative
         # maps must never share a partner, across classes (disjointness of
         # the realized targets) or within one (per-class injectivity).
@@ -1130,7 +1124,7 @@ def verify_base(
         rep_inject.cases += 1
         rep_pairing.cases += 1
         if min_coefficient(add_expansions(exp, bexp)) < 0:
-            rep_pairing.record(w, f"class {cls}: pair sum has a negative coefficient")
+            rep_pairing.record(w, f"{label} {cls}: pair sum has a negative coefficient")
         prev = images.get(beta)
         if prev is not None and prev != (cls, w):
             if prev[0] != cls:
@@ -1141,19 +1135,36 @@ def verify_base(
                 rep_inject.record(beta, f"two class-{cls} maps share a partner")
         images[beta] = (cls, w)
     spent = time.perf_counter() - t0
-    for rep in (rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject):
+    for rep in reports:
         rep.elapsed = spent
-    rep_y = _diagonal_report(ctx)
-    rep_cov = _coverage_report(ctx, negatives, audit_limit, sample_size, seed)
-    return [
-        rep_partition,
-        rep_vanish,
-        rep_image,
-        rep_disjoint,
-        rep_pairing,
-        rep_inject,
-        rep_y,
-        rep_cov,
+    return reports, negatives
+
+
+def verify_base(
+    m: int,
+    n: int,
+    audit_limit: int = AUDIT_LIMIT,
+    sample_size: int = SAMPLE_SIZE,
+    seed: int = 0,
+) -> list[CheckReport]:
+    """Run the full pairing-certificate battery for the base family at (m, n)."""
+    ctx = FamilyContext("t3mn", m, n)
+
+    def target(beta: Weights, cls: int) -> Optional[str]:
+        if cls in positive_class_matches(analyze_map(ctx, beta)):
+            return None
+        return "partner misses its target class"
+
+    reports, negatives = _pairing_reports(
+        ctx, "", "class", 30,
+        analyze=lambda w: analyze_map(ctx, w),
+        classify=lambda w, a: negative_class_matches(a),
+        pair=lambda w, a, cls: partner(ctx, a, cls),
+        target=target,
+    )
+    return reports + [
+        _diagonal_report(ctx),
+        _coverage_report(ctx, negatives, audit_limit, sample_size, seed),
     ]
 
 
@@ -1208,6 +1219,16 @@ def _partner_19_low_mark(core_ctx: FamilyContext, a: FamilyAnalysis) -> Weights:
     return tuple(w)
 
 
+def core_partner(
+    core_ctx: FamilyContext, a: FamilyAnalysis, cls: int, repair_corner: bool
+) -> Weights:
+    """The core injection for class cls; with repair_corner the class-19
+    corner (see marks_head_13) takes the position-1 marking instead."""
+    if repair_corner and cls == 19 and marks_head_13(a):
+        return _partner_19_low_mark(core_ctx, a)
+    return partner(core_ctx, a, cls)
+
+
 def partner_star(
     ctx: FamilyContext,
     core_ctx: FamilyContext,
@@ -1247,10 +1268,7 @@ def partner_star(
         raise PartnerError("core restriction falls in the final class")
     if cls == 3 and tcls == 28 and only_gap_at_leg_13(a):
         raise PartnerError("core restriction falls in the excluded corner case")
-    if repair_corner and cls == 3 and tcls == 19 and marks_head_13(a):
-        mu = _partner_19_low_mark(core_ctx, a)
-    else:
-        mu = partner(core_ctx, a, tcls)
+    mu = core_partner(core_ctx, a, tcls, repair_corner and cls == 3)
     out = list(w)
     for v in range(core_ctx.graph.n):
         out[v] = mu[v]
@@ -1274,79 +1292,26 @@ def verify_star(
     switches that corner to the position-1 marking and the battery is then
     expected to be violation free.
     """
-    t0 = time.perf_counter()
     ctx = FamilyContext("t3mn_star", m, n)
     core_ctx = FamilyContext("t3mn", m, n)
     lay = ctx.layout
-    rep_partition = CheckReport("star-class-partition", m, n)
-    rep_vanish = CheckReport("star-final-class-vanishing", m, n)
-    rep_image = CheckReport("star-image-in-target", m, n)
-    rep_disjoint = CheckReport("star-target-disjointness", m, n)
-    rep_pairing = CheckReport("star-pairing-positivity", m, n)
-    rep_inject = CheckReport("star-pair-injectivity", m, n)
-    images: dict[Weights, tuple[int, Weights]] = {}
-    negatives: set[Weights] = set()
-    for w, exp in negative_members(ctx):
-        negatives.add(w)
-        core = analyze_map(core_ctx, w[: core_ctx.graph.n])
-        matches = star_class_matches(ctx, w, core)
-        rep_partition.cases += 1
-        if len(matches) != 1:
-            rep_partition.record(w, f"matches star classes {matches}")
-            continue
-        cls = matches[0]
-        if cls == 4:
-            rep_vanish.cases += 1
-            stray = [k for (x, y), c in exp.items() if x == y <= m + n + 4 and c]
-            for k in stray:
-                rep_vanish.record(w, f"diagonal coefficient at {k} is nonzero")
-            continue
-        try:
-            beta = partner_star(ctx, core_ctx, w, cls, repair_corner=repair_corner)
-        except PartnerError as exc:
-            rep_image.record(w, f"star class {cls}: {exc}")
-            continue
-        bexp = _safe_expansion(ctx, beta)
-        rep_image.cases += 1
-        if min_coefficient(bexp) < 0:
-            rep_image.record(beta, f"star class {cls}: partner shadow is negative")
-        bx, by = beta[lay.x], beta[lay.y]
-        target = 1 if bx != 1 else (2 if by == 1 else 3)
-        if target != cls:
-            rep_image.record(w, f"star class {cls}: partner lands in class {target}")
-        rep_disjoint.cases += 1
-        rep_inject.cases += 1
-        rep_pairing.cases += 1
-        if min_coefficient(add_expansions(exp, bexp)) < 0:
-            rep_pairing.record(w, f"star class {cls}: pair sum has a negative coefficient")
-        prev = images.get(beta)
-        if prev is not None and prev != (cls, w):
-            if prev[0] != cls:
-                rep_disjoint.record(
-                    beta, f"partner realized from classes {prev[0]} and {cls}"
-                )
-            else:
-                rep_inject.record(beta, f"two class-{cls} maps share a partner")
-        images[beta] = (cls, w)
-    spent = time.perf_counter() - t0
-    for rep in (rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject):
-        rep.elapsed = spent
-    rep_y = _diagonal_report(ctx)
-    rep_cov = _coverage_report(ctx, negatives, audit_limit, sample_size, seed)
-    rep_foot, rep_head = _repair_locality_reports(core_ctx, repair_corner)
-    rep_append = check_path_append_identities()
-    return [
-        rep_partition,
-        rep_vanish,
-        rep_image,
-        rep_disjoint,
-        rep_pairing,
-        rep_inject,
-        rep_y,
-        rep_cov,
-        rep_foot,
-        rep_head,
-        rep_append,
+
+    def target(beta: Weights, cls: int) -> Optional[str]:
+        landed = 1 if beta[lay.x] != 1 else (2 if beta[lay.y] == 1 else 3)
+        return None if landed == cls else f"partner lands in class {landed}"
+
+    reports, negatives = _pairing_reports(
+        ctx, "star-", "star class", 4,
+        analyze=lambda w: analyze_map(core_ctx, w[: core_ctx.graph.n]),
+        classify=lambda w, core: star_class_matches(ctx, w, core),
+        pair=lambda w, core, cls: partner_star(ctx, core_ctx, w, cls, repair_corner),
+        target=target,
+    )
+    return reports + [
+        _diagonal_report(ctx),
+        _coverage_report(ctx, negatives, audit_limit, sample_size, seed),
+        *_repair_locality_reports(core_ctx, repair_corner),
+        check_path_append_identities(),
     ]
 
 
@@ -1374,10 +1339,7 @@ def _repair_locality_reports(
             continue
         cls = matches[0]
         try:
-            if repair_corner and cls == 19 and marks_head_13(a):
-                beta = _partner_19_low_mark(core_ctx, a)
-            else:
-                beta = partner(core_ctx, a, cls)
+            beta = core_partner(core_ctx, a, cls, repair_corner)
         except PartnerError:
             continue
         rep_foot.cases += 1

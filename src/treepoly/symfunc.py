@@ -211,10 +211,6 @@ def schur_expand(f: SymPoly2) -> TwoRowExpansion:
     return TwoRowExpansion(expand_terms(f.terms))
 
 
-def two_row_positive(f: SymPoly2) -> bool:
-    return schur_expand(f).is_nonnegative
-
-
 # ---------------------------------------------------------------------------
 # chromatic shadows
 

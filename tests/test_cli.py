@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+from treepoly import proofcheck
 from treepoly.cli import main
 
 
@@ -217,3 +218,13 @@ def test_scan_parallel_matches_serial(capsys):
     )
     assert code == 0
     assert serial == parallel
+
+
+def test_verify_guard_overrun_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(proofcheck, "PATTERN_GUARD", 10)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "section4", "-m", "1", "-n", "1"
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "guard" in err
+    assert "Traceback" not in err and out == ""

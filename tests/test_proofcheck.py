@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from treepoly import proofcheck
 from treepoly.alphamaps import admissible_maps
 from treepoly.graphs import family_layout
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
@@ -240,3 +242,65 @@ def test_reports_serialize_deterministically():
     dump_a = json.dumps([r.to_json_dict() for r in a], sort_keys=True)
     dump_b = json.dumps([r.to_json_dict() for r in b], sort_keys=True)
     assert dump_a == dump_b
+
+
+@pytest.mark.parametrize(
+    "family,verify,final,prefix",
+    [("t3mn", verify_base, (30,), ""), ("t3mn_star", verify_star, (4,), "star-")],
+    ids=["base", "star"],
+)
+def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, final, prefix):
+    ctx = FamilyContext(family, 1, 1)
+    core_ctx = FamilyContext("t3mn", 1, 1)
+    for w, exp in negative_members(ctx):
+        core = analyze_map(core_ctx, w[: core_ctx.graph.n])
+        if family == "t3mn":
+            matches = negative_class_matches(core)
+        else:
+            matches = star_class_matches(ctx, w, core)
+        if matches == final:
+            break
+    else:
+        pytest.fail(f"no final-class map for {family} at (1, 1)")
+    real = proofcheck.negative_members
+
+    def one_stray_member(c):
+        if c.family != family:
+            return real(c)
+        return iter([(w, {**exp, (1, 1): 7})])
+
+    monkeypatch.setattr(proofcheck, "negative_members", one_stray_member)
+    reports = verify(1, 1, audit_limit=0, sample_size=10)
+    rep = {r.lemma: r for r in reports}[prefix + "final-class-vanishing"]
+    assert rep.cases == 1
+    assert [v.reason for v in rep.violations] == ["diagonal coefficient at 1 is nonzero"]
+
+
+# sha256 of the sorted-key JSON of each battery's reports.  For fixed inputs
+# and seed the verify JSON stays byte-identical, so a new digest here must
+# come with the reason the reports changed.
+@pytest.mark.parametrize(
+    "verify,kwargs,digest",
+    [
+        (
+            verify_base,
+            dict(seed=0),
+            "2d52f98591fd9d3743efd6630750d97eb96ad49a527d18989c298e00633c1346",
+        ),
+        (
+            verify_star,
+            dict(audit_limit=0, sample_size=300, seed=4, repair_corner=False),
+            "40632e559f8fd38df02f8b32e9922d775c7c3b534d6ee0287e8d07d23d74e95a",
+        ),
+        (
+            verify_star,
+            dict(audit_limit=0, sample_size=300, seed=4, repair_corner=True),
+            "b4acede3e4cd067f7901306e61ac6661a7003b9d50e093fbf00907aec17c069e",
+        ),
+    ],
+    ids=["base", "star-published", "star-repaired"],
+)
+def test_report_bytes_are_pinned(verify, kwargs, digest):
+    reports = verify(1, 1, **kwargs)
+    dump = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
