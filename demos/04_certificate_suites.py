@@ -15,16 +15,16 @@ from treepoly.proofcheck import verify_base, verify_chain, verify_star
 
 print("base family at (2, 2):")
 for rep in verify_base(2, 2):
-    print(f"  {rep.lemma:28s} cases={rep.cases:8d} violations={len(rep.violations)}")
+    print(f"  {rep.lemma:28s} cases={rep.cases:8d} violations={rep.violation_count}")
 
 print("\nextended family at (1, 1), published injections verbatim:")
 for rep in verify_star(1, 1):
     flag = "" if rep.ok else "   <-- falsified"
-    print(f"  {rep.lemma:32s} cases={rep.cases:8d} violations={len(rep.violations)}{flag}")
+    print(f"  {rep.lemma:32s} cases={rep.cases:8d} violations={rep.violation_count}{flag}")
 
 print("\nsame battery with the repaired class-19 marking:")
 for rep in verify_star(1, 1, repair_corner=True):
-    print(f"  {rep.lemma:32s} cases={rep.cases:8d} violations={len(rep.violations)}")
+    print(f"  {rep.lemma:32s} cases={rep.cases:8d} violations={rep.violation_count}")
 
 print("\ntheorem-level chain on a few cells:")
 for family in ("t3mn", "t3mn_star"):

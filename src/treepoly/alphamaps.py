@@ -102,34 +102,6 @@ def admissible_maps(g: Graph, guard: int = ENUMERATION_GUARD) -> Iterator[Weight
     yield from walk(0)
 
 
-def sample_admissible(g: Graph, rng) -> Weights:
-    """Uniform random admissible map of a forest, via the counting tables."""
-    z, o, t = _admissible_counts(g)
-    values = [0] * g.n
-    for root in _roots(g):
-        stack = [(root, -1)]
-        while stack:
-            v, pv = stack.pop()
-            pval = values[pv] if pv >= 0 else 0
-            if pval == 0:
-                options = (z[v], o[v], t[v])
-            elif pval == 1:
-                options = (z[v], o[v], 0)
-            else:
-                options = (z[v], 0, 0)
-            pick = rng.randrange(sum(options))
-            if pick < options[0]:
-                values[v] = 0
-            elif pick < options[0] + options[1]:
-                values[v] = 1
-            else:
-                values[v] = 2
-            for w in g.adj[v]:
-                if w != pv:
-                    stack.append((w, v))
-    return tuple(values)
-
-
 def _roots(g: Graph) -> list[int]:
     seen = bytearray(g.n)
     roots = []

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 from .alphamaps import EnumerationGuardError, spider_suite
 from .graphs import spider2, spider12
 from .intpoly import GuardLimitError, analyze, family_graph, indpoly_tree, scan_row
-from .proofcheck import AUDIT_LIMIT, SAMPLE_SIZE, verify_base, verify_star
+from .proofcheck import verify_base, verify_star
 from .reports import all_ok
 
 FAMILY_ALIASES = {
@@ -158,10 +159,13 @@ def cmd_scan(args) -> int:
     )
     cells = _scan_cells(args)
     work = [(fam, m, n) for fam in families for m, n in cells]
-    if args.jobs > 1:
+    if args.jobs < 0:
+        raise SystemExit2("--jobs must be 0 or more")
+    jobs = min(args.jobs, len(work), os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             rows = pool.starmap(scan_row, work)
     else:
         rows = [scan_row(*item) for item in work]
@@ -214,35 +218,24 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "prop3":
-        reports = spider_suite(max_legs=args.n if args.n else 4)
-        meta = {"suite": "prop3", "n": args.n or 4}
+        legs = 4 if args.n is None else args.n
+        if legs < 1:
+            raise SystemExit2("prop3 needs -n of at least 1")
+        reports = spider_suite(max_legs=legs)
+        meta = {"suite": "prop3", "n": legs}
     elif args.suite == "section4":
         if args.m is None or args.n is None:
             raise SystemExit2("section4 needs -m and -n")
-        reports = verify_base(
-            args.m,
-            args.n,
-            audit_limit=args.audit_limit,
-            sample_size=args.sample,
-            seed=args.seed,
-        )
-        meta = {"suite": "section4", "m": args.m, "n": args.n, "seed": args.seed}
+        reports = verify_base(args.m, args.n)
+        meta = {"suite": "section4", "m": args.m, "n": args.n}
     else:
         if args.m is None or args.n is None:
             raise SystemExit2("section5 needs -m and -n")
-        reports = verify_star(
-            args.m,
-            args.n,
-            audit_limit=args.audit_limit,
-            sample_size=args.sample,
-            seed=args.seed,
-            repair_corner=args.repair_corner,
-        )
+        reports = verify_star(args.m, args.n, repair_corner=args.repair_corner)
         meta = {
             "suite": "section5",
             "m": args.m,
             "n": args.n,
-            "seed": args.seed,
             "repair_corner": args.repair_corner,
         }
     payload = dict(meta)
@@ -254,7 +247,7 @@ def cmd_verify(args) -> int:
     for r in reports:
         mark = "ok  " if r.ok else "FAIL"
         sys.stdout.write(
-            f"{mark} {r.lemma:34s} cases={r.cases:9d} violations={len(r.violations)}\n"
+            f"{mark} {r.lemma:34s} cases={r.cases:9d} violations={r.violation_count}\n"
         )
         for v in r.violations[:5]:
             sys.stdout.write(f"      {v.reason}: alpha={list(v.weights or ())}\n")
@@ -326,14 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=["section4", "section5", "prop3"])
     verify.add_argument("-m", "--m", type=int, dest="m")
     verify.add_argument("-n", "--n", type=int, dest="n")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--sample", type=int, default=SAMPLE_SIZE)
-    verify.add_argument(
-        "--audit-limit",
-        type=int,
-        default=AUDIT_LIMIT,
-        help="exhaustive coverage audit below this admissible-map count",
-    )
+    # The coverage audit is an exact count with nothing to sample or limit;
+    # these flags are still accepted, and ignored, so existing scripts that
+    # pass them keep working.
+    for flag in ("--seed", "--sample", "--audit-limit"):
+        verify.add_argument(flag, type=int, help=argparse.SUPPRESS)
     verify.add_argument(
         "--repair-corner",
         action="store_true",

@@ -16,14 +16,14 @@ Negative maps are enumerated exactly for any (m, n) within the pattern guard:
 a map can only have negative shadow if some clan component is unbalanced,
 which pins the component either inside a branch slice or on the spine through
 the root, so candidates are generated from per-slice pattern buckets instead
-of sweeping all admissible maps.  A separate coverage audit (exhaustive below
-a size limit, seeded sampling above it) confirms that no negative map escapes
-the candidate generator.
+of sweeping all admissible maps.  A separate coverage audit counts the
+negative maps exactly, folding every combination of root value and
+slice-pattern bucket, and confirms that the generator yields exactly that
+many distinct maps, each negative under the family's own shadow engine.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -32,13 +32,11 @@ from typing import Iterator, Optional, Sequence
 from .alphamaps import (
     EnumerationGuardError,
     Weights,
-    admissible_maps,
     bare_leg_count,
     count_admissible,
     has_isolated_clan_vertex,
     mark_legs,
     restrict,
-    sample_admissible,
     spider_view,
     vacated_signature,
 )
@@ -47,6 +45,7 @@ from .intpoly import analyze, indpoly_tree
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
+    Signature,
     add_expansions,
     expansion_from_signature,
     is_admissible,
@@ -55,8 +54,6 @@ from .shadow import (
 from .symfunc import chromatic_multicolor_2var, f_p_2var, schur_expand
 
 PATTERN_GUARD = 300_000
-AUDIT_LIMIT = 4_000_000
-SAMPLE_SIZE = 20_000
 
 
 class PartnerError(RuntimeError):
@@ -955,6 +952,64 @@ def _engine_slices(ctx: FamilyContext) -> list[_EngineSlice]:
 _TAU_ALLOWED = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
 
 
+# Partial signature (comps, twos, c0, c1) of the root alone.  (c0, c1) is the
+# root's open component: (1, 0) when v0 is 1 (the root has color 0), and
+# (0, 0), never joined, otherwise.
+_ROOT_STATE = {0: ((), 0, 0, 0), 1: ((), 0, 1, 0), 2: ((), 1, 0, 0)}
+
+
+def _join(v0val: int, acc: tuple, p: _SlicePattern) -> tuple:
+    """Attach one slice pattern below the root of a partial signature: the
+    slice brings its own components and weight-2 vertices, and its center
+    component merges into the root's when v0 is 1 and stands alone
+    otherwise.  Patterns of one bucket (equal tau, comps, twos, cc0, cc1)
+    join alike."""
+    comps, twos, c0, c1 = acc
+    comps += p.comps
+    if p.tau == 1:
+        if v0val == 1:
+            c0 += p.cc0
+            c1 += p.cc1
+        else:
+            comps += ((p.cc0, p.cc1) if p.cc0 >= p.cc1 else (p.cc1, p.cc0),)
+    return comps, twos + p.twos, c0, c1
+
+
+def _close(acc: tuple) -> Signature:
+    """The shadow signature of a partial signature with every slice joined."""
+    comps, twos, c0, c1 = acc
+    if c0:
+        comps += ((c0, c1) if c0 >= c1 else (c1, c0),)
+    return tuple(sorted(comps)), twos
+
+
+def _count_by_signature(slices: list[_EngineSlice]) -> dict[Signature, int]:
+    """Number of admissible maps per shadow signature, folded over v0 and
+    the slice-pattern buckets of every slice.  Every combination is counted,
+    not only the unbalanced ones negative_members prunes to, so the count
+    does not share the pruning argument it is used to check."""
+    counts: dict[Signature, int] = {}
+    for v0val in (0, 1, 2):
+        states = {_ROOT_STATE[v0val]: 1}
+        for sl in slices:
+            buckets: dict[tuple, list] = {}
+            for p in sl.patterns:
+                if p.tau in _TAU_ALLOWED[v0val]:
+                    key = (p.tau, p.comps, p.twos, p.cc0, p.cc1)
+                    buckets.setdefault(key, [p, 0])[1] += 1
+            folded: dict[tuple, int] = {}
+            for p, size in buckets.values():
+                for acc, c in states.items():
+                    comps, twos, c0, c1 = _join(v0val, acc, p)
+                    key = tuple(sorted(comps)), twos, c0, c1
+                    folded[key] = folded.get(key, 0) + c * size
+            states = folded
+        for acc, c in states.items():
+            sig = _close(acc)
+            counts[sig] = counts.get(sig, 0) + c
+    return counts
+
+
 def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
     """All weight maps with negative two-row shadow, with their expansions.
 
@@ -965,31 +1020,24 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
     slices = _engine_slices(ctx)
     size = ctx.graph.n
 
-    def emit(v0val: int, combo) -> Optional[tuple[Weights, dict]]:
-        comps = []
-        twos = 1 if v0val == 2 else 0
-        c0, c1 = 1, 0
-        for p in combo:
-            comps.extend(p.comps)
-            twos += p.twos
-            if p.tau == 1:
-                if v0val == 1:
-                    c0 += p.cc0
-                    c1 += p.cc1
-                else:
-                    comps.append((p.cc0, p.cc1) if p.cc0 >= p.cc1 else (p.cc1, p.cc0))
-        if v0val == 1:
-            comps.append((c0, c1) if c0 >= c1 else (c1, c0))
-        comps.sort()
-        expansion = expansion_from_signature((tuple(comps), twos))
-        if min_coefficient(expansion) >= 0:
-            return None
-        w = [0] * size
-        w[0] = v0val
-        for sl, p in zip(slices, combo):
-            for value, v in zip(p.values, sl.verts):
-                w[v] = value
-        return tuple(w), expansion
+    def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict]]:
+        """The negative maps among pools[0] x pools[1] x pools[2], in that
+        product's order; each prefix is joined to the root once."""
+        root = _ROOT_STATE[v0val]
+        for p1 in pools[0]:
+            acc1 = _join(v0val, root, p1)
+            for p2 in pools[1]:
+                acc2 = _join(v0val, acc1, p2)
+                for p3 in pools[2]:
+                    expansion = expansion_from_signature(_close(_join(v0val, acc2, p3)))
+                    if min_coefficient(expansion) >= 0:
+                        continue
+                    w = [0] * size
+                    w[0] = v0val
+                    for sl, p in zip(slices, (p1, p2, p3)):
+                        for value, v in zip(p.values, sl.verts):
+                            w[v] = value
+                    yield tuple(w), expansion
 
     for v0val in (0, 1, 2):
         allowed = [
@@ -1006,10 +1054,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
             for pats in allowed
         ]
         for i in range(3):
-            for combo in iproduct(*good[:i], bad[i], *allowed[i + 1 :]):
-                result = emit(v0val, combo)
-                if result is not None:
-                    yield result
+            yield from emit(v0val, (*good[:i], bad[i], *allowed[i + 1 :]))
         if v0val == 1:
             by_d = []
             for pats in good:
@@ -1020,12 +1065,8 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
             for d1, g1 in by_d[0]:
                 for d2, g2 in by_d[1]:
                     for d3, g3 in by_d[2]:
-                        if abs(1 + d1 + d2 + d3) < 2:
-                            continue
-                        for combo in iproduct(g1, g2, g3):
-                            result = emit(1, combo)
-                            if result is not None:
-                                yield result
+                        if abs(1 + d1 + d2 + d3) >= 2:
+                            yield from emit(1, (g1, g2, g3))
 
 
 # ---------------------------------------------------------------------------
@@ -1040,45 +1081,43 @@ def _safe_expansion(ctx: FamilyContext, w: Sequence[int]) -> dict:
     return {}
 
 
-def _coverage_report(
-    ctx: FamilyContext,
-    negatives: set[Weights],
-    audit_limit: int,
-    sample_size: int,
-    seed: int,
-) -> CheckReport:
-    """Confirm that no map outside the enumerated negative set has negative
-    shadow: exhaustively below the audit limit, by seeded sampling above it."""
+def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckReport:
+    """Confirm that the enumerated maps are exactly the admissible maps with
+    negative shadow.  The bucket count gives the number of admissible maps,
+    checked against count_admissible, and the number of negative ones; the
+    enumerated maps must be distinct, each negative under the family's own
+    ForestShadow, and exactly that many."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-coverage", ctx.m, ctx.n)
-    total = count_admissible(ctx.graph)
-    shadow = ctx.shadow
-    if total <= audit_limit:
-        source = admissible_maps(ctx.graph, guard=audit_limit)
-    else:
-        rng = random.Random(seed)
-        source = (sample_admissible(ctx.graph, rng) for _ in range(sample_size))
-    for w in source:
-        rep.cases += 1
-        negative = min_coefficient(shadow.expansion(w)) < 0
-        if negative != (w in negatives):
-            rep.record(
-                w,
-                "enumerated negative set disagrees with the shadow sign"
-                f" (negative={negative})",
-            )
+    counts = _count_by_signature(_engine_slices(ctx))
+    rep.cases = sum(counts.values())
+    admissible = count_admissible(ctx.graph)
+    if rep.cases != admissible:
+        rep.record(None, f"buckets count {rep.cases} admissible maps, count_admissible {admissible}")
+    negative = sum(
+        c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0
+    )
+    seen: set[Weights] = set()
+    for w in negatives:
+        if w in seen:
+            rep.record(w, "map enumerated twice")
+        elif min_coefficient(_safe_expansion(ctx, w)) >= 0:
+            rep.record(w, "enumerated map is not negative")
+        seen.add(w)
+    if len(seen) != negative:
+        rep.record(None, f"enumerated {len(seen)} negative maps, counted {negative}")
     rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def _pairing_reports(
     ctx: FamilyContext, prefix: str, label: str, final: int, analyze, classify, pair, target
-) -> tuple[list[CheckReport], set[Weights]]:
+) -> tuple[list[CheckReport], list[Weights]]:
     """The pairing argument of both families: classify(w, analyze(w)) puts each
     negative map in a class, the final class may reach only the top diagonal,
     and every other class is paired through pair(w, a, cls); target(beta, cls)
     says how a partner misses its target class, or returns None.  Returns the
-    six reports and the negative set for the coverage audit."""
+    six reports and the enumerated maps for the coverage audit."""
     t0 = time.perf_counter()
     m, n = ctx.m, ctx.n
     lemmas = (
@@ -1088,9 +1127,9 @@ def _pairing_reports(
     reports = [CheckReport(prefix + lemma, m, n) for lemma in lemmas]
     rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject = reports
     images: dict[Weights, tuple[int, Weights]] = {}
-    negatives: set[Weights] = set()
+    negatives: list[Weights] = []
     for w, exp in negative_members(ctx):
-        negatives.add(w)
+        negatives.append(w)
         a = analyze(w)
         matches = classify(w, a)
         rep_partition.cases += 1
@@ -1140,13 +1179,7 @@ def _pairing_reports(
     return reports, negatives
 
 
-def verify_base(
-    m: int,
-    n: int,
-    audit_limit: int = AUDIT_LIMIT,
-    sample_size: int = SAMPLE_SIZE,
-    seed: int = 0,
-) -> list[CheckReport]:
+def verify_base(m: int, n: int) -> list[CheckReport]:
     """Run the full pairing-certificate battery for the base family at (m, n)."""
     ctx = FamilyContext("t3mn", m, n)
 
@@ -1164,7 +1197,7 @@ def verify_base(
     )
     return reports + [
         _diagonal_report(ctx),
-        _coverage_report(ctx, negatives, audit_limit, sample_size, seed),
+        _coverage_report(ctx, negatives),
     ]
 
 
@@ -1277,14 +1310,7 @@ def partner_star(
     return tuple(out)
 
 
-def verify_star(
-    m: int,
-    n: int,
-    audit_limit: int = AUDIT_LIMIT,
-    sample_size: int = SAMPLE_SIZE,
-    seed: int = 0,
-    repair_corner: bool = False,
-) -> list[CheckReport]:
+def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport]:
     """Run the full pairing-certificate battery for the extended family.
 
     The default applies the published injections verbatim, which records
@@ -1309,7 +1335,7 @@ def verify_star(
     )
     return reports + [
         _diagonal_report(ctx),
-        _coverage_report(ctx, negatives, audit_limit, sample_size, seed),
+        _coverage_report(ctx, negatives),
         *_repair_locality_reports(core_ctx, repair_corner),
         check_path_append_identities(),
     ]

@@ -33,6 +33,7 @@ class CheckReport:
     n: Optional[int] = None
     cases: int = 0
     violations: list[Violation] = field(default_factory=list)
+    violation_count: int = 0
     elapsed: float = 0.0
 
     @property
@@ -40,6 +41,8 @@ class CheckReport:
         return not self.violations
 
     def record(self, weights, reason: str, cap: int = 50) -> None:
+        """Count every violation; keep the first cap as examples."""
+        self.violation_count += 1
         if len(self.violations) < cap:
             self.violations.append(
                 Violation(tuple(weights) if weights is not None else None, reason)
@@ -52,6 +55,7 @@ class CheckReport:
             "m": self.m,
             "n": self.n,
             "cases": self.cases,
+            "violation_count": self.violation_count,
             "violations": [v.to_json_dict() for v in self.violations],
         }
 

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -24,7 +23,6 @@ from treepoly.alphamaps import (
     mark_legs,
     mask_outside,
     restrict,
-    sample_admissible,
     spider_suite,
     spider_view,
     split_by_clan_component,
@@ -93,16 +91,6 @@ def test_weight_sum_matches_product(rng):
             part = chromatic_multicolor_2var(t, w)
             total = part if total is None else total + part
         assert total == y_g_2var(t)
-
-
-def test_sampling_is_admissible_and_seeded(rng):
-    t = random_tree(rng, 12)
-    r1 = random.Random(7)
-    r2 = random.Random(7)
-    seq1 = [sample_admissible(t, r1) for _ in range(50)]
-    seq2 = [sample_admissible(t, r2) for _ in range(50)]
-    assert seq1 == seq2
-    assert all(is_admissible(t, w) for w in seq1)
 
 
 def test_bare_and_anchored():

@@ -169,19 +169,45 @@ def test_verify_section5_faithful_vs_repaired(capsys, tmp_path):
 
 
 def test_verify_reports_are_byte_identical(capsys, tmp_path):
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path in paths:
+    # --seed, --audit-limit and --sample are still accepted and change nothing
+    flags = [(), (), ("--seed", "9", "--audit-limit", "0", "--sample", "5")]
+    paths = [tmp_path / f"{i}.json" for i in range(len(flags))]
+    for extra, path in zip(flags, paths):
         code, _, _ = run_cli(
             capsys,
             "verify",
             "--suite", "section4", "-m", "1", "-n", "1",
-            "--seed", "9",
-            "--audit-limit", "1000",
-            "--sample", "400",
+            *extra,
             "-o", str(path),
         )
         assert code == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    assert "seed" not in json.loads(paths[0].read_text())
+
+
+def test_verify_prop3_rejects_legs_below_one(capsys):
+    for legs in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "prop3", "-n", legs)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "all checks passed" not in out
+
+
+def test_verify_prints_uncapped_violation_totals(capsys, monkeypatch):
+    real = proofcheck._coverage_report
+
+    def noisy(ctx, negatives):
+        rep = real(ctx, negatives)
+        for _ in range(60):
+            rep.record(None, "injected")
+        return rep
+
+    monkeypatch.setattr(proofcheck, "_coverage_report", noisy)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "section4", "-m", "1", "-n", "1"
+    )
+    assert code == 1
+    assert "violations=60\n" in out
 
 
 def test_plotdata(capsys):
@@ -228,3 +254,35 @@ def test_verify_guard_overrun_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ") and "guard" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_scan_jobs_are_bounded(capsys, monkeypatch):
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, work):
+            return [func(*item) for item in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    scan = ("scan", "--family", "t3mn", "-m", "1..2", "-n", "1..2")
+    code, _, _ = run_cli(capsys, *scan, "--jobs", "1000")
+    assert code == 0
+    assert requested == [4]  # one worker per cell, never more than the CPUs
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    code, _, _ = run_cli(capsys, *scan, "--jobs", "1000")
+    assert requested == [4, 3]
+    code, _, err = run_cli(capsys, *scan, "--jobs", "-1")
+    assert code == 2 and err.startswith("error: ")
+    assert requested == [4, 3]

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from treepoly import proofcheck
-from treepoly.alphamaps import admissible_maps
+from treepoly.alphamaps import admissible_maps, count_admissible
 from treepoly.graphs import family_layout
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
@@ -26,7 +26,7 @@ from treepoly.proofcheck import (
     verify_star,
 )
 from treepoly.reports import all_ok
-from treepoly.shadow import is_admissible, min_coefficient
+from treepoly.shadow import expansion_from_signature, is_admissible, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
 
@@ -42,7 +42,13 @@ def brute_negatives(ctx):
 def test_negative_enumeration_matches_bruteforce(family, m, n):
     ctx = FamilyContext(family, m, n)
     engine = {w for w, _ in negative_members(ctx)}
-    assert engine == brute_negatives(ctx)
+    brute = brute_negatives(ctx)
+    assert engine == brute
+    # the coverage audit's bucket count, against the exhaustive sweep
+    counts = proofcheck._count_by_signature(proofcheck._engine_slices(ctx))
+    assert sum(counts.values()) == count_admissible(ctx.graph)
+    negative = sum(c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0)
+    assert negative == len(brute)
 
 
 def test_negative_expansions_are_exact():
@@ -161,11 +167,30 @@ def test_verify_base_small_grid():
         assert by_name["negative-coverage"].cases > 0
 
 
-def test_verify_base_sampled_audit():
-    reports = verify_base(1, 1, audit_limit=1000, sample_size=500, seed=3)
-    by_name = {r.lemma: r for r in reports}
-    assert by_name["negative-coverage"].cases == 500
-    assert all_ok(reports)
+@pytest.mark.parametrize("fault", ["drop", "not-negative", "duplicate"])
+def test_coverage_audit_catches_a_faulty_enumeration(monkeypatch, fault):
+    real = proofcheck.negative_members
+
+    def faulty(ctx):
+        members = list(real(ctx))
+        if fault == "drop":
+            members.pop()
+        elif fault == "not-negative":
+            members.insert(0, ((0,) * ctx.graph.n, {}))
+        else:
+            members.append(members[0])
+        return iter(members)
+
+    monkeypatch.setattr(proofcheck, "negative_members", faulty)
+    rep = {r.lemma: r for r in verify_base(1, 1)}["negative-coverage"]
+    assert rep.cases == count_admissible(FamilyContext("t3mn", 1, 1).graph)
+    reasons = [v.reason for v in rep.violations]
+    expected = {
+        "drop": "enumerated 595 negative maps, counted 596",
+        "not-negative": "enumerated map is not negative",
+        "duplicate": "map enumerated twice",
+    }[fault]
+    assert expected in reasons
 
 
 def test_star_partition_covers_xy_patterns():
@@ -237,8 +262,8 @@ def test_verify_chain():
 
 
 def test_reports_serialize_deterministically():
-    a = verify_base(1, 1, seed=5)
-    b = verify_base(1, 1, seed=5)
+    a = verify_base(1, 1)
+    b = verify_base(1, 1)
     dump_a = json.dumps([r.to_json_dict() for r in a], sort_keys=True)
     dump_b = json.dumps([r.to_json_dict() for r in b], sort_keys=True)
     assert dump_a == dump_b
@@ -270,32 +295,36 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
         return iter([(w, {**exp, (1, 1): 7})])
 
     monkeypatch.setattr(proofcheck, "negative_members", one_stray_member)
-    reports = verify(1, 1, audit_limit=0, sample_size=10)
+    reports = verify(1, 1)
     rep = {r.lemma: r for r in reports}[prefix + "final-class-vanishing"]
     assert rep.cases == 1
     assert [v.reason for v in rep.violations] == ["diagonal coefficient at 1 is nonzero"]
 
 
 # sha256 of the sorted-key JSON of each battery's reports.  For fixed inputs
-# and seed the verify JSON stays byte-identical, so a new digest here must
-# come with the reason the reports changed.
+# the verify JSON stays byte-identical, so a new digest here must come with
+# the reason the reports changed.  Re-pinned twice when the coverage audit
+# became an exact count: that change alone left the base digest as it was
+# (2d52f985...) and changed the star ones (40632e55..., b4acede3...) only in
+# negative-coverage.cases, 300 sampled maps -> all 616,769 admissible maps;
+# the per-report violation_count key is the only further difference.
 @pytest.mark.parametrize(
     "verify,kwargs,digest",
     [
         (
             verify_base,
-            dict(seed=0),
-            "2d52f98591fd9d3743efd6630750d97eb96ad49a527d18989c298e00633c1346",
+            {},
+            "425a4e3c39d58ca80e7d93d53f811f86065f485751fdb7b73bde2131f7218ee1",
         ),
         (
             verify_star,
-            dict(audit_limit=0, sample_size=300, seed=4, repair_corner=False),
-            "40632e559f8fd38df02f8b32e9922d775c7c3b534d6ee0287e8d07d23d74e95a",
+            dict(repair_corner=False),
+            "9f727762945dee91027b652a28608c3bf23a76aac87a0be58a53e1290bdf612e",
         ),
         (
             verify_star,
-            dict(audit_limit=0, sample_size=300, seed=4, repair_corner=True),
-            "b4acede3e4cd067f7901306e61ac6661a7003b9d50e093fbf00907aec17c069e",
+            dict(repair_corner=True),
+            "5941e3f1210acae57a0847c9df910a715138d0f6a6afa74b3aa5606517d1c1e3",
         ),
     ],
     ids=["base", "star-published", "star-repaired"],
