@@ -565,6 +565,13 @@ def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3
 
 def spider_suite(max_legs: int = 4, forest_components: int = 3) -> list[CheckReport]:
     """The complete spider check battery at the default desk-scale guards."""
+    # check_negative_spider_pairing(max_legs) enumerates the largest spider's
+    # admissible maps; apply its guard before the mark-case walks, which grow
+    # as fast and have no guard of their own.
+    if count_admissible(spider2(max_legs)) > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"admissible enumeration exceeds guard of {ENUMERATION_GUARD} maps"
+        )
     reports = []
     for n in range(1, max_legs + 1):
         reports.append(check_marking_bijection(n))

@@ -65,8 +65,11 @@ def _write_output(text: str, path: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _poly_for(args) -> tuple[str, Optional[int], Optional[int], "object"]:
@@ -242,8 +245,7 @@ def cmd_verify(args) -> int:
     payload["reports"] = [r.to_json_dict() for r in reports]
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_output(text, args.output)
     for r in reports:
         mark = "ok  " if r.ok else "FAIL"
         sys.stdout.write(

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from .alphamaps import (
-    EnumerationGuardError,
     Weights,
+    admissible_maps,
     bare_leg_count,
     count_admissible,
     has_isolated_clan_vertex,
@@ -40,7 +41,7 @@ from .alphamaps import (
     spider_view,
     vacated_signature,
 )
-from .graphs import Graph, family_layout, spider2, two_coloring
+from .graphs import Graph, connected_components, family_layout, induced_subgraph, spider2
 from .intpoly import analyze, indpoly_tree
 from .reports import CheckReport
 from .shadow import (
@@ -50,6 +51,7 @@ from .shadow import (
     expansion_from_signature,
     is_admissible,
     min_coefficient,
+    part_pairs,
 )
 from .symfunc import chromatic_multicolor_2var, f_p_2var, schur_expand
 
@@ -124,6 +126,18 @@ class FamilyContext:
             for i in (1, 2, 3)
             for j in range(1, self.layout.leg_count(i) + 1)
         )
+
+    @cached_property
+    def engine_slices(self) -> list[_EngineSlice]:
+        """The three branch slices with their patterns, built once and shared
+        by negative_members and the coverage audit.  Without the root the
+        family graph falls into the slices, ordered by smallest vertex: the
+        branches 1, 2, 3."""
+        below = induced_subgraph(self.graph, range(1, self.graph.n))
+        return [
+            _EngineSlice(self.graph, tuple(v + 1 for v in comp))
+            for comp in connected_components(below)
+        ]
 
     def slice_info(self, w: Sequence[int], i: int) -> SliceInfo:
         verts = self.slice_vertices[i - 1]
@@ -834,11 +848,10 @@ def positive_class_matches(a: FamilyAnalysis) -> tuple[int, ...]:
 
 class _SlicePattern:
     __slots__ = (
-        "values", "tau", "comps", "twos", "cc0", "cc1", "d", "solo_bad",
-        "internal_bad", "k",
+        "values", "tau", "comps", "twos", "cc0", "cc1", "d", "solo_bad", "internal_bad",
     )
 
-    def __init__(self, values, tau, comps, twos, cc0, cc1, k):
+    def __init__(self, values, tau, comps, twos, cc0, cc1):
         self.values = values
         self.tau = tau
         self.comps = comps
@@ -848,105 +861,32 @@ class _SlicePattern:
         self.d = cc0 - cc1 if tau == 1 else 0
         self.solo_bad = tau == 1 and abs(cc0 - cc1) >= 2
         self.internal_bad = any(p - q >= 2 for p, q in comps)
-        self.k = k
 
 
 class _EngineSlice:
-    """One enumeration slice: global vertex list, local adjacency, colors."""
+    """One branch slice below the root: its family vertices, ascending, and
+    the pattern of every admissible map of the slice subgraph, in
+    admissible_maps order."""
 
-    __slots__ = ("verts", "adj", "colors", "legs", "patterns")
+    __slots__ = ("verts", "patterns")
 
-    def __init__(self, verts, adj, colors, legs):
+    def __init__(self, g: Graph, verts: tuple[int, ...]):
         self.verts = verts
-        self.adj = adj
-        self.colors = colors
-        self.legs = legs
-        self.patterns = self._enumerate()
-
-    def _enumerate(self) -> list[_SlicePattern]:
-        size = len(self.verts)
-        earlier = [tuple(w for w in self.adj[v] if w < v) for v in range(size)]
-        values = [0] * size
-        out: list[_SlicePattern] = []
-
-        def walk(v: int) -> None:
-            if v == size:
-                out.append(self._pattern(tuple(values)))
-                if len(out) > PATTERN_GUARD:
-                    raise EnumerationGuardError(
-                        f"slice pattern enumeration exceeds guard of {PATTERN_GUARD} patterns"
-                    )
-                return
-            for a in (0, 1, 2):
-                if a and any(values[u] and values[u] + a >= 3 for u in earlier[v]):
-                    continue
-                values[v] = a
-                walk(v + 1)
-            values[v] = 0
-
-        walk(0)
-        return out
-
-    def _pattern(self, values: tuple[int, ...]) -> _SlicePattern:
-        size = len(values)
-        comps = []
-        twos = sum(1 for a in values if a == 2)
-        cc0 = cc1 = 0
-        seen = [False] * size
-        for v in range(size):
-            if values[v] != 1 or seen[v]:
-                continue
-            seen[v] = True
-            c0 = c1 = 0
-            stack = [v]
-            has_center = False
-            while stack:
-                u = stack.pop()
-                if u == 0:
-                    has_center = True
-                if self.colors[u]:
-                    c1 += 1
-                else:
-                    c0 += 1
-                for t in self.adj[u]:
-                    if values[t] == 1 and not seen[t]:
-                        seen[t] = True
-                        stack.append(t)
-            if has_center:
-                cc0, cc1 = c0, c1
-            else:
-                comps.append((c0, c1) if c0 >= c1 else (c1, c0))
-        comps.sort()
-        k = sum(1 for h, f in self.legs if values[h] == 1 and values[f] == 0)
-        return _SlicePattern(values, values[0], tuple(comps), twos, cc0, cc1, k)
+        sub = induced_subgraph(g, verts)
+        shadow = ForestShadow(sub)
+        self.patterns = [_pattern(shadow, values) for values in admissible_maps(sub, PATTERN_GUARD)]
 
 
-def _engine_slices(ctx: FamilyContext) -> list[_EngineSlice]:
-    colors_global = two_coloring(ctx.graph)
-    slices = []
-    for i in (1, 2, 3):
-        verts = list(ctx.slice_vertices[i - 1])
-        legs = list(ctx.slice_views[i - 1].legs)
-        lc = ctx.layout.leg_count(i)
-        adj = [[] for _ in range(len(verts) + (2 if ctx.family == "t3mn_star" and i == 1 else 0))]
-        for j in range(1, lc + 1):
-            adj[0].append(j)
-            adj[j].append(0)
-            adj[j].append(lc + j)
-            adj[lc + j].append(j)
-        if ctx.family == "t3mn_star" and i == 1:
-            # extend the third leg with the two appended path vertices
-            verts.extend([ctx.layout.x, ctx.layout.y])
-            x_local, y_local = len(verts) - 2, len(verts) - 1
-            foot3 = 2 * lc
-            adj[foot3].append(x_local)
-            adj[x_local].extend([foot3, y_local])
-            adj[y_local].append(x_local)
-        colors = tuple(colors_global[v] for v in verts)
-        slices.append(
-            _EngineSlice(tuple(verts), tuple(tuple(s) for s in adj), colors, tuple(legs))
-        )
-    return slices
+def _pattern(shadow: ForestShadow, values: Weights) -> _SlicePattern:
+    """The bucket data of one slice map; the slice center is vertex 0."""
+    parts = shadow.components(values)
+    cc0 = cc1 = 0
+    if values[0] == 1:
+        # _join adds the center component to the root's, so it keeps the
+        # family graph's colors: the slice graph colors its center 0, the
+        # family graph colors it 1.
+        cc1, cc0 = parts.pop(0)
+    return _SlicePattern(values, values[0], part_pairs(parts), values.count(2), cc0, cc1)
 
 
 _TAU_ALLOWED = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
@@ -1017,7 +957,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
     unbalanced component, which must either sit inside one slice or on the
     spine through the root.
     """
-    slices = _engine_slices(ctx)
+    slices = ctx.engine_slices
     size = ctx.graph.n
 
     def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict]]:
@@ -1089,7 +1029,7 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     ForestShadow, and exactly that many."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-coverage", ctx.m, ctx.n)
-    counts = _count_by_signature(_engine_slices(ctx))
+    counts = _count_by_signature(ctx.engine_slices)
     rep.cases = sum(counts.values())
     admissible = count_admissible(ctx.graph)
     if rep.cases != admissible:
@@ -1398,36 +1338,36 @@ def check_path_append_identities() -> CheckReport:
         path_graph(3),
         spider2(2),
     ]
+    dshadows = [
+        schur_expand(chromatic_multicolor_2var(Graph(1, [], ["d"]), (dval,))) for dval in (0, 1, 2)
+    ]
+    doubled = _scale_expansion(pair, 2)
     for base in bases:
         for v in range(base.n):
             edges = base.edges() + [(v, base.n), (base.n, base.n + 1)]
             labels = list(base.labels) + ["c*", "d*"]
             gv = Graph(base.n + 2, edges, labels)
-            for w in iproduct((0, 1, 2), repeat=gv.n):
-                cval, dval = w[base.n], w[base.n + 1]
-                lhs = schur_expand(chromatic_multicolor_2var(gv, w))
-                base_w = w[: base.n]
+            for base_w in iproduct((0, 1, 2), repeat=base.n):
                 inner = schur_expand(chromatic_multicolor_2var(base, base_w))
-                if cval == 0:
-                    rep.cases += 1
-                    dshadow = schur_expand(
-                        chromatic_multicolor_2var(Graph(1, [], ["d"]), (dval,))
-                    )
-                    if lhs != _expansion_product(inner, dshadow):
-                        rep.record(w, f"weight-0 factorization fails on {base.labels}")
-                elif cval == 2 and lhs.coeffs:
-                    rep.cases += 1
-                    if lhs != _expansion_product(inner, pair):
-                        rep.record(w, f"weight-2 factorization fails on {base.labels}")
-                elif cval == 1 and dval == 1 and w[v] == 1:
-                    rep.cases += 1
-                    if lhs != _expansion_product(inner, pair):
-                        rep.record(w, f"full-path factorization fails on {base.labels}")
-                elif cval == 1 and dval == 1 and w[v] == 0:
-                    rep.cases += 1
-                    doubled = _scale_expansion(pair, 2)
-                    if lhs != _expansion_product(inner, doubled):
-                        rep.record(w, f"detached-path factorization fails on {base.labels}")
+                for cval, dval in iproduct((0, 1, 2), repeat=2):
+                    w = base_w + (cval, dval)
+                    lhs = schur_expand(chromatic_multicolor_2var(gv, w))
+                    if cval == 0:
+                        rep.cases += 1
+                        if lhs != _expansion_product(inner, dshadows[dval]):
+                            rep.record(w, f"weight-0 factorization fails on {base.labels}")
+                    elif cval == 2 and lhs.coeffs:
+                        rep.cases += 1
+                        if lhs != _expansion_product(inner, pair):
+                            rep.record(w, f"weight-2 factorization fails on {base.labels}")
+                    elif cval == 1 and dval == 1 and w[v] == 1:
+                        rep.cases += 1
+                        if lhs != _expansion_product(inner, pair):
+                            rep.record(w, f"full-path factorization fails on {base.labels}")
+                    elif cval == 1 and dval == 1 and w[v] == 0:
+                        rep.cases += 1
+                        if lhs != _expansion_product(inner, doubled):
+                            rep.record(w, f"detached-path factorization fails on {base.labels}")
     rep.elapsed = time.perf_counter() - t0
     return rep
 

@@ -78,6 +78,11 @@ def add_expansions(
     return out
 
 
+def part_pairs(comps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Component (c0, c1) counts as sorted (larger, smaller) part pairs."""
+    return tuple(sorted((c0, c1) if c0 >= c1 else (c1, c0) for c0, c1 in comps))
+
+
 def is_admissible(g: Graph, weights: Sequence[int]) -> bool:
     """True when no value exceeds 2 and every edge with two positive ends
     carries weight 1 on both; all other maps have zero shadow."""
@@ -107,18 +112,15 @@ class ForestShadow:
         self.adj = g.adj
         self.n = g.n
 
-    def signature(self, weights: Sequence[int]) -> Signature:
-        """Component part-pairs plus weight-2 count of an admissible map."""
+    def components(self, weights: Sequence[int]) -> list[tuple[int, int]]:
+        """(color-0, color-1) vertex counts of each weight-1 component of an
+        admissible map, ordered by smallest vertex."""
         comps: list[tuple[int, int]] = []
-        twos = 0
         seen = bytearray(self.n)
         adj = self.adj
         colors = self.colors
         for v in range(self.n):
-            av = weights[v]
-            if av == 2:
-                twos += 1
-            elif av == 1 and not seen[v]:
+            if weights[v] == 1 and not seen[v]:
                 seen[v] = 1
                 c0 = c1 = 0
                 stack = [v]
@@ -132,9 +134,12 @@ class ForestShadow:
                         if weights[w] == 1 and not seen[w]:
                             seen[w] = 1
                             stack.append(w)
-                comps.append((c0, c1) if c0 >= c1 else (c1, c0))
-        comps.sort()
-        return (tuple(comps), twos)
+                comps.append((c0, c1))
+        return comps
+
+    def signature(self, weights: Sequence[int]) -> Signature:
+        """Component part-pairs plus weight-2 count of an admissible map."""
+        return part_pairs(self.components(weights)), weights.count(2)
 
     def expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
         return expansion_from_signature(self.signature(weights))

@@ -193,6 +193,31 @@ def test_verify_prop3_rejects_legs_below_one(capsys):
         assert "all checks passed" not in out
 
 
+def test_verify_prop3_guard_overrun_fails_up_front(capsys, monkeypatch):
+    from treepoly import alphamaps
+
+    def unguarded_walk(n):
+        raise AssertionError("mark-case walk started before the guard check")
+
+    monkeypatch.setattr(alphamaps, "check_marking_bijection", unguarded_walk)
+    code, out, err = run_cli(capsys, "verify", "--suite", "prop3", "-n", "8")
+    assert code == 2
+    assert err.startswith("error: ") and "guard" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "r.json")
+    for argv in (
+        ("verify", "--suite", "section4", "-m", "1", "-n", "1"),
+        ("poly", "--family", "t3mn", "-m", "1", "-n", "1", "--format", "json"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "-o", path)
+        assert code == 2
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err
+
+
 def test_verify_prints_uncapped_violation_totals(capsys, monkeypatch):
     real = proofcheck._coverage_report
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from treepoly import proofcheck
-from treepoly.alphamaps import admissible_maps, count_admissible
+from treepoly.alphamaps import EnumerationGuardError, admissible_maps, count_admissible
 from treepoly.graphs import family_layout
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
@@ -45,7 +45,7 @@ def test_negative_enumeration_matches_bruteforce(family, m, n):
     brute = brute_negatives(ctx)
     assert engine == brute
     # the coverage audit's bucket count, against the exhaustive sweep
-    counts = proofcheck._count_by_signature(proofcheck._engine_slices(ctx))
+    counts = proofcheck._count_by_signature(ctx.engine_slices)
     assert sum(counts.values()) == count_admissible(ctx.graph)
     negative = sum(c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0)
     assert negative == len(brute)
@@ -165,6 +165,27 @@ def test_verify_base_small_grid():
         assert by_name["class-partition"].cases > 0
         assert by_name["final-class-vanishing"].cases > 0
         assert by_name["negative-coverage"].cases > 0
+
+
+def test_slice_patterns_are_built_once_per_context(monkeypatch):
+    calls = []
+    real = proofcheck.admissible_maps
+
+    def counting(g, guard):
+        calls.append(g.n)
+        return real(g, guard)
+
+    monkeypatch.setattr(proofcheck, "admissible_maps", counting)
+    verify_base(1, 1)
+    assert calls == [7, 3, 3]  # one walk per slice, shared by enumeration and audit
+
+    def no_pattern(shadow, values):
+        raise AssertionError("pattern built before the guard check")
+
+    monkeypatch.setattr(proofcheck, "PATTERN_GUARD", 10)
+    monkeypatch.setattr(proofcheck, "_pattern", no_pattern)
+    with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
+        FamilyContext("t3mn", 1, 1).engine_slices
 
 
 @pytest.mark.parametrize("fault", ["drop", "not-negative", "duplicate"])
@@ -307,29 +328,43 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
 # became an exact count: that change alone left the base digest as it was
 # (2d52f985...) and changed the star ones (40632e55..., b4acede3...) only in
 # negative-coverage.cases, 300 sampled maps -> all 616,769 admissible maps;
-# the per-report violation_count key is the only further difference.
+# the per-report violation_count key is the only further difference.  The
+# base (2, 1) cell pins the pattern order on slices with two legs.
 @pytest.mark.parametrize(
-    "verify,kwargs,digest",
+    "verify,m,n,kwargs,digest",
     [
         (
             verify_base,
+            1,
+            1,
             {},
             "425a4e3c39d58ca80e7d93d53f811f86065f485751fdb7b73bde2131f7218ee1",
         ),
         (
+            verify_base,
+            2,
+            1,
+            {},
+            "eb7082ab314c0d0938b4d7f08cf702fd1b6c3c84a8485320ed46469a49c601f4",
+        ),
+        (
             verify_star,
+            1,
+            1,
             dict(repair_corner=False),
             "9f727762945dee91027b652a28608c3bf23a76aac87a0be58a53e1290bdf612e",
         ),
         (
             verify_star,
+            1,
+            1,
             dict(repair_corner=True),
             "5941e3f1210acae57a0847c9df910a715138d0f6a6afa74b3aa5606517d1c1e3",
         ),
     ],
-    ids=["base", "star-published", "star-repaired"],
+    ids=["base", "base-2-1", "star-published", "star-repaired"],
 )
-def test_report_bytes_are_pinned(verify, kwargs, digest):
-    reports = verify(1, 1, **kwargs)
+def test_report_bytes_are_pinned(verify, m, n, kwargs, digest):
+    reports = verify(m, n, **kwargs)
     dump = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == digest

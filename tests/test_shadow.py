@@ -51,6 +51,10 @@ def test_signature_structure():
     assert twos == 0 and len(comps) == 1
     p, q = comps[0]
     assert p + q == g.n and p >= q
+    # components are raw (color-0, color-1) counts, ordered by smallest vertex
+    spider = ForestShadow(spider2(2))
+    assert spider.components((0, 1, 0, 0, 1)) == [(0, 1), (1, 0)]
+    assert spider.signature((0, 1, 0, 0, 1)) == (((1, 0), (1, 0)), 0)
 
 
 def test_balanced_signatures_are_positive(rng):
