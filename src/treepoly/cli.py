@@ -72,6 +72,21 @@ def _write_output(text: str, path: Optional[str]) -> None:
             raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_output_path(path: Optional[str]) -> None:
+    """Fail with the same error _write_output gives, before a long run: open
+    the file for appending, and remove it again if it did not exist."""
+    if path is None or path == "-":
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _poly_for(args) -> tuple[str, Optional[int], Optional[int], "object"]:
     family = args.family
     if family == "spider2":
@@ -224,16 +239,16 @@ def cmd_verify(args) -> int:
         legs = 4 if args.n is None else args.n
         if legs < 1:
             raise SystemExit2("prop3 needs -n of at least 1")
+    elif args.m is None or args.n is None:
+        raise SystemExit2(f"{args.suite} needs -m and -n")
+    _check_output_path(args.output)
+    if args.suite == "prop3":
         reports = spider_suite(max_legs=legs)
         meta = {"suite": "prop3", "n": legs}
     elif args.suite == "section4":
-        if args.m is None or args.n is None:
-            raise SystemExit2("section4 needs -m and -n")
         reports = verify_base(args.m, args.n)
         meta = {"suite": "section4", "m": args.m, "n": args.n}
     else:
-        if args.m is None or args.n is None:
-            raise SystemExit2("section5 needs -m and -n")
         reports = verify_star(args.m, args.n, repair_corner=args.repair_corner)
         meta = {
             "suite": "section5",

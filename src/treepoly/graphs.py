@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 class Graph:
     """Immutable simple graph with sorted neighbor lists and unique labels."""
 
-    __slots__ = ("n", "adj", "labels", "_by_label")
+    __slots__ = ("n", "adj", "labels")
 
     def __init__(
         self,
@@ -42,7 +42,6 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.labels = labels
-        self._by_label = {s: i for i, s in enumerate(labels)}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -57,9 +56,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def index_of(self, label: str) -> int:
-        return self._by_label[label]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -126,6 +126,11 @@ class FamilyContext:
             for i in (1, 2, 3)
             for j in range(1, self.layout.leg_count(i) + 1)
         )
+        # slice_info per slice, keyed by the slice's local values: a SliceInfo
+        # depends on nothing else, and it is frozen, so entries are shared.
+        self._slice_infos: tuple[dict, dict, dict] = ({}, {}, {})
+        # partner_star's core step, see _core_step.
+        self.core_steps: dict[tuple[bool, bool], dict[bytes, bytes | str]] = {}
 
     @cached_property
     def engine_slices(self) -> list[_EngineSlice]:
@@ -140,10 +145,16 @@ class FamilyContext:
         ]
 
     def slice_info(self, w: Sequence[int], i: int) -> SliceInfo:
-        verts = self.slice_vertices[i - 1]
+        local = restrict(w, self.slice_vertices[i - 1])
+        cache = self._slice_infos[i - 1]
+        info = cache.get(local)
+        if info is None:
+            info = cache[local] = self._new_slice_info(i, local)
+        return info
+
+    def _new_slice_info(self, i: int, local: Weights) -> SliceInfo:
         view = self.slice_views[i - 1]
         ctx = self.slice_shadows[i - 1]
-        local = restrict(w, verts)
         positive = min_coefficient(ctx.expansion(local)) >= 0
         settled = positive and not has_isolated_clan_vertex(ctx.graph, local)
         return SliceInfo(
@@ -391,14 +402,14 @@ def is_full_weight_class(a: FamilyAnalysis) -> bool:
     return NEGATIVE_CLASS_PREDICATES[29](a)
 
 
+def _empty_legs(w: Sequence[int], leg_pairs: tuple) -> list[tuple[int, int]]:
+    """(branch, leg) of every leg whose head and foot have weight 0."""
+    return [(i, j) for (i, j, h, f) in leg_pairs if w[h] == 0 and w[f] == 0]
+
+
 def only_gap_at_leg_13(a: FamilyAnalysis) -> bool:
     """Class-28 maps whose single empty leg is the third leg of branch 1."""
-    gaps = [
-        (i, j)
-        for (i, j, h, f) in a.leg_pairs
-        if a.w[h] == 0 and a.w[f] == 0
-    ]
-    return gaps == [(1, 3)]
+    return _empty_legs(a.w, a.leg_pairs) == [(1, 3)]
 
 
 def marks_head_13(a: FamilyAnalysis) -> bool:
@@ -550,11 +561,7 @@ def partner(ctx: FamilyContext, a: FamilyAnalysis, cls: int) -> Weights:
         _apply_marks(ctx, w, 2, ())
         _apply_marks(ctx, w, 3, (1,))
     elif cls == 28:
-        gaps = [
-            (i, j)
-            for (i, j, h, f) in a.leg_pairs
-            if a.w[h] == 0 and a.w[f] == 0
-        ]
+        gaps = _empty_legs(a.w, a.leg_pairs)
         pairs = [
             (i, j)
             for (i, j, h, f) in a.leg_pairs
@@ -1221,33 +1228,56 @@ def partner_star(
     verbatim, which leaves that corner's pairing bound falsifiable.
     """
     lay = ctx.layout
-    core_w = tuple(w[: core_ctx.graph.n])
+    core_n = core_ctx.graph.n
     if cls in (1, 2):
-        gamma = core_w
+        gamma = tuple(w[:core_n])
     elif cls == 3:
-        g = list(core_w)
+        g = list(w[:core_n])
         g[lay.foot(1, 3)] = 0
         gamma = tuple(g)
     else:
         raise PartnerError(f"star class {cls} has no pairing injection")
-    if min_coefficient(core_ctx.shadow.expansion(gamma)) >= 0:
-        raise PartnerError("core restriction is not negative")
-    a = analyze_map(core_ctx, gamma)
-    matches = negative_class_matches(a)
-    if len(matches) != 1:
-        raise PartnerError(f"core restriction matches classes {matches}")
-    tcls = matches[0]
-    if tcls == 30:
-        raise PartnerError("core restriction falls in the final class")
-    if cls == 3 and tcls == 28 and only_gap_at_leg_13(a):
-        raise PartnerError("core restriction falls in the excluded corner case")
-    mu = core_partner(core_ctx, a, tcls, repair_corner and cls == 3)
-    out = list(w)
-    for v in range(core_ctx.graph.n):
-        out[v] = mu[v]
+    _, mu = _core_step(core_ctx, gamma, cls == 3, repair_corner and cls == 3)
+    out = [*mu, *w[core_n:]]
     if cls == 3:
         out[lay.foot(1, 3)] = w[lay.foot(1, 3)]
     return tuple(out)
+
+
+def _core_step(
+    core_ctx: FamilyContext, gamma: Weights, cls3: bool, repair_corner: bool
+) -> tuple[int, Weights]:
+    """The core class of gamma and its core partner, as partner_star needs
+    them; cls3 adds the class-3 refusal of the class-28 corner.  A refusal
+    raises PartnerError.
+
+    Memoized per core context under (cls3, repair_corner) and bytes(gamma).
+    A value is bytes((class, *partner)) or the refusal's message: keeping no
+    exception object keeps no traceback, and a cached refusal raises a
+    PartnerError with the same message."""
+    memo = core_ctx.core_steps.setdefault((cls3, repair_corner), {})
+    key = bytes(gamma)
+    step = memo.get(key)
+    if step is None:
+        try:
+            if min_coefficient(core_ctx.shadow.expansion(gamma)) >= 0:
+                raise PartnerError("core restriction is not negative")
+            a = analyze_map(core_ctx, gamma)
+            matches = negative_class_matches(a)
+            if len(matches) != 1:
+                raise PartnerError(f"core restriction matches classes {matches}")
+            tcls = matches[0]
+            if tcls == 30:
+                raise PartnerError("core restriction falls in the final class")
+            if cls3 and tcls == 28 and only_gap_at_leg_13(a):
+                raise PartnerError("core restriction falls in the excluded corner case")
+            step = bytes((tcls, *core_partner(core_ctx, a, tcls, repair_corner)))
+        except PartnerError as exc:
+            step = str(exc)
+        memo[key] = step
+    if isinstance(step, str):
+        raise PartnerError(step)
+    return step[0], tuple(step[1:])
 
 
 def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport]:
@@ -1299,19 +1329,19 @@ def _repair_locality_reports(
     rep_foot = CheckReport("partner-preserves-foot13", core_ctx.m, core_ctx.n)
     rep_head = CheckReport("partner-monotone-head13", core_ctx.m, core_ctx.n)
     for w, _ in negative_members(core_ctx):
-        a = analyze_map(core_ctx, w)
-        matches = negative_class_matches(a)
-        if len(matches) != 1 or matches[0] == 30:
-            continue
-        cls = matches[0]
+        # The core steps partner_star memoized.  Repair changes only class
+        # 19, and there both markings need the same anchored slices, so the
+        # published step fails exactly when the repaired one does.
         try:
-            beta = core_partner(core_ctx, a, cls, repair_corner)
+            cls, beta = _core_step(core_ctx, w, False, False)
+            if repair_corner and cls == 19:
+                _, beta = _core_step(core_ctx, w, True, True)
         except PartnerError:
             continue
         rep_foot.cases += 1
         if beta[foot13] != w[foot13]:
             rep_foot.record(w, f"class {cls}: foot value changed")
-        if not (cls == 28 and only_gap_at_leg_13(a)):
+        if not (cls == 28 and _empty_legs(w, core_ctx.leg_pairs) == [(1, 3)]):
             rep_head.cases += 1
             if w[head13] < beta[head13]:
                 rep_head.record(w, f"class {cls}: head value increased")

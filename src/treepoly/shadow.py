@@ -146,6 +146,3 @@ class ForestShadow:
 
     def poly(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
         return poly_from_signature(self.signature(weights))
-
-    def is_positive(self, weights: Sequence[int]) -> bool:
-        return min_coefficient(self.expansion(weights)) >= 0

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
-from treepoly import proofcheck
+import pytest
+
+from treepoly import cli, proofcheck
 from treepoly.cli import main
 
 
@@ -216,6 +218,27 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
         assert code == 2
         assert err.startswith("error: ") and path in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "suite,cells",
+    [("section4", ("-m", "2", "-n", "2")), ("section5", ("-m", "1", "-n", "2")), ("prop3", ())],
+)
+def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, suite, cells):
+    def no_run(*args, **kwargs):
+        raise AssertionError("battery ran before the output path was checked")
+
+    for name in ("verify_base", "verify_star", "spider_suite"):
+        monkeypatch.setattr(cli, name, no_run)
+    path = str(tmp_path / "missing" / "r.json")
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *cells, "-o", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    # a writable path is probed without leaving a file behind
+    probe = tmp_path / "r.json"
+    with pytest.raises(AssertionError, match="battery ran"):
+        main(["verify", "--suite", suite, *cells, "-o", str(probe)])
+    assert not probe.exists()
 
 
 def test_verify_prints_uncapped_violation_totals(capsys, monkeypatch):

@@ -265,6 +265,82 @@ def test_corner_partner_is_admissible_when_repaired():
     assert repaired[lay.head(1, 3)] == 1
 
 
+def _cell_maps(family, m, n):
+    """Every negative map of a cell with its class, and every partner."""
+    ctx = FamilyContext(family, m, n)
+    core_ctx = FamilyContext("t3mn", m, n) if family == "t3mn_star" else ctx
+    negatives, partners = [], []
+    for w, _ in negative_members(ctx):
+        a = analyze_map(core_ctx, w[: core_ctx.graph.n])
+        if family == "t3mn":
+            matches = negative_class_matches(a)
+        else:
+            matches = star_class_matches(ctx, w, a)
+        negatives.append((w, matches))
+        if len(matches) != 1:
+            continue
+        try:
+            if family == "t3mn":
+                partners.append(partner(ctx, a, matches[0]))
+            else:
+                partners.append(partner_star(ctx, core_ctx, w, matches[0]))
+        except PartnerError:
+            pass
+    return ctx, core_ctx, negatives, partners
+
+
+@pytest.mark.parametrize("family,m,n", [("t3mn", 2, 1), ("t3mn_star", 1, 1)])
+def test_cached_slice_info_matches_uncached(family, m, n):
+    _, core_ctx, negatives, partners = _cell_maps(family, m, n)
+    fresh = FamilyContext("t3mn", m, n)
+    maps = [w for w, _ in negatives] + partners
+    assert len(partners) > 100
+    for w in partners:  # the battery analyzes partners to audit their targets
+        analyze_map(core_ctx, w[: core_ctx.graph.n])
+    for w in maps:
+        core_w = w[: core_ctx.graph.n]
+        for i in (1, 2, 3):
+            local = tuple(core_w[v] for v in core_ctx.slice_vertices[i - 1])
+            assert local in core_ctx._slice_infos[i - 1]  # served from the cache
+            assert core_ctx.slice_info(core_w, i) == fresh._new_slice_info(i, local)
+
+
+def test_partner_star_memo_is_transparent():
+    ctx, core_ctx, negatives, _ = _cell_maps("t3mn_star", 1, 1)
+
+    def outcome(core, w, cls, repair):
+        try:
+            return partner_star(ctx, core, w, cls, repair_corner=repair)
+        except PartnerError as exc:
+            return str(exc)
+
+    seen = set()
+    for repair in (False, True):
+        for w, matches in negatives:
+            for cls in matches:
+                shared = outcome(core_ctx, w, cls, repair)
+                assert shared == outcome(FamilyContext("t3mn", 1, 1), w, cls, repair)
+                seen.add(type(shared))
+    assert seen == {tuple, str}  # both partners and refusals came from the memo
+    assert {key for key in core_ctx.core_steps if core_ctx.core_steps[key]} == {
+        (False, False), (True, False), (True, True)
+    }
+
+
+def test_slice_info_is_computed_once_per_context(monkeypatch):
+    computed = []
+    real = FamilyContext._new_slice_info
+
+    def counting(self, i, local):
+        computed.append((id(self), i, local))
+        return real(self, i, local)
+
+    monkeypatch.setattr(FamilyContext, "_new_slice_info", counting)
+    verify_star(1, 1)
+    verify_base(1, 1)
+    assert computed and len(computed) == len(set(computed))
+
+
 def test_path_append_identities():
     rep = check_path_append_identities()
     assert rep.ok and rep.cases > 1000
@@ -329,7 +405,9 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
 # (2d52f985...) and changed the star ones (40632e55..., b4acede3...) only in
 # negative-coverage.cases, 300 sampled maps -> all 616,769 admissible maps;
 # the per-report violation_count key is the only further difference.  The
-# base (2, 1) cell pins the pattern order on slices with two legs.
+# base (2, 1) cell pins the pattern order on slices with two legs.  The
+# star (1, 2) cell, recorded before slice_info and partner_star's core step
+# were memoized, takes memo hits from star classes 1/2 and 3.
 @pytest.mark.parametrize(
     "verify,m,n,kwargs,digest",
     [
@@ -361,8 +439,15 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
             dict(repair_corner=True),
             "5941e3f1210acae57a0847c9df910a715138d0f6a6afa74b3aa5606517d1c1e3",
         ),
+        (
+            verify_star,
+            1,
+            2,
+            dict(repair_corner=False),
+            "91c6b3250030fde5e6a59cdc237b7fcd598ded9ab898e68f3d8209c9559eb55f",
+        ),
     ],
-    ids=["base", "base-2-1", "star-published", "star-repaired"],
+    ids=["base", "base-2-1", "star-published", "star-repaired", "star-1-2-published"],
 )
 def test_report_bytes_are_pinned(verify, m, n, kwargs, digest):
     reports = verify(m, n, **kwargs)
