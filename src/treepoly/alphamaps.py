@@ -11,19 +11,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, clan_owners, disjoint_union, spider2, spider12
+from .graphs import (
+    Graph,
+    clan_owners,
+    connected_components,
+    disjoint_union,
+    is_forest,
+    spider2,
+    spider12,
+)
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
     add_expansions,
     expansion_from_signature,
-    is_admissible,
     min_coefficient,
 )
-from .symfunc import chromatic_multicolor_2var, schur_expand
 
 Weights = tuple[int, ...]
 
@@ -43,14 +49,6 @@ def restrict(weights: Sequence[int], vertices: Sequence[int]) -> Weights:
     return tuple(weights[v] for v in vertices)
 
 
-def extend_zero(sub_weights: Sequence[int], vertices: Sequence[int], n: int) -> Weights:
-    """Zero-pad a subgraph weight map back to a map on all n vertices."""
-    out = [0] * n
-    for value, v in zip(sub_weights, vertices):
-        out[v] = value
-    return tuple(out)
-
-
 def mask_outside(weights: Sequence[int], vertices: Iterable[int]) -> Weights:
     """Keep values on the given vertices, zero everywhere else."""
     keep = set(vertices)
@@ -62,10 +60,34 @@ def mask_outside(weights: Sequence[int], vertices: Iterable[int]) -> Weights:
 
 
 def count_admissible(g: Graph) -> int:
-    """Number of admissible maps of a forest, by rooted counting."""
-    z, o, t = _admissible_counts(g)
+    """Number of admissible maps of a forest, by rooted counting: z, o, t
+    count the maps of a vertex's subtree that put 0, 1, 2 on the vertex."""
+    if not is_forest(g):
+        raise ValueError("admissible counting requires a forest")
+    z = [1] * g.n
+    o = [1] * g.n
+    t = [1] * g.n
     total = 1
-    for root in _roots(g):
+    for comp in connected_components(g):
+        root = comp[0]
+        parent = {root: -1}
+        order = [root]
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+                    stack.append(w)
+        for u in reversed(order):
+            zu = ou = tu = 1
+            for w in g.adj[u]:
+                if parent.get(w) == u:
+                    zu *= z[w] + o[w] + t[w]
+                    ou *= z[w] + o[w]
+                    tu *= z[w]
+            z[u], o[u], t[u] = zu, ou, tu
         total *= z[root] + o[root] + t[root]
     return total
 
@@ -100,54 +122,6 @@ def admissible_maps(g: Graph, guard: int = ENUMERATION_GUARD) -> Iterator[Weight
         values[v] = 0
 
     yield from walk(0)
-
-
-def _roots(g: Graph) -> list[int]:
-    seen = bytearray(g.n)
-    roots = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        roots.append(v)
-        stack = [v]
-        seen[v] = 1
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-    return roots
-
-
-def _admissible_counts(g: Graph):
-    from .graphs import is_forest
-
-    if not is_forest(g):
-        raise ValueError("admissible counting requires a forest")
-    z = [1] * g.n
-    o = [1] * g.n
-    t = [1] * g.n
-    for root in _roots(g):
-        parent = {root: -1}
-        order = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-                    stack.append(w)
-        for u in reversed(order):
-            zu = ou = tu = 1
-            for w in g.adj[u]:
-                if parent.get(w) == u:
-                    zu *= z[w] + o[w] + t[w]
-                    ou *= z[w] + o[w]
-                    tu *= z[w]
-            z[u], o[u], t[u] = zu, ou, tu
-    return z, o, t
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +192,6 @@ def vacated_signature(
     return tuple(marks), t
 
 
-def in_vacated_class(
-    weights: Sequence[int], sp: SpiderView, marks: Sequence[int], t: int
-) -> bool:
-    return vacated_signature(weights, sp) == (tuple(marks), t)
-
-
-def in_marked_family(weights: Sequence[int], sp: SpiderView, marks: Sequence[int]) -> bool:
-    """Membership in the union over sizes of the classes with these marks."""
-    sig = vacated_signature(weights, sp)
-    return sig is not None and sig[0] == tuple(marks)
-
-
 def mark_legs(weights: Sequence[int], sp: SpiderView, marks: Iterable[int]) -> Weights:
     """Vacate the center and put weight 2 on the chosen bare-leg heads.
 
@@ -272,37 +234,49 @@ def has_isolated_clan_vertex(g: Graph, weights: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class SpiderClass:
-    """Classification of a weight map on a spider with length-two legs."""
+    """The class of a weight map on a spider with length-two legs: the map,
+    its bare-leg count, its shadow sign, the settled flag (positive with no
+    isolated clan vertex; the empty clan counts as settled) and its vacated
+    signature.  A negative map has center weight 1, so it has no vacated
+    signature."""
 
-    kind: str  # "negative", "marked", or "residual"
-    marks: Optional[tuple[int, ...]]
-    size: Optional[int]
+    local: Weights
+    k: int
+    positive: bool
     settled: bool
+    vac: Optional[tuple[tuple[int, ...], int]]
 
     @property
     def family_index(self) -> Optional[int]:
-        """Index j >= 1 for a singleton-marked class, 0 for any other
-        positive map, None for a negative one."""
-        if self.kind == "negative":
-            return None
-        if self.kind == "marked" and self.marks is not None and len(self.marks) == 1:
-            return self.marks[0]
-        return 0
+        """j >= 1 when the map sits in the singleton-j marked family, 0 for
+        any other positive map, None for a negative one."""
+        if self.vac is not None and len(self.vac[0]) == 1:
+            return self.vac[0][0]
+        if self.positive:
+            return 0
+        return None
+
+    def in_family(self, marks: tuple[int, ...]) -> bool:
+        """Membership in the union over sizes of the classes with these marks."""
+        return self.vac is not None and self.vac[0] == marks
+
+    def vac_is(self, marks: tuple[int, ...], t: int) -> bool:
+        return self.vac == (marks, t)
 
 
 def classify_spider(
-    weights: Sequence[int], sp: SpiderView, ctx: ForestShadow
+    weights: Sequence[int], sp: SpiderView, shadow: ForestShadow
 ) -> SpiderClass:
-    """Classify by shadow sign, vacated class, and the settled flag (positive
-    with no isolated clan vertices; the empty clan counts as settled)."""
-    positive = min_coefficient(ctx.expansion(weights)) >= 0
-    settled = positive and not has_isolated_clan_vertex(ctx.graph, weights)
-    if not positive:
-        return SpiderClass("negative", None, None, False)
-    sig = vacated_signature(weights, sp)
-    if sig is not None:
-        return SpiderClass("marked", sig[0], sig[1], settled)
-    return SpiderClass("residual", None, None, settled)
+    """The spider class of a map on the spider the view and shadow describe."""
+    local = tuple(weights)
+    positive = min_coefficient(shadow.expansion(local)) >= 0
+    return SpiderClass(
+        local=local,
+        k=bare_leg_count(local, sp),
+        positive=positive,
+        settled=positive and not has_isolated_clan_vertex(shadow.graph, local),
+        vac=vacated_signature(local, sp),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +308,6 @@ def split_by_clan_component(
 
 # ---------------------------------------------------------------------------
 # spider verification checks
-
-
-def _expansion(g: Graph, ctx: Optional[ForestShadow], weights: Sequence[int]) -> dict:
-    """Shadow expansion that also accepts inadmissible maps (zero shadow)."""
-    if ctx is not None and is_admissible(g, weights):
-        return dict(ctx.expansion(weights))
-    return dict(schur_expand(chromatic_multicolor_2var(g, weights)).coeffs)
 
 
 def _anchored_maps(n: int) -> Iterator[Weights]:
@@ -454,11 +421,11 @@ def check_leaf_spider_pairing(n: int) -> CheckReport:
             k = anchored_bare(w, inner)
             if k is None or k < 2:
                 continue
-            exp_w = _expansion(g, ctx, w)
+            exp_w = ctx.any_expansion(w)
             for j in range(1, k + 1):
                 rep.cases += 1
                 beta = mark_legs(w, inner, (j,))
-                total = add_expansions(exp_w, _expansion(g, ctx, beta))
+                total = add_expansions(exp_w, ctx.any_expansion(beta))
                 if min_coefficient(total) < 0:
                     rep.record(w, f"pair sum negative (leaf={leaf}, mark={j})")
     rep.elapsed = time.perf_counter() - t0
@@ -528,37 +495,37 @@ def check_forest_multi_marking(components: int) -> CheckReport:
 def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3) -> CheckReport:
     """When the shadow of an admissible forest map is negative and its unique
     unbalanced component has parts (q+2, q) with q >= 1, the clan graph has
-    no isolated vertices."""
+    no isolated vertices.
+
+    The forests are disjoint unions of up to max_components spiders with 1 to
+    max_legs legs, at most 15 vertices.  A union's admissible maps are the
+    products of its parts' maps, and its signature joins their signatures."""
     t0 = time.perf_counter()
     rep = CheckReport("no-singleton-when-deficient", n=max_legs)
-    pool = [spider2(a) for a in range(1, max_legs + 1)]
-    shapes: list[list[Graph]] = []
+    pool = []
+    for legs in range(1, max_legs + 1):
+        shadow = ForestShadow(spider2(legs))
+        maps = [(w, *shadow.signature(w)) for w in admissible_maps(shadow.graph)]
+        pool.append((shadow.n, maps))
     for count in range(1, max_components + 1):
-        for combo in iproduct(pool, repeat=count):
-            shapes.append(list(combo))
-    seen_shapes = set()
-    for parts in shapes:
-        key = tuple(sorted(p.n for p in parts))
-        if key in seen_shapes:
-            continue
-        seen_shapes.add(key)
-        g = disjoint_union(parts)
-        if g.n > 15:
-            continue
-        ctx = ForestShadow(g)
-        for w in admissible_maps(g):
-            comps, twos = ctx.signature(w)
-            unbalanced = [c for c in comps if c[0] - c[1] >= 2]
-            if len(unbalanced) != 1:
+        for shape in combinations_with_replacement(pool, count):
+            if sum(size for size, _ in shape) > 15:
                 continue
-            p, q = unbalanced[0]
-            if p != q + 2 or q < 1:
-                continue
-            if min_coefficient(expansion_from_signature((comps, twos))) >= 0:
-                continue
-            rep.cases += 1
-            if (1, 0) in comps:
-                rep.record(w, "deficient map left an isolated clan vertex")
+            for picks in iproduct(*(maps for _, maps in shape)):
+                comps = tuple(sorted(c for _, part, _ in picks for c in part))
+                unbalanced = [c for c in comps if c[0] - c[1] >= 2]
+                if len(unbalanced) != 1:
+                    continue
+                p, q = unbalanced[0]
+                if p != q + 2 or q < 1:
+                    continue
+                twos = sum(t for _, _, t in picks)
+                if min_coefficient(expansion_from_signature((comps, twos))) >= 0:
+                    continue
+                rep.cases += 1
+                if (1, 0) in comps:
+                    w = sum((part_w for part_w, _, _ in picks), ())
+                    rep.record(w, "deficient map left an isolated clan vertex")
     rep.elapsed = time.perf_counter() - t0
     return rep
 

@@ -31,15 +31,14 @@ from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from .alphamaps import (
+    SpiderClass,
     Weights,
     admissible_maps,
-    bare_leg_count,
+    classify_spider,
     count_admissible,
-    has_isolated_clan_vertex,
     mark_legs,
     restrict,
     spider_view,
-    vacated_signature,
 )
 from .graphs import Graph, connected_components, family_layout, induced_subgraph, spider2
 from .intpoly import analyze, indpoly_tree
@@ -49,7 +48,6 @@ from .shadow import (
     Signature,
     add_expansions,
     expansion_from_signature,
-    is_admissible,
     min_coefficient,
     part_pairs,
 )
@@ -65,33 +63,6 @@ class PartnerError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # family context
-
-
-@dataclass(frozen=True)
-class SliceInfo:
-    """Classification data of one branch slice of a weight map."""
-
-    local: Weights
-    k: int
-    positive: bool
-    settled: bool
-    vac: Optional[tuple[tuple[int, ...], int]]
-
-    @property
-    def family_index(self) -> Optional[int]:
-        """j >= 1 when the slice sits in the singleton-j marked family, 0 for
-        any other positive slice, None for a negative one."""
-        if self.vac is not None and len(self.vac[0]) == 1:
-            return self.vac[0][0]
-        if self.positive:
-            return 0
-        return None
-
-    def in_family(self, marks: tuple[int, ...]) -> bool:
-        return self.vac is not None and self.vac[0] == marks
-
-    def vac_is(self, marks: tuple[int, ...], t: int) -> bool:
-        return self.vac == (marks, t)
 
 
 class FamilyContext:
@@ -126,8 +97,9 @@ class FamilyContext:
             for i in (1, 2, 3)
             for j in range(1, self.layout.leg_count(i) + 1)
         )
-        # slice_info per slice, keyed by the slice's local values: a SliceInfo
-        # depends on nothing else, and it is frozen, so entries are shared.
+        # slice_info per slice, keyed by the slice's local values: a
+        # SpiderClass depends on nothing else, and it is frozen, so entries
+        # are shared.
         self._slice_infos: tuple[dict, dict, dict] = ({}, {}, {})
         # partner_star's core step, see _core_step.
         self.core_steps: dict[tuple[bool, bool], dict[bytes, bytes | str]] = {}
@@ -144,26 +116,16 @@ class FamilyContext:
             for comp in connected_components(below)
         ]
 
-    def slice_info(self, w: Sequence[int], i: int) -> SliceInfo:
+    def slice_info(self, w: Sequence[int], i: int) -> SpiderClass:
+        """The spider class of branch slice i of w."""
         local = restrict(w, self.slice_vertices[i - 1])
         cache = self._slice_infos[i - 1]
         info = cache.get(local)
         if info is None:
-            info = cache[local] = self._new_slice_info(i, local)
+            info = cache[local] = classify_spider(
+                local, self.slice_views[i - 1], self.slice_shadows[i - 1]
+            )
         return info
-
-    def _new_slice_info(self, i: int, local: Weights) -> SliceInfo:
-        view = self.slice_views[i - 1]
-        ctx = self.slice_shadows[i - 1]
-        positive = min_coefficient(ctx.expansion(local)) >= 0
-        settled = positive and not has_isolated_clan_vertex(ctx.graph, local)
-        return SliceInfo(
-            local=local,
-            k=bare_leg_count(local, view),
-            positive=positive,
-            settled=settled,
-            vac=vacated_signature(local, view),
-        )
 
 
 @dataclass(frozen=True)
@@ -173,7 +135,7 @@ class FamilyAnalysis:
     w: Weights
     a0: int
     branch: tuple[int, int, int]
-    info: tuple[SliceInfo, SliceInfo, SliceInfo]
+    info: tuple[SpiderClass, SpiderClass, SpiderClass]
     total: int
     full_weight: int
     weighted_heads: int
@@ -188,7 +150,7 @@ class FamilyAnalysis:
     def settled(self, i: int) -> bool:
         return self.info[i - 1].settled
 
-    def slice(self, i: int) -> SliceInfo:
+    def slice(self, i: int) -> SpiderClass:
         return self.info[i - 1]
 
     @property
@@ -843,12 +805,6 @@ def _exact_slice1(a: FamilyAnalysis, heads: tuple[int, int, int], feet: tuple[in
 POSITIVE_CLASS_PREDICATES = _positive_class_predicates()
 
 
-def positive_class_matches(a: FamilyAnalysis) -> tuple[int, ...]:
-    return tuple(
-        i + 1 for i, pred in enumerate(POSITIVE_CLASS_PREDICATES) if pred(a)
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration of negative maps
 
@@ -1020,14 +976,6 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
 # verification drivers
 
 
-def _safe_expansion(ctx: FamilyContext, w: Sequence[int]) -> dict:
-    """Shadow expansion valid for any weight map: the fast signature path is
-    only sound on admissible maps, everything else has zero shadow."""
-    if is_admissible(ctx.graph, w):
-        return ctx.shadow.expansion(w)
-    return {}
-
-
 def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckReport:
     """Confirm that the enumerated maps are exactly the admissible maps with
     negative shadow.  The bucket count gives the number of admissible maps,
@@ -1048,7 +996,7 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     for w in negatives:
         if w in seen:
             rep.record(w, "map enumerated twice")
-        elif min_coefficient(_safe_expansion(ctx, w)) >= 0:
+        elif min_coefficient(ctx.shadow.any_expansion(w)) >= 0:
             rep.record(w, "enumerated map is not negative")
         seen.add(w)
     if len(seen) != negative:
@@ -1096,7 +1044,7 @@ def _pairing_reports(
         except PartnerError as exc:
             rep_image.record(w, f"{label} {cls}: {exc}")
             continue
-        bexp = _safe_expansion(ctx, beta)
+        bexp = ctx.shadow.any_expansion(beta)
         rep_image.cases += 1
         if min_coefficient(bexp) < 0:
             rep_image.record(beta, f"{label} {cls}: partner shadow is negative")
@@ -1131,7 +1079,7 @@ def verify_base(m: int, n: int) -> list[CheckReport]:
     ctx = FamilyContext("t3mn", m, n)
 
     def target(beta: Weights, cls: int) -> Optional[str]:
-        if cls in positive_class_matches(analyze_map(ctx, beta)):
+        if POSITIVE_CLASS_PREDICATES[cls - 1](analyze_map(ctx, beta)):
             return None
         return "partner misses its target class"
 
@@ -1361,55 +1309,42 @@ def check_path_append_identities() -> CheckReport:
 
     t0 = time.perf_counter()
     rep = CheckReport("path-append-identities")
-    pair = schur_expand(chromatic_multicolor_2var(Graph(1, [], ["c"]), (2,)))
+    pair = chromatic_multicolor_2var(Graph(1, [], ["c"]), (2,))
     bases = [
         Graph(1, [], ["a"]),
         path_graph(2),
         path_graph(3),
         spider2(2),
     ]
-    dshadows = [
-        schur_expand(chromatic_multicolor_2var(Graph(1, [], ["d"]), (dval,))) for dval in (0, 1, 2)
-    ]
-    doubled = _scale_expansion(pair, 2)
+    dshadows = [chromatic_multicolor_2var(Graph(1, [], ["d"]), (dval,)) for dval in (0, 1, 2)]
     for base in bases:
         for v in range(base.n):
             edges = base.edges() + [(v, base.n), (base.n, base.n + 1)]
             labels = list(base.labels) + ["c*", "d*"]
             gv = Graph(base.n + 2, edges, labels)
             for base_w in iproduct((0, 1, 2), repeat=base.n):
-                inner = schur_expand(chromatic_multicolor_2var(base, base_w))
+                inner = chromatic_multicolor_2var(base, base_w)
                 for cval, dval in iproduct((0, 1, 2), repeat=2):
                     w = base_w + (cval, dval)
-                    lhs = schur_expand(chromatic_multicolor_2var(gv, w))
+                    lhs = chromatic_multicolor_2var(gv, w)
                     if cval == 0:
                         rep.cases += 1
-                        if lhs != _expansion_product(inner, dshadows[dval]):
+                        if lhs != inner * dshadows[dval]:
                             rep.record(w, f"weight-0 factorization fails on {base.labels}")
-                    elif cval == 2 and lhs.coeffs:
+                    elif cval == 2 and not lhs.is_zero:
                         rep.cases += 1
-                        if lhs != _expansion_product(inner, pair):
+                        if lhs != inner * pair:
                             rep.record(w, f"weight-2 factorization fails on {base.labels}")
                     elif cval == 1 and dval == 1 and w[v] == 1:
                         rep.cases += 1
-                        if lhs != _expansion_product(inner, pair):
+                        if lhs != inner * pair:
                             rep.record(w, f"full-path factorization fails on {base.labels}")
                     elif cval == 1 and dval == 1 and w[v] == 0:
                         rep.cases += 1
-                        if lhs != _expansion_product(inner, doubled):
+                        if lhs != 2 * inner * pair:
                             rep.record(w, f"detached-path factorization fails on {base.labels}")
     rep.elapsed = time.perf_counter() - t0
     return rep
-
-
-def _expansion_product(a, b):
-    return schur_expand(a.to_sympoly() * b.to_sympoly())
-
-
-def _scale_expansion(exp, factor: int):
-    from .symfunc import TwoRowExpansion
-
-    return TwoRowExpansion({k: factor * c for k, c in exp.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -144,5 +144,12 @@ class ForestShadow:
     def expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
         return expansion_from_signature(self.signature(weights))
 
+    def any_expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
+        """Expansion of any weight map: the signature path is only sound on
+        admissible maps, and every other map has zero shadow."""
+        if is_admissible(self.graph, weights):
+            return self.expansion(weights)
+        return {}
+
     def poly(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
         return poly_from_signature(self.signature(weights))

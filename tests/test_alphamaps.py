@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -16,10 +18,7 @@ from treepoly.alphamaps import (
     check_spider_shadow_formula,
     classify_spider,
     count_admissible,
-    extend_zero,
     has_isolated_clan_vertex,
-    in_marked_family,
-    in_vacated_class,
     mark_legs,
     mask_outside,
     restrict,
@@ -41,10 +40,10 @@ def test_restrict_extend_roundtrip():
     verts = (1, 3, 4)
     sub = restrict(w, verts)
     assert sub == (2, 1, 0)
-    back = extend_zero(sub, verts, 5)
+    back = mask_outside(w, verts)
     assert back == (0, 2, 0, 1, 0)
-    assert back == mask_outside(w, verts)
-    assert extend_zero((), (), 3) == (0, 0, 0)
+    assert restrict(back, verts) == sub
+    assert mask_outside(w, ()) == (0, 0, 0, 0, 0)
 
 
 def test_admissible_k2_and_k1():
@@ -106,8 +105,9 @@ def test_bare_and_anchored():
 def test_vacated_signature():
     sp = spider_view(2)
     assert vacated_signature((0, 2, 1, 0, 0), sp) == ((1,), 2)
-    assert in_vacated_class((0, 2, 1, 0, 0), sp, (1,), 2)
-    assert in_marked_family((0, 2, 1, 0, 0), sp, (1,))
+    cls = classify_spider((0, 2, 1, 0, 0), sp, ForestShadow(spider2(2)))
+    assert cls.vac_is((1,), 2) and not cls.vac_is((1,), 1)
+    assert cls.in_family((1,)) and not cls.in_family(())
     assert vacated_signature((1, 1, 1, 0, 0), sp) is None
     assert vacated_signature((0, 2, 1, 1, 0), sp) is None  # leg total above 2
     assert vacated_signature((0, 0, 0, 0, 0), sp) == ((), 0)
@@ -142,32 +142,40 @@ def test_classify_spider():
     sp = spider_view(n)
     negative = (1, 1, 1, 1, 0, 0, 0)
     cls = classify_spider(negative, sp, ctx)
-    assert cls.kind == "negative" and cls.family_index is None
+    assert cls.local == negative and cls.k == 3
+    assert not cls.positive and not cls.settled
+    assert cls.vac is None and cls.family_index is None
     marked = mark_legs(negative, sp, (1,))
     cls = classify_spider(marked, sp, ctx)
-    assert cls.kind == "marked" and cls.marks == (1,) and cls.family_index == 1
+    assert cls.local == marked and cls.k == 2
+    assert cls.positive and not cls.settled  # the two bare heads are isolated
+    assert cls.vac == ((1,), 3) and cls.family_index == 1
     zero = (0,) * g.n
     cls = classify_spider(zero, sp, ctx)
-    assert cls.kind == "marked" and cls.marks == () and cls.settled
-    assert cls.family_index == 0
+    assert cls.positive and cls.settled and cls.k == 0
+    assert cls.vac == ((), 0) and cls.family_index == 0
     anchored = (1, 1, 1, 1, 1, 1, 1)
     cls = classify_spider(anchored, sp, ctx)
-    assert cls.kind == "residual" and cls.family_index == 0
+    assert cls.positive and cls.settled and cls.k == 0
+    assert cls.vac is None and cls.family_index == 0
 
 
 def test_classify_exclusive_families():
-    # one map can never sit in two marked families
+    # one map sits in at most one singleton family, the one family_index
+    # names, and a negative map has no vacated signature
     for n in range(1, 5):
-        g = spider2(n)
+        ctx = ForestShadow(spider2(n))
         sp = spider_view(n)
-        for w in admissible_maps(g):
-            sig = vacated_signature(w, sp)
-            if sig is None:
-                continue
-            marks, t = sig
-            for other in range(1, n + 1):
-                if (other,) != marks:
-                    assert not in_marked_family(w, sp, (other,)) or marks == (other,)
+        for w in admissible_maps(ctx.graph):
+            cls = classify_spider(w, sp, ctx)
+            assert cls.vac == vacated_signature(w, sp)
+            assert cls.k == bare_leg_count(w, sp)
+            if not cls.positive:
+                assert cls.vac is None and cls.family_index is None
+            singles = [j for j in range(1, n + 1) if cls.in_family((j,))]
+            assert singles == ([cls.family_index] if cls.family_index else [])
+            if cls.vac is not None:
+                assert cls.in_family(cls.vac[0]) and cls.vac_is(*cls.vac)
 
 
 def test_isolated_clan_vertices():
@@ -236,8 +244,17 @@ def test_component_with_doubled_vertex_is_a_pair(rng):
 
 
 def test_spider_checks_all_pass():
-    for rep in spider_suite(max_legs=4):
+    reports = spider_suite(max_legs=4)
+    for rep in reports:
         assert rep.ok, (rep.lemma, rep.violations[:3])
+    # sha256 of the sorted-key JSON of the reports.  For fixed inputs the
+    # reports stay byte-identical, so a new digest here must come with the
+    # reason the reports changed.
+    dump = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    assert (
+        hashlib.sha256(dump.encode()).hexdigest()
+        == "364dba717bf11125389b013d860845f0b417dc73559bfd4217407a3058bb6a1b"
+    )
 
 
 def test_check_cases_nonempty():

@@ -4,7 +4,12 @@ import json
 import pytest
 
 from treepoly import proofcheck
-from treepoly.alphamaps import EnumerationGuardError, admissible_maps, count_admissible
+from treepoly.alphamaps import (
+    EnumerationGuardError,
+    admissible_maps,
+    classify_spider,
+    count_admissible,
+)
 from treepoly.graphs import family_layout
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
@@ -19,7 +24,7 @@ from treepoly.proofcheck import (
     only_gap_at_leg_13,
     partner,
     partner_star,
-    positive_class_matches,
+    POSITIVE_CLASS_PREDICATES,
     star_class_matches,
     verify_base,
     verify_chain,
@@ -129,7 +134,7 @@ def test_partner_examples():
     beta = partner(ctx, a, 11)
     assert beta[lay.foot(1, 1)] == 1 and beta[lay.head(1, 3)] == 0
     b = analyze_map(ctx, beta)
-    assert 11 in positive_class_matches(b)
+    assert POSITIVE_CLASS_PREDICATES[10](b)
     # the paired sum leaves a single off-diagonal positive term
     pair_sum = dict(ctx.shadow.expansion(tuple(w)))
     for key, c in ctx.shadow.expansion(beta).items():
@@ -302,7 +307,10 @@ def test_cached_slice_info_matches_uncached(family, m, n):
         for i in (1, 2, 3):
             local = tuple(core_w[v] for v in core_ctx.slice_vertices[i - 1])
             assert local in core_ctx._slice_infos[i - 1]  # served from the cache
-            assert core_ctx.slice_info(core_w, i) == fresh._new_slice_info(i, local)
+            uncached = classify_spider(
+                local, fresh.slice_views[i - 1], fresh.slice_shadows[i - 1]
+            )
+            assert core_ctx.slice_info(core_w, i) == uncached
 
 
 def test_partner_star_memo_is_transparent():
@@ -328,17 +336,21 @@ def test_partner_star_memo_is_transparent():
 
 
 def test_slice_info_is_computed_once_per_context(monkeypatch):
+    # Each slice has its own ForestShadow, so (shadow, map) names one
+    # (context, slice, local values) cache entry; holding the shadow keeps
+    # its identity unique while the battery runs.
     computed = []
-    real = FamilyContext._new_slice_info
+    real = proofcheck.classify_spider
 
-    def counting(self, i, local):
-        computed.append((id(self), i, local))
-        return real(self, i, local)
+    def counting(weights, sp, shadow):
+        computed.append((shadow, weights))
+        return real(weights, sp, shadow)
 
-    monkeypatch.setattr(FamilyContext, "_new_slice_info", counting)
-    verify_star(1, 1)
-    verify_base(1, 1)
-    assert computed and len(computed) == len(set(computed))
+    monkeypatch.setattr(proofcheck, "classify_spider", counting)
+    for battery in (verify_star, verify_base):
+        computed.clear()
+        battery(1, 1)
+        assert computed and len(computed) == len(set(computed)), battery.__name__
 
 
 def test_path_append_identities():

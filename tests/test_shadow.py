@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from treepoly.graphs import complete_graph, spider2, t3mn
@@ -39,6 +41,16 @@ def test_signature_matches_literal_shadow(rng):
             literal = schur_expand(chromatic_multicolor_2var(t, w)).coeffs
             assert dict(ctx.expansion(w)) == literal
             assert dict(ctx.poly(w)) == chromatic_multicolor_2var(t, w).terms
+
+
+def test_any_expansion_matches_literal_shadow(rng):
+    # every map, admissible or not, including values above 2
+    for _ in range(4):
+        t = random_tree(rng, rng.randint(1, 5))
+        ctx = ForestShadow(t)
+        for w in itertools.product((0, 1, 2, 3), repeat=t.n):
+            literal = schur_expand(chromatic_multicolor_2var(t, w)).coeffs
+            assert dict(ctx.any_expansion(w)) == literal
 
 
 def test_signature_structure():
