@@ -113,6 +113,7 @@ class SystemExit2(SystemExit):
 
 def cmd_poly(args) -> int:
     fam, m, n, g = _poly_for(args)
+    _check_output_path(args.output)
     poly = indpoly_tree(g)
     report = analyze(poly)
     row = {
@@ -179,6 +180,7 @@ def cmd_scan(args) -> int:
     work = [(fam, m, n) for fam in families for m, n in cells]
     if args.jobs < 0:
         raise SystemExit2("--jobs must be 0 or more")
+    _check_output_path(args.output)
     jobs = min(args.jobs, len(work), os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing
@@ -275,6 +277,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plotdata(args) -> int:
     fam, m, n, g = _poly_for(args)
+    _check_output_path(args.output)
     poly = indpoly_tree(g)
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -7,9 +7,10 @@ never overflow silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, connected_components, is_forest, t3mn, t3mn_star
+from .graphs import Graph, t3mn, t3mn_star
 
 BRUTE_FORCE_LIMIT = 30
 
@@ -72,12 +73,29 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly(())
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return IntPoly(out)
+
+    def __pow__(self, k: int) -> "IntPoly":
+        """self**k by repeated squaring; k must be a nonnegative integer."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        result, base = ONE, self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def shifted(self, k: int = 1) -> "IntPoly":
         """Multiply by t**k."""
@@ -94,7 +112,6 @@ class IntPoly:
 
 
 ONE = IntPoly((1,))
-T = IntPoly((0, 1))
 
 
 def indpoly_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> IntPoly:
@@ -126,36 +143,58 @@ def indpoly_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> IntPoly:
 
 
 def indpoly_tree(g: Graph) -> IntPoly:
-    """Independence polynomial of a forest by rooted dynamic programming.
+    """Independence polynomial of a forest by rooted dynamic programming,
+    done once per shape of rooted subtree.
 
-    Every vertex carries the pair (sets avoiding it, sets containing it);
-    children combine multiplicatively and components multiply together.
+    Every vertex carries the pair (sets avoiding it, sets containing it).  A
+    vertex's shape is the sorted tuple of its children's shape ids, interned
+    for this call only, so isomorphic rooted subtrees share one pair.  A run
+    of k children of one shape enters as a k-th power, and so do k
+    components of one shape.
     """
-    if not is_forest(g):
-        raise NotAForestError("input graph contains a cycle")
-    result = ONE
-    for comp in connected_components(g):
-        root = comp[0]
-        parent = {root: -1}
+    adj = g.adj
+    parent = [-2] * g.n  # -2 not reached yet, -1 a component's root
+    shape = [0] * g.n
+    ids: dict[tuple[int, ...], int] = {}
+    pairs: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
+    roots = []
+    for root in range(g.n):
+        if parent[root] != -2:
+            continue
+        # One walk per component.  An edge the walk meets from an endpoint
+        # whose other end is already reached and is not its parent closes a
+        # cycle: a tree's edges all join a vertex to its parent.
+        parent[root] = -1
         order = [root]
         stack = [root]
         while stack:
             u = stack.pop()
-            for w in g.adj[u]:
-                if w not in parent:
+            pu = parent[u]
+            for w in adj[u]:
+                if parent[w] == -2:
                     parent[w] = u
                     order.append(w)
                     stack.append(w)
-        excl: dict[int, IntPoly] = {}
-        incl: dict[int, IntPoly] = {}
+                elif w != pu:
+                    raise NotAForestError("input graph contains a cycle")
         for u in reversed(order):
-            e, i = ONE, T
-            for w in g.adj[u]:
-                if parent.get(w) == u:
-                    e = e * (excl[w] + incl[w])
-                    i = i * excl[w]
-            excl[u], incl[u] = e, i
-        result = result * (excl[root] + incl[root])
+            pu = parent[u]
+            key = tuple(sorted([shape[w] for w in adj[u] if w != pu]))
+            sid = ids.get(key)
+            if sid is None:
+                excl = incl = ONE
+                for child, run in groupby(key):
+                    k = sum(1 for _ in run)
+                    e, total = pairs[child]
+                    excl = excl * total**k
+                    incl = incl * e**k
+                sid = ids[key] = len(pairs)
+                pairs.append((excl, excl + incl.shifted(1)))
+            shape[u] = sid
+        roots.append(shape[root])
+    result = ONE
+    for sid, run in groupby(sorted(roots)):
+        result = result * pairs[sid][1] ** sum(1 for _ in run)
     return result
 
 

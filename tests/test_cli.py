@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -221,6 +222,30 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--family", "both", "-m", "1..30", "-n", "1..30"),
+        ("poly", "--family", "t3mn", "-m", "4", "-n", "4"),
+        ("plotdata", "--family", "spider2", "-n", "3"),
+    ],
+)
+def test_unwritable_output_fails_before_the_polynomials(capsys, monkeypatch, tmp_path, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("polynomials computed before the output path was checked")
+
+    for name in ("scan_row", "indpoly_tree"):
+        monkeypatch.setattr(cli, name, no_run)
+    path = str(tmp_path / "missing" / "s.json")
+    code, out, err = run_cli(capsys, *argv, "-o", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    probe = tmp_path / "s.json"
+    with pytest.raises(AssertionError, match="polynomials computed"):
+        main([*argv, "-o", str(probe)])
+    assert not probe.exists()
+
+
+@pytest.mark.parametrize(
     "suite,cells",
     [("section4", ("-m", "2", "-n", "2")), ("section5", ("-m", "1", "-n", "2")), ("prop3", ())],
 )
@@ -334,3 +359,13 @@ def test_scan_jobs_are_bounded(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *scan, "--jobs", "-1")
     assert code == 2 and err.startswith("error: ")
     assert requested == [4, 3]
+
+
+# Recorded before the tree DP shared work between isomorphic subtrees.
+def test_scan_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan", "--family", "both", "-m", "1..12", "-n", "1..12", "--format", "json"
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3a8158c58c91dddfdc6999ce6b35c4d0a079fb474c89480fb0918d27450e6990"

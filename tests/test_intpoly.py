@@ -1,11 +1,22 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treepoly.graphs import complete_graph, induced_subgraph, path_graph, spider2, t3mn, t3mn_star
+from treepoly.graphs import (
+    Graph,
+    complete_graph,
+    disjoint_union,
+    induced_subgraph,
+    path_graph,
+    spider2,
+    spider12,
+    t3mn,
+    t3mn_star,
+)
 from treepoly.intpoly import (
+    ONE,
     GuardLimitError,
     IntPoly,
     NotAForestError,
@@ -45,6 +56,87 @@ def test_tree_dp_requires_forest():
     with pytest.raises(NotAForestError):
         indpoly_tree(complete_graph(3))
     assert indpoly_tree(path_graph(0)).coeffs == (1,)
+
+
+def binary_tree(depth: int) -> Graph:
+    """Complete binary tree with 2**(depth+1) - 1 vertices, heap order."""
+    n = 2 ** (depth + 1) - 1
+    return Graph(n, [((v - 1) // 2, v) for v in range(1, n)])
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """g with vertex v moved to position perm[v]."""
+    return Graph(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+@st.composite
+def trees(draw):
+    """A tree with parent[v] < v, so every shape of rooted tree can occur."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    return Graph(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+
+
+# Parts with many isomorphic siblings or components: spider legs, binary
+# subtrees, the family legs, repeated isolated vertices.
+FOREST_PARTS = st.one_of(
+    st.just(Graph(1, [])),
+    st.builds(path_graph, st.integers(0, 4)),
+    st.builds(spider2, st.integers(0, 6)),
+    st.builds(spider12, st.integers(0, 5), st.integers(0, 4)),
+    st.builds(binary_tree, st.integers(0, 3)),
+    st.sampled_from([t3mn(0, 0), t3mn(1, 0), t3mn(0, 1), t3mn(1, 1), t3mn_star(0, 0)]),
+    trees(),
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_shared_shape_dp_matches_bruteforce(data):
+    parts = data.draw(st.lists(FOREST_PARTS, min_size=1, max_size=4))
+    parts += [Graph(1, [])] * data.draw(st.integers(0, 3))
+    forest = disjoint_union(data.draw(st.permutations(parts)))
+    assume(forest.n <= 20)
+    perm = data.draw(st.permutations(range(forest.n)))
+    forest = relabel(forest, perm)
+    assert indpoly_tree(forest) == indpoly_bruteforce(forest)
+
+
+def test_shared_shape_dp_on_wide_spiders():
+    for g in (spider2(8), spider12(12, 0), spider12(6, 6), binary_tree(3)):
+        assert indpoly_tree(g) == indpoly_bruteforce(g)
+    # k isomorphic components enter as a k-th power
+    assert indpoly_tree(disjoint_union([spider2(2)] * 3)) == indpoly_tree(spider2(2)) ** 3
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        disjoint_union([cycle_graph(4), path_graph(3), spider2(2)]),
+        disjoint_union([path_graph(3), spider2(2), Graph(1, []), cycle_graph(5)]),
+        # a 4-cycle through a foot of spider2(2): 5, 6, 7 are new
+        Graph(8, spider2(2).edges() + [(3, 5), (5, 6), (6, 7), (7, 3)]),
+        disjoint_union([spider2(3), complete_graph(3)]),
+    ],
+    ids=["first-component", "last-component", "hanging-4-cycle", "triangle"],
+)
+def test_tree_dp_rejects_any_cycle(g):
+    with pytest.raises(NotAForestError):
+        indpoly_tree(g)
+
+
+def test_intpoly_power():
+    for p in (IntPoly([1, 2]), IntPoly([0, 1]), IntPoly([3, 0, -1, 5]), ONE, IntPoly([])):
+        assert p**0 == ONE
+        acc = ONE
+        for k in range(1, 10):
+            acc = acc * p
+            assert p**k == acc
+    with pytest.raises(ValueError):
+        IntPoly([1, 1]) ** -1
 
 
 def test_oracle_equivalence(rng):
