@@ -149,15 +149,14 @@ def indpoly_tree(g: Graph) -> IntPoly:
     Every vertex carries the pair (sets avoiding it, sets containing it).  A
     vertex's shape is the sorted tuple of its children's shape ids, interned
     for this call only, so isomorphic rooted subtrees share one pair.  A run
-    of k children of one shape enters as a k-th power, and so do k
-    components of one shape.
+    of k children of one shape enters as a k-th power.
     """
     adj = g.adj
     parent = [-2] * g.n  # -2 not reached yet, -1 a component's root
     shape = [0] * g.n
     ids: dict[tuple[int, ...], int] = {}
     pairs: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
-    roots = []
+    result = ONE
     for root in range(g.n):
         if parent[root] != -2:
             continue
@@ -191,10 +190,7 @@ def indpoly_tree(g: Graph) -> IntPoly:
                 sid = ids[key] = len(pairs)
                 pairs.append((excl, excl + incl.shifted(1)))
             shape[u] = sid
-        roots.append(shape[root])
-    result = ONE
-    for sid, run in groupby(sorted(roots)):
-        result = result * pairs[sid][1] ** sum(1 for _ in run)
+        result = result * pairs[shape[root]][1]
     return result
 
 

@@ -25,8 +25,8 @@ many distinct maps, each negative under the family's own shadow engine.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
@@ -1304,17 +1304,7 @@ def check_path_append_identities() -> CheckReport:
     new vertices c, d: factor by the d-vertex shadow when c has weight 0, by
     the pair shadow when c has weight 2 and the total shadow is nonzero, by
     the pair shadow when v, c, d all have weight 1, and by twice the pair
-    shadow when c, d have weight 1 and v has weight 0.
-
-    The identities do not depend on (m, n), so they are checked once per
-    process; every call returns its own copy of that report.
-    """
-    rep = _path_append_report()
-    return replace(rep, violations=list(rep.violations))
-
-
-@cache
-def _path_append_report() -> CheckReport:
+    shadow when c, d have weight 1 and v has weight 0."""
     from .graphs import path_graph
 
     t0 = time.perf_counter()

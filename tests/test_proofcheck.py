@@ -358,28 +358,6 @@ def test_path_append_identities():
     assert rep.ok and rep.cases > 1000
 
 
-def test_path_append_runs_once_per_process(monkeypatch):
-    calls = []
-    real = proofcheck.chromatic_multicolor_2var
-
-    def counting(g, weights):
-        calls.append(weights)
-        return real(g, weights)
-
-    monkeypatch.setattr(proofcheck, "chromatic_multicolor_2var", counting)
-    proofcheck._path_append_report.cache_clear()
-    first = verify_star(1, 1)
-    ran = len(calls)
-    assert ran > 1000
-    second = verify_star(1, 1)
-    assert len(calls) == ran
-    assert [r.to_json_dict() for r in first] == [r.to_json_dict() for r in second]
-    assert first[-1] == second[-1] and first[-1] is not second[-1]
-    # a caller that records into its copy leaves the next call's report clean
-    first[-1].record(None, "injected")
-    assert check_path_append_identities() == second[-1]
-
-
 def test_verify_chain():
     for family in ("t3mn", "t3mn_star"):
         for m, n in [(1, 1), (2, 3), (4, 4)]:
