@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import (
-    Graph,
-    clan_owners,
-    connected_components,
-    disjoint_union,
-    is_forest,
-    spider2,
-    spider12,
-)
+from .graphs import Graph, clan_owners, disjoint_union, rooted_forest, spider2, spider12
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
@@ -62,33 +54,19 @@ def mask_outside(weights: Sequence[int], vertices: Iterable[int]) -> Weights:
 def count_admissible(g: Graph) -> int:
     """Number of admissible maps of a forest, by rooted counting: z, o, t
     count the maps of a vertex's subtree that put 0, 1, 2 on the vertex."""
-    if not is_forest(g):
-        raise ValueError("admissible counting requires a forest")
+    order, parent = rooted_forest(g)
     z = [1] * g.n
     o = [1] * g.n
     t = [1] * g.n
     total = 1
-    for comp in connected_components(g):
-        root = comp[0]
-        parent = {root: -1}
-        order = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-                    stack.append(w)
-        for u in reversed(order):
-            zu = ou = tu = 1
-            for w in g.adj[u]:
-                if parent.get(w) == u:
-                    zu *= z[w] + o[w] + t[w]
-                    ou *= z[w] + o[w]
-                    tu *= z[w]
-            z[u], o[u], t[u] = zu, ou, tu
-        total *= z[root] + o[root] + t[root]
+    for u in reversed(order):
+        pu = parent[u]
+        if pu == -1:
+            total *= z[u] + o[u] + t[u]
+        else:
+            z[pu] *= z[u] + o[u] + t[u]
+            o[pu] *= z[u] + o[u]
+            t[pu] *= z[u]
     return total
 
 
@@ -432,14 +410,14 @@ def check_leaf_spider_pairing(n: int) -> CheckReport:
     return rep
 
 
-def check_forest_pairing(components: int) -> CheckReport:
-    """Pairing bound on a forest of three-leg spiders, each carrying an
-    anchored map with all legs bare, marking one leg per component."""
-    t0 = time.perf_counter()
-    rep = CheckReport("forest-pairing", n=components)
-    legs = 3
-    g = disjoint_union([spider2(legs)] * components)
-    ctx = ForestShadow(g)
+_FOREST_LEGS = 3
+
+
+def _bare_spider_forest(components: int) -> tuple[ForestShadow, list[SpiderView], Weights]:
+    """The forest checks' input: the shadow of a disjoint union of spiders
+    with _FOREST_LEGS legs, one view per spider, and the anchored map with
+    every leg bare."""
+    legs = _FOREST_LEGS
     size = 2 * legs + 1
     views = [
         SpiderView(
@@ -447,9 +425,17 @@ def check_forest_pairing(components: int) -> CheckReport:
         )
         for i in range(components)
     ]
-    base = (1,) + (1,) * legs + (0,) * legs
-    w = base * components
-    for picks in iproduct(range(1, legs + 1), repeat=components):
+    w = ((1,) + (1,) * legs + (0,) * legs) * components
+    return ForestShadow(disjoint_union([spider2(legs)] * components)), views, w
+
+
+def check_forest_pairing(components: int) -> CheckReport:
+    """Pairing bound on a forest of three-leg spiders, each carrying an
+    anchored map with all legs bare, marking one leg per component."""
+    t0 = time.perf_counter()
+    rep = CheckReport("forest-pairing", n=components)
+    ctx, views, w = _bare_spider_forest(components)
+    for picks in iproduct(range(1, _FOREST_LEGS + 1), repeat=components):
         rep.cases += 1
         beta = w
         for view, pick in zip(views, picks):
@@ -466,19 +452,8 @@ def check_forest_multi_marking(components: int) -> CheckReport:
     total size equal to the component count."""
     t0 = time.perf_counter()
     rep = CheckReport("forest-multi-marking", n=components)
-    legs = 3
-    g = disjoint_union([spider2(legs)] * components)
-    ctx = ForestShadow(g)
-    size = 2 * legs + 1
-    views = [
-        SpiderView(
-            i * size, tuple((i * size + j, i * size + legs + j) for j in range(1, legs + 1))
-        )
-        for i in range(components)
-    ]
-    base = (1,) + (1,) * legs + (0,) * legs
-    w = base * components
-    for sets in iproduct(list(_subsets(legs)), repeat=components):
+    ctx, views, w = _bare_spider_forest(components)
+    for sets in iproduct(list(_subsets(_FOREST_LEGS)), repeat=components):
         if sum(len(s) for s in sets) != components:
             continue
         rep.cases += 1

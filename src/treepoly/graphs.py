@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
+class NotAForestError(ValueError):
+    """Raised when a forest-only routine receives a graph with a cycle."""
+
+
 class Graph:
     """Immutable simple graph with sorted neighbor lists and unique labels."""
 
@@ -85,10 +89,6 @@ class Bipartition:
 
     def as_pair(self) -> tuple[int, int]:
         return (self.p, self.q)
-
-    @property
-    def unbalanced(self) -> bool:
-        return self.p - self.q >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +275,35 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def two_coloring(g: Graph) -> Optional[tuple[int, ...]]:
-    """A proper 2-coloring with each component's smallest vertex colored 0,
-    or None if some component has an odd cycle."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
+def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """The one walk every forest question folds over: all vertices with each
+    parent before its children, and each vertex's parent.  parent[v] is -1
+    for each component's smallest vertex, which is that component's root.
+
+    Raises NotAForestError on the first edge that reaches an already reached
+    vertex other than the parent: a forest's edges all join a vertex to its
+    parent.
+    """
+    adj = g.adj
+    parent = [-2] * g.n  # -2 not reached yet
+    order: list[int] = []
+    for root in range(g.n):
+        if parent[root] != -2:
             continue
-        color[start] = 0
-        stack = [start]
+        parent[root] = -1
+        order.append(root)
+        stack = [root]
         while stack:
             u = stack.pop()
-            cu = color[u]
-            for w in g.adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - cu
+            pu = parent[u]
+            for w in adj[u]:
+                if parent[w] == -2:
+                    parent[w] = u
+                    order.append(w)
                     stack.append(w)
-                elif color[w] == cu:
-                    return None
-    return tuple(color)
+                elif w != pu:
+                    raise NotAForestError("input graph contains a cycle")
+    return order, parent
 
 
 def bipartition_of(g: Graph, component: Iterable[int]) -> Optional[Bipartition]:
@@ -333,8 +343,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 def is_forest(g: Graph) -> bool:
-    comps = connected_components(g)
-    return g.edge_count == g.n - len(comps) and two_coloring(g) is not None
+    try:
+        rooted_forest(g)
+    except NotAForestError:
+        return False
+    return True
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, t3mn, t3mn_star
+from .graphs import NotAForestError  # noqa: F401  (re-exported: raised by indpoly_tree)
+from .graphs import Graph, rooted_forest, t3mn, t3mn_star
 
 BRUTE_FORCE_LIMIT = 30
 
@@ -22,10 +23,6 @@ FAMILY_BUILDERS = {
 
 class GuardLimitError(RuntimeError):
     """Raised when an input exceeds a size guard meant for oracle use."""
-
-
-class NotAForestError(ValueError):
-    """Raised when a forest-only routine receives a graph with a cycle."""
 
 
 class IntPoly:
@@ -151,46 +148,28 @@ def indpoly_tree(g: Graph) -> IntPoly:
     for this call only, so isomorphic rooted subtrees share one pair.  A run
     of k children of one shape enters as a k-th power.
     """
+    order, parent = rooted_forest(g)
     adj = g.adj
-    parent = [-2] * g.n  # -2 not reached yet, -1 a component's root
     shape = [0] * g.n
     ids: dict[tuple[int, ...], int] = {}
     pairs: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
     result = ONE
-    for root in range(g.n):
-        if parent[root] != -2:
-            continue
-        # One walk per component.  An edge the walk meets from an endpoint
-        # whose other end is already reached and is not its parent closes a
-        # cycle: a tree's edges all join a vertex to its parent.
-        parent[root] = -1
-        order = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            pu = parent[u]
-            for w in adj[u]:
-                if parent[w] == -2:
-                    parent[w] = u
-                    order.append(w)
-                    stack.append(w)
-                elif w != pu:
-                    raise NotAForestError("input graph contains a cycle")
-        for u in reversed(order):
-            pu = parent[u]
-            key = tuple(sorted([shape[w] for w in adj[u] if w != pu]))
-            sid = ids.get(key)
-            if sid is None:
-                excl = incl = ONE
-                for child, run in groupby(key):
-                    k = sum(1 for _ in run)
-                    e, total = pairs[child]
-                    excl = excl * total**k
-                    incl = incl * e**k
-                sid = ids[key] = len(pairs)
-                pairs.append((excl, excl + incl.shifted(1)))
-            shape[u] = sid
-        result = result * pairs[shape[root]][1]
+    for u in reversed(order):
+        pu = parent[u]
+        key = tuple(sorted([shape[w] for w in adj[u] if w != pu]))
+        sid = ids.get(key)
+        if sid is None:
+            excl = incl = ONE
+            for child, run in groupby(key):
+                k = sum(1 for _ in run)
+                e, total = pairs[child]
+                excl = excl * total**k
+                incl = incl * e**k
+            sid = ids[key] = len(pairs)
+            pairs.append((excl, excl + incl.shifted(1)))
+        shape[u] = sid
+        if pu == -1:
+            result = result * pairs[sid][1]
     return result
 
 

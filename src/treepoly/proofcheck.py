@@ -40,8 +40,8 @@ from .alphamaps import (
     restrict,
     spider_view,
 )
-from .graphs import Graph, connected_components, family_layout, induced_subgraph, spider2
-from .intpoly import analyze, indpoly_tree
+from .graphs import Graph, connected_components, family_layout, induced_subgraph, path_graph, spider2
+from .intpoly import analyze, family_graph, indpoly_tree
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
@@ -75,8 +75,6 @@ class FamilyContext:
         self.m = m
         self.n = n
         self.layout = family_layout(m, n, star=(family == "t3mn_star"))
-        from .intpoly import family_graph
-
         self.graph = family_graph(family, m, n)
         self.shadow = ForestShadow(self.graph)
         self.full_weight = 2 * m + 2 * n + 10
@@ -1305,8 +1303,6 @@ def check_path_append_identities() -> CheckReport:
     the pair shadow when c has weight 2 and the total shadow is nonzero, by
     the pair shadow when v, c, d all have weight 1, and by twice the pair
     shadow when c, d have weight 1 and v has weight 0."""
-    from .graphs import path_graph
-
     t0 = time.perf_counter()
     rep = CheckReport("path-append-identities")
     pair = chromatic_multicolor_2var(Graph(1, [], ["c"]), (2,))
@@ -1388,8 +1384,6 @@ class ChainSummary:
 
 
 def verify_chain(m: int, n: int, family: str = "t3mn") -> ChainSummary:
-    from .intpoly import family_graph
-
     g = family_graph(family, m, n)
     poly = indpoly_tree(g)
     report = analyze(poly)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .graphs import Graph, two_coloring
+from .graphs import Graph, rooted_forest
 from .symfunc import expand_terms
 
 Signature = tuple[tuple[tuple[int, int], ...], int]
@@ -99,16 +99,19 @@ def is_admissible(g: Graph, weights: Sequence[int]) -> bool:
 
 
 class ForestShadow:
-    """Shadow evaluator bound to one forest; reuses a global 2-coloring."""
+    """Shadow evaluator bound to one forest; reuses a global 2-coloring, the
+    depth parity from each component's smallest vertex (colored 0)."""
 
     __slots__ = ("graph", "colors", "adj", "n")
 
     def __init__(self, g: Graph):
-        colors = two_coloring(g)
-        if colors is None:
-            raise ValueError("shadow engine requires a bipartite graph")
+        order, parent = rooted_forest(g)
+        colors = [0] * g.n
+        for u in order:
+            if parent[u] != -1:
+                colors[u] = 1 - colors[parent[u]]
         self.graph = g
-        self.colors = colors
+        self.colors = tuple(colors)
         self.adj = g.adj
         self.n = g.n
 

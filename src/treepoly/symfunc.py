@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Mapping, Sequence, Union
 
-from .graphs import Graph, bipartition_of, clan_graph, connected_components, is_forest
+from .graphs import Graph, NotAForestError, bipartition_of, clan_graph, connected_components
 from .intpoly import IntPoly, indpoly_bruteforce, indpoly_tree
 
 
@@ -293,5 +293,8 @@ def f_p_2var(p: IntPoly) -> SymPoly2:
 def y_g_2var(g: Graph) -> SymPoly2:
     """I_G(x1) * I_G(x2); diagonal Schur coefficients encode the log-concavity
     defects of the independence polynomial."""
-    poly = indpoly_tree(g) if is_forest(g) else indpoly_bruteforce(g)
+    try:
+        poly = indpoly_tree(g)
+    except NotAForestError:
+        poly = indpoly_bruteforce(g)
     return f_p_2var(poly)

@@ -41,6 +41,15 @@ def random_forest(rng: random.Random, n: int, max_parts: int = 3) -> Graph:
     return disjoint_union([random_tree(rng, p) for p in parts])
 
 
+def shuffled_forest(rng: random.Random, n: int) -> Graph:
+    """random_forest with its vertices relabelled at random, so that a
+    component need not occupy a contiguous block of indices."""
+    f = random_forest(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[i], perm[j]) for i, j in f.edges()])
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

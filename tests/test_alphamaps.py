@@ -32,7 +32,7 @@ from treepoly.graphs import clan_graph, connected_components, path_graph, spider
 from treepoly.shadow import ForestShadow, is_admissible
 from treepoly.symfunc import chromatic_multicolor_2var, y_g_2var
 
-from conftest import random_tree
+from conftest import random_forest, random_tree
 
 
 def test_restrict_extend_roundtrip():
@@ -55,8 +55,9 @@ def test_admissible_k2_and_k1():
 
 
 def test_admissible_stream_properties(rng):
-    for _ in range(10):
-        t = random_tree(rng, rng.randint(1, 9))
+    graphs = [random_tree(rng, rng.randint(1, 9)) for _ in range(10)]
+    graphs += [random_forest(rng, rng.randint(1, 9)) for _ in range(10)]
+    for t in graphs:
         maps = list(admissible_maps(t))
         assert len(maps) == len(set(maps)) == count_admissible(t)
         assert maps == sorted(maps)  # canonical depth-first order

@@ -16,14 +16,14 @@ from treepoly.graphs import (
     induced_subgraph,
     is_forest,
     path_graph,
+    rooted_forest,
     spider2,
     spider12,
     t3mn,
     t3mn_star,
-    two_coloring,
 )
 
-from conftest import random_tree
+from conftest import random_tree, shuffled_forest
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -160,12 +160,18 @@ def test_components_and_subgraph():
     assert induced_subgraph(g, []).n == 0
 
 
-def test_two_coloring():
-    assert two_coloring(complete_graph(3)) is None
-    colors = two_coloring(t3mn(2, 3))
-    g = t3mn(2, 3)
-    assert all(colors[i] != colors[j] for i, j in g.edges())
-    assert colors[0] == 0
+def test_rooted_forest(rng):
+    for _ in range(15):
+        g = shuffled_forest(rng, rng.randint(0, 12))
+        order, parent = rooted_forest(g)
+        assert sorted(order) == list(range(g.n))
+        roots = [v for v in range(g.n) if parent[v] == -1]
+        assert roots == [comp[0] for comp in connected_components(g)]
+        assert g.n - len(roots) == g.edge_count  # every edge joins a vertex to its parent
+        pos = {v: i for i, v in enumerate(order)}
+        for v in range(g.n):
+            if parent[v] != -1:
+                assert parent[v] in g.adj[v] and pos[parent[v]] < pos[v]
 
 
 def test_json_roundtrip():

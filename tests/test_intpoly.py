@@ -4,11 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from treepoly.alphamaps import count_admissible
 from treepoly.graphs import (
     Graph,
     complete_graph,
     disjoint_union,
     induced_subgraph,
+    is_forest,
     path_graph,
     spider2,
     spider12,
@@ -27,6 +29,7 @@ from treepoly.intpoly import (
     scan_row,
     tail_start,
 )
+from treepoly.shadow import ForestShadow
 
 from conftest import random_forest, random_tree
 
@@ -122,8 +125,10 @@ def cycle_graph(n: int) -> Graph:
     ids=["first-component", "last-component", "hanging-4-cycle", "triangle"],
 )
 def test_tree_dp_rejects_any_cycle(g):
-    with pytest.raises(NotAForestError):
-        indpoly_tree(g)
+    assert not is_forest(g)
+    for forest_only in (indpoly_tree, count_admissible, ForestShadow):
+        with pytest.raises(NotAForestError, match="contains a cycle"):
+            forest_only(g)
 
 
 def test_intpoly_power():

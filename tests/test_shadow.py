@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from treepoly.graphs import complete_graph, spider2, t3mn
+from treepoly.graphs import (
+    Graph,
+    NotAForestError,
+    complete_graph,
+    connected_components,
+    spider2,
+    t3mn,
+    t3mn_star,
+)
 from treepoly.alphamaps import admissible_maps
 from treepoly.shadow import (
     ForestShadow,
@@ -14,12 +22,29 @@ from treepoly.shadow import (
 )
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
-from conftest import random_tree
+from conftest import random_tree, shuffled_forest
 
 
 def test_engine_requires_bipartite():
     with pytest.raises(ValueError):
         ForestShadow(complete_graph(3))
+
+
+def test_forest_shadow_colors(rng):
+    graphs = [t3mn(2, 3), t3mn_star(1, 2)]
+    graphs += [shuffled_forest(rng, rng.randint(1, 12)) for _ in range(12)]
+    for g in graphs:
+        colors = ForestShadow(g).colors
+        assert len(colors) == g.n and set(colors) <= {0, 1}
+        assert all(colors[i] != colors[j] for i, j in g.edges())
+        # _pattern in proofcheck relies on each component's smallest vertex
+        # having color 0
+        assert all(colors[comp[0]] == 0 for comp in connected_components(g))
+    with pytest.raises(NotAForestError):
+        ForestShadow(complete_graph(3))
+    # bipartite but not a forest
+    with pytest.raises(NotAForestError):
+        ForestShadow(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
 
 def test_admissibility_predicate():
