@@ -28,7 +28,8 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .alphamaps import (
     SpiderClass,
@@ -37,7 +38,6 @@ from .alphamaps import (
     classify_spider,
     count_admissible,
     mark_legs,
-    restrict,
     spider_view,
 )
 from .graphs import Graph, connected_components, family_layout, induced_subgraph, path_graph, spider2
@@ -85,20 +85,15 @@ class FamilyContext:
         self.slice_shadows = tuple(
             ForestShadow(spider2(self.layout.leg_count(i))) for i in (1, 2, 3)
         )
-        self.heads = tuple(
-            self.layout.head(i, j)
-            for i in (1, 2, 3)
-            for j in range(1, self.layout.leg_count(i) + 1)
-        )
+        self.slice_locals = tuple(itemgetter(*verts) for verts in self.slice_vertices)
         self.leg_pairs = tuple(
             (i, j, self.layout.head(i, j), self.layout.foot(i, j))
             for i in (1, 2, 3)
             for j in range(1, self.layout.leg_count(i) + 1)
         )
-        # slice_info per slice, keyed by the slice's local values: a
-        # SpiderClass depends on nothing else, and it is frozen, so entries
-        # are shared.
-        self._slice_infos: tuple[dict, dict, dict] = ({}, {}, {})
+        # slice_record per slice, keyed by the slice's local values: a record
+        # depends on nothing else, and it is immutable, so entries are shared.
+        self._slice_records: tuple[dict, dict, dict] = ({}, {}, {})
         # partner_star's core step, see _core_step.
         self.core_steps: dict[tuple[bool, bool], dict[bytes, bytes | str]] = {}
 
@@ -114,21 +109,37 @@ class FamilyContext:
             for comp in connected_components(below)
         ]
 
+    def slice_record(self, local: Weights, i: int) -> SliceRecord:
+        """The record of branch slice i with the given local values."""
+        cache = self._slice_records[i - 1]
+        rec = cache.get(local)
+        if rec is None:
+            legs = self.layout.leg_count(i)
+            rec = cache[local] = SliceRecord(
+                classify_spider(local, self.slice_views[i - 1], self.slice_shadows[i - 1]),
+                sum(local),
+                local[1 : legs + 1].count(1),
+            )
+        return rec
+
     def slice_info(self, w: Sequence[int], i: int) -> SpiderClass:
         """The spider class of branch slice i of w."""
-        local = restrict(w, self.slice_vertices[i - 1])
-        cache = self._slice_infos[i - 1]
-        info = cache.get(local)
-        if info is None:
-            info = cache[local] = classify_spider(
-                local, self.slice_views[i - 1], self.slice_shadows[i - 1]
-            )
-        return info
+        return self.slice_record(self.slice_locals[i - 1](w), i).info
 
 
-@dataclass(frozen=True)
-class FamilyAnalysis:
-    """Per-map data consumed by the class predicates."""
+class SliceRecord(NamedTuple):
+    """What the class analysis reads of one branch slice: its spider class,
+    its weight sum and its number of heads with weight 1."""
+
+    info: SpiderClass
+    total: int
+    heads: int
+
+
+class FamilyAnalysis(NamedTuple):
+    """Per-map data consumed by the class predicates.  A named tuple: one is
+    built for every negative map and every partner, and a tuple is the
+    cheapest immutable record to build."""
 
     w: Weights
     a0: int
@@ -157,15 +168,31 @@ class FamilyAnalysis:
 
 
 def analyze_map(ctx: FamilyContext, w: Sequence[int]) -> FamilyAnalysis:
-    info = tuple(ctx.slice_info(w, i) for i in (1, 2, 3))
+    """The class analysis of w, joined from its three slice records."""
+    get1, get2, get3 = ctx.slice_locals
+    return _join_analysis(
+        ctx,
+        tuple(w),
+        ctx.slice_record(get1(w), 1),
+        ctx.slice_record(get2(w), 2),
+        ctx.slice_record(get3(w), 3),
+    )
+
+
+def _join_analysis(
+    ctx: FamilyContext, w: Weights, r1: SliceRecord, r2: SliceRecord, r3: SliceRecord
+) -> FamilyAnalysis:
+    """The analysis of core map w from the records of its three slices: the
+    core vertices are the root and the slices, so the core weight and the
+    weighted heads are sums over the slices."""
     return FamilyAnalysis(
-        w=tuple(w),
+        w=w,
         a0=w[0],
         branch=(w[1], w[2], w[3]),
-        info=info,
-        total=sum(w[v] for v in ctx.layout.core_vertices()),
+        info=(r1.info, r2.info, r3.info),
+        total=w[0] + r1.total + r2.total + r3.total,
         full_weight=ctx.full_weight,
-        weighted_heads=sum(1 for h in ctx.heads if w[h] == 1),
+        weighted_heads=r1.heads + r2.heads + r3.heads,
         leg_pairs=ctx.leg_pairs,
     )
 
@@ -911,24 +938,37 @@ def _count_by_signature(slices: list[_EngineSlice]) -> dict[Signature, int]:
     return counts
 
 
-def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
-    """All weight maps with negative two-row shadow, with their expansions.
+def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, FamilyAnalysis]]:
+    """All weight maps with negative two-row shadow, with their expansions
+    and the class analysis of their core restriction.
 
     Exact for every (m, n) within the pattern guard: candidates require an
     unbalanced component, which must either sit inside one slice or on the
-    spine through the root.
+    spine through the root.  The analysis is joined from the records of the
+    map's three slice patterns, each looked up once per pattern.
     """
     slices = ctx.engine_slices
     size = ctx.graph.n
+    core_n = len(ctx.layout.core_vertices())
+    records: dict[_SlicePattern, SliceRecord] = {}
+    for i, (sl, verts) in enumerate(zip(slices, ctx.slice_vertices), 1):
+        # In the star, x and y join slice 1 after its core vertices; the
+        # record is taken on the core vertices alone.
+        k = len(verts)
+        assert sl.verts[:k] == verts and all(v >= core_n for v in sl.verts[k:])
+        for p in sl.patterns:
+            records[p] = ctx.slice_record(p.values[:k], i)
 
-    def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict]]:
+    def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict, FamilyAnalysis]]:
         """The negative maps among pools[0] x pools[1] x pools[2], in that
         product's order; each prefix is joined to the root once."""
         root = _ROOT_STATE[v0val]
         for p1 in pools[0]:
             acc1 = _join(v0val, root, p1)
+            r1 = records[p1]
             for p2 in pools[1]:
                 acc2 = _join(v0val, acc1, p2)
+                r2 = records[p2]
                 for p3 in pools[2]:
                     expansion = expansion_from_signature(_close(_join(v0val, acc2, p3)))
                     if min_coefficient(expansion) >= 0:
@@ -938,7 +978,8 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict]]:
                     for sl, p in zip(slices, (p1, p2, p3)):
                         for value, v in zip(p.values, sl.verts):
                             w[v] = value
-                    yield tuple(w), expansion
+                    w = tuple(w)
+                    yield w, expansion, _join_analysis(ctx, w[:core_n], r1, r2, records[p3])
 
     for v0val in (0, 1, 2):
         allowed = [
@@ -1004,13 +1045,14 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
 
 
 def _pairing_reports(
-    ctx: FamilyContext, prefix: str, label: str, final: int, analyze, classify, pair, target
+    ctx: FamilyContext, prefix: str, label: str, final: int, classify, pair, target
 ) -> tuple[list[CheckReport], list[Weights]]:
-    """The pairing argument of both families: classify(w, analyze(w)) puts each
-    negative map in a class, the final class may reach only the top diagonal,
-    and every other class is paired through pair(w, a, cls); target(beta, cls)
-    says how a partner misses its target class, or returns None.  Returns the
-    six reports and the enumerated maps for the coverage audit."""
+    """The pairing argument of both families: classify(w, a) puts each
+    negative map in a class, where a is the analysis negative_members yields
+    with w, the final class may reach only the top diagonal, and every other
+    class is paired through pair(w, a, cls); target(beta, cls) says how a
+    partner misses its target class, or returns None.  Returns the six
+    reports and the enumerated maps for the coverage audit."""
     t0 = time.perf_counter()
     m, n = ctx.m, ctx.n
     lemmas = (
@@ -1021,9 +1063,8 @@ def _pairing_reports(
     rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject = reports
     images: dict[Weights, tuple[int, Weights]] = {}
     negatives: list[Weights] = []
-    for w, exp in negative_members(ctx):
+    for w, exp, a in negative_members(ctx):
         negatives.append(w)
-        a = analyze(w)
         matches = classify(w, a)
         rep_partition.cases += 1
         if len(matches) != 1:
@@ -1083,7 +1124,6 @@ def verify_base(m: int, n: int) -> list[CheckReport]:
 
     reports, negatives = _pairing_reports(
         ctx, "", "class", 30,
-        analyze=lambda w: analyze_map(ctx, w),
         classify=lambda w, a: negative_class_matches(a),
         pair=lambda w, a, cls: partner(ctx, a, cls),
         target=target,
@@ -1244,7 +1284,6 @@ def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport
 
     reports, negatives = _pairing_reports(
         ctx, "star-", "star class", 4,
-        analyze=lambda w: analyze_map(core_ctx, w[: core_ctx.graph.n]),
         classify=lambda w, core: star_class_matches(ctx, w, core),
         pair=lambda w, core, cls: partner_star(ctx, core_ctx, w, cls, repair_corner),
         target=target,
@@ -1274,7 +1313,7 @@ def _repair_locality_reports(
     head13 = lay.head(1, 3)
     rep_foot = CheckReport("partner-preserves-foot13", core_ctx.m, core_ctx.n)
     rep_head = CheckReport("partner-monotone-head13", core_ctx.m, core_ctx.n)
-    for w, _ in negative_members(core_ctx):
+    for w, _, _ in negative_members(core_ctx):
         # The core steps partner_star memoized.  Repair changes only class
         # 19, and there both markings need the same anchored slices, so the
         # published step fails exactly when the repaired one does.

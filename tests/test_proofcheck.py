@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepoly import proofcheck
 from treepoly.alphamaps import (
@@ -46,7 +49,7 @@ def brute_negatives(ctx):
 @pytest.mark.parametrize("family,m,n", [("t3mn", 1, 1), ("t3mn", 2, 1), ("t3mn_star", 1, 1)])
 def test_negative_enumeration_matches_bruteforce(family, m, n):
     ctx = FamilyContext(family, m, n)
-    engine = {w for w, _ in negative_members(ctx)}
+    engine = {w for w, _, _ in negative_members(ctx)}
     brute = brute_negatives(ctx)
     assert engine == brute
     # the coverage audit's bucket count, against the exhaustive sweep
@@ -58,7 +61,7 @@ def test_negative_enumeration_matches_bruteforce(family, m, n):
 
 def test_negative_expansions_are_exact():
     ctx = FamilyContext("t3mn", 1, 1)
-    for w, exp in negative_members(ctx):
+    for w, exp, _ in negative_members(ctx):
         literal = schur_expand(chromatic_multicolor_2var(ctx.graph, w)).coeffs
         assert dict(exp) == literal
 
@@ -202,7 +205,8 @@ def test_coverage_audit_catches_a_faulty_enumeration(monkeypatch, fault):
         if fault == "drop":
             members.pop()
         elif fault == "not-negative":
-            members.insert(0, ((0,) * ctx.graph.n, {}))
+            zero = (0,) * ctx.graph.n
+            members.insert(0, (zero, {}, analyze_map(ctx, zero)))
         else:
             members.append(members[0])
         return iter(members)
@@ -221,9 +225,7 @@ def test_coverage_audit_catches_a_faulty_enumeration(monkeypatch, fault):
 
 def test_star_partition_covers_xy_patterns():
     ctx = FamilyContext("t3mn_star", 1, 1)
-    core_ctx = FamilyContext("t3mn", 1, 1)
-    for w, _ in negative_members(ctx):
-        core = analyze_map(core_ctx, w[: core_ctx.graph.n])
+    for w, _, core in negative_members(ctx):
         assert len(star_class_matches(ctx, w, core)) == 1
 
 
@@ -275,7 +277,7 @@ def _cell_maps(family, m, n):
     ctx = FamilyContext(family, m, n)
     core_ctx = FamilyContext("t3mn", m, n) if family == "t3mn_star" else ctx
     negatives, partners = [], []
-    for w, _ in negative_members(ctx):
+    for w, _, _ in negative_members(ctx):
         a = analyze_map(core_ctx, w[: core_ctx.graph.n])
         if family == "t3mn":
             matches = negative_class_matches(a)
@@ -298,6 +300,7 @@ def _cell_maps(family, m, n):
 def test_cached_slice_info_matches_uncached(family, m, n):
     _, core_ctx, negatives, partners = _cell_maps(family, m, n)
     fresh = FamilyContext("t3mn", m, n)
+    lay = fresh.layout
     maps = [w for w, _ in negatives] + partners
     assert len(partners) > 100
     for w in partners:  # the battery analyzes partners to audit their targets
@@ -305,12 +308,115 @@ def test_cached_slice_info_matches_uncached(family, m, n):
     for w in maps:
         core_w = w[: core_ctx.graph.n]
         for i in (1, 2, 3):
-            local = tuple(core_w[v] for v in core_ctx.slice_vertices[i - 1])
-            assert local in core_ctx._slice_infos[i - 1]  # served from the cache
+            verts = core_ctx.slice_vertices[i - 1]
+            local = tuple(core_w[v] for v in verts)
+            record = core_ctx._slice_records[i - 1][local]  # served from the cache
             uncached = classify_spider(
                 local, fresh.slice_views[i - 1], fresh.slice_shadows[i - 1]
             )
-            assert core_ctx.slice_info(core_w, i) == uncached
+            assert core_ctx.slice_info(core_w, i) == record.info == uncached
+            assert record.total == sum(core_w[v] for v in verts)
+            assert record.heads == sum(
+                1 for j in range(1, lay.leg_count(i) + 1) if core_w[lay.head(i, j)] == 1
+            )
+
+
+@pytest.mark.parametrize(
+    "family,m,n,negatives",
+    [("t3mn", 1, 1, 596), ("t3mn", 2, 1, 2897), ("t3mn", 2, 2, 15197), ("t3mn_star", 1, 2, 12811)],
+)
+def test_joined_analysis_matches_analyze_map(family, m, n, negatives):
+    # The analysis negative_members joins from slice-pattern records equals
+    # the one a separate context computes from the (core) map itself, and
+    # its sums match the ones taken over the whole core map.
+    ctx = FamilyContext(family, m, n)
+    fresh = FamilyContext("t3mn", m, n)
+    core_n = fresh.graph.n
+    seen = 0
+    for w, _, a in negative_members(ctx):
+        assert a == analyze_map(fresh, w[:core_n])
+        assert a.total == sum(w[:core_n])
+        assert a.weighted_heads == sum(1 for (_, _, h, _) in ctx.leg_pairs if w[h] == 1)
+        seen += 1
+    assert seen == negatives
+
+
+@functools.lru_cache(maxsize=None)
+def _paired_maps(family, m, n):
+    """A cell's contexts and its negative maps outside the final class, each
+    with its class."""
+    ctx = FamilyContext(family, m, n)
+    core_ctx = FamilyContext("t3mn", m, n) if family == "t3mn_star" else ctx
+    final = 30 if family == "t3mn" else 4
+    maps = []
+    for w, _, a in negative_members(ctx):
+        if family == "t3mn":
+            (cls,) = negative_class_matches(a)
+        else:
+            (cls,) = star_class_matches(ctx, w, a)
+        if cls != final:
+            maps.append((w, cls))
+    return ctx, core_ctx, maps
+
+
+def _pair(family, m, n, w, cls, repair_corner=False, fresh=False):
+    """The partner of w, from the cell's shared contexts or from new ones;
+    repair_corner applies to the extended family only."""
+    ctx, core_ctx, _ = _paired_maps(family, m, n)
+    if fresh:
+        ctx = FamilyContext(family, m, n)
+        core_ctx = FamilyContext("t3mn", m, n)
+    if family == "t3mn":
+        return partner(ctx, analyze_map(ctx, w), cls)
+    return partner_star(ctx, core_ctx, w, cls, repair_corner)
+
+
+PROPERTY_CELLS = [("t3mn", 1, 2), ("t3mn", 2, 1), ("t3mn_star", 1, 1)]
+
+
+@pytest.mark.parametrize("cell", PROPERTY_CELLS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_partner_is_deterministic(cell, data):
+    w, cls = data.draw(st.sampled_from(_paired_maps(*cell)[2]))
+    for repair in (False, True):
+        first = _pair(*cell, w, cls, repair)
+        assert _pair(*cell, w, cls, repair) == first
+        assert _pair(*cell, w, cls, repair, fresh=True) == first
+
+
+@pytest.mark.parametrize("cell", PROPERTY_CELLS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_partner_is_admissible(cell, data):
+    ctx, _, maps = _paired_maps(*cell)
+    w, cls = data.draw(st.sampled_from(maps))
+    assert is_admissible(ctx.graph, _pair(*cell, w, cls, repair_corner=True))
+
+
+def test_repair_changes_only_the_six_inadmissible_corner_partners():
+    # Exhaustive at star (1, 1): the published partners that are not
+    # admissible, the partners repair_corner changes, and the class-19
+    # corner maps are the same six maps.  The corner is star class 3 whose
+    # core map gamma (the core restriction with foot (1, 3) vacated, as
+    # partner_star builds it) is class 19 with marks_head_13.
+    cell = ("t3mn_star", 1, 1)
+    ctx, core_ctx, maps = _paired_maps(*cell)
+    inadmissible, changed, corner = [], [], []
+    for w, cls in maps:
+        published = _pair(*cell, w, cls)
+        if not is_admissible(ctx.graph, published):
+            inadmissible.append(w)
+        if _pair(*cell, w, cls, repair_corner=True) != published:
+            changed.append(w)
+        if cls == 3:
+            gamma = list(w[: core_ctx.graph.n])
+            gamma[ctx.layout.foot(1, 3)] = 0
+            g = analyze_map(core_ctx, tuple(gamma))
+            if negative_class_matches(g) == (19,) and marks_head_13(g):
+                corner.append(w)
+    assert len(inadmissible) == 6
+    assert inadmissible == changed == corner
 
 
 def test_partner_star_memo_is_transparent():
@@ -385,9 +491,7 @@ def test_reports_serialize_deterministically():
 )
 def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, final, prefix):
     ctx = FamilyContext(family, 1, 1)
-    core_ctx = FamilyContext("t3mn", 1, 1)
-    for w, exp in negative_members(ctx):
-        core = analyze_map(core_ctx, w[: core_ctx.graph.n])
+    for w, exp, core in negative_members(ctx):
         if family == "t3mn":
             matches = negative_class_matches(core)
         else:
@@ -401,7 +505,7 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
     def one_stray_member(c):
         if c.family != family:
             return real(c)
-        return iter([(w, {**exp, (1, 1): 7})])
+        return iter([(w, {**exp, (1, 1): 7}, core)])
 
     monkeypatch.setattr(proofcheck, "negative_members", one_stray_member)
     reports = verify(1, 1)
