@@ -85,7 +85,7 @@ class FamilyContext:
         self.slice_shadows = tuple(
             ForestShadow(spider2(self.layout.leg_count(i))) for i in (1, 2, 3)
         )
-        self.slice_locals = tuple(itemgetter(*verts) for verts in self.slice_vertices)
+        self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
         self.leg_pairs = tuple(
             (i, j, self.layout.head(i, j), self.layout.foot(i, j))
             for i in (1, 2, 3)
@@ -125,6 +125,15 @@ class FamilyContext:
     def slice_info(self, w: Sequence[int], i: int) -> SpiderClass:
         """The spider class of branch slice i of w."""
         return self.slice_record(self.slice_locals[i - 1](w), i).info
+
+
+def _tuple_getter(indices: Sequence[int]):
+    """itemgetter that returns a tuple for any number of indices, one too:
+    a slice without legs is the branch vertex alone."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda w: (w[i],)
+    return itemgetter(*indices)
 
 
 class SliceRecord(NamedTuple):
@@ -376,12 +385,36 @@ def _negative_class_predicates():
 NEGATIVE_CLASS_PREDICATES = _negative_class_predicates()
 
 
+def _guarded(classes: Sequence[int]) -> tuple:
+    return tuple((c, NEGATIVE_CLASS_PREDICATES[c - 1]) for c in classes)
+
+
+# The classes whose guard can hold: classes 1-9 need a0 == 0, and each class
+# from 10 on needs a0 == 1 and one branch pattern.  Every predicate still
+# checks its own guard, so this table can only prune.
+_ROOT_ZERO_CLASSES = _guarded(range(1, 10))
+_ROOT_ONE_CLASSES = {
+    (1, 0, 0): _guarded((10, 11)),
+    (0, 1, 0): _guarded((12, 13)),
+    (0, 0, 1): _guarded((14, 15)),
+    (0, 1, 1): _guarded((16,)),
+    (1, 0, 1): _guarded((17, 18, 19, 20)),
+    (1, 1, 0): _guarded((21, 22, 23, 24, 25)),
+    (1, 1, 1): _guarded((26, 27, 28, 29, 30)),
+}
+
+
 def negative_class_matches(a: FamilyAnalysis) -> tuple[int, ...]:
     """All class predicates matching a map; exactly one is expected for a map
-    with negative shadow."""
-    return tuple(
-        i + 1 for i, pred in enumerate(NEGATIVE_CLASS_PREDICATES) if pred(a)
-    )
+    with negative shadow.  Only the predicates whose guard can hold on a's
+    root and branch values are evaluated."""
+    if a.a0 == 0:
+        group = _ROOT_ZERO_CLASSES
+    elif a.a0 == 1:
+        group = _ROOT_ONE_CLASSES.get(a.branch, ())
+    else:
+        return ()
+    return tuple(c for c, pred in group if pred(a))
 
 
 def is_full_weight_class(a: FamilyAnalysis) -> bool:
@@ -835,8 +868,11 @@ POSITIVE_CLASS_PREDICATES = _positive_class_predicates()
 
 
 class _SlicePattern:
+    """One slice map and its bucket: patterns with equal key (tau, comps,
+    twos, cc0, cc1) join every partial signature alike (see _join)."""
+
     __slots__ = (
-        "values", "tau", "comps", "twos", "cc0", "cc1", "d", "solo_bad", "internal_bad",
+        "values", "tau", "comps", "twos", "cc0", "cc1", "key", "d", "solo_bad", "internal_bad",
     )
 
     def __init__(self, values, tau, comps, twos, cc0, cc1):
@@ -846,6 +882,7 @@ class _SlicePattern:
         self.twos = twos
         self.cc0 = cc0
         self.cc1 = cc1
+        self.key = (tau, comps, twos, cc0, cc1)
         self.d = cc0 - cc1 if tau == 1 else 0
         self.solo_bad = tau == 1 and abs(cc0 - cc1) >= 2
         self.internal_bad = any(p - q >= 2 for p, q in comps)
@@ -866,7 +903,8 @@ class _EngineSlice:
 
 
 def _pattern(shadow: ForestShadow, values: Weights) -> _SlicePattern:
-    """The bucket data of one slice map; the slice center is vertex 0."""
+    """The bucket data of one slice map.  The slice center is vertex 0, the
+    root of the slice graph's rooted order, so its component comes first."""
     parts = shadow.components(values)
     cc0 = cc1 = 0
     if values[0] == 1:
@@ -923,8 +961,7 @@ def _count_by_signature(slices: list[_EngineSlice]) -> dict[Signature, int]:
             buckets: dict[tuple, list] = {}
             for p in sl.patterns:
                 if p.tau in _TAU_ALLOWED[v0val]:
-                    key = (p.tau, p.comps, p.twos, p.cc0, p.cc1)
-                    buckets.setdefault(key, [p, 0])[1] += 1
+                    buckets.setdefault(p.key, [p, 0])[1] += 1
             folded: dict[tuple, int] = {}
             for p, size in buckets.values():
                 for acc, c in states.items():
@@ -958,27 +995,44 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
         assert sl.verts[:k] == verts and all(v >= core_n for v in sl.verts[k:])
         for p in sl.patterns:
             records[p] = ctx.slice_record(p.values[:k], i)
+    # The family map from (v0, *p1.values, *p2.values, *p3.values).
+    spots = [0] * size
+    for pos, v in enumerate((0, *(v for sl in slices for v in sl.verts))):
+        spots[v] = pos
+    place = itemgetter(*spots)
 
     def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict, FamilyAnalysis]]:
         """The negative maps among pools[0] x pools[1] x pools[2], in that
-        product's order; each prefix is joined to the root once."""
+        product's order; each prefix is joined to the root once.
+
+        Whether p3 closes a prefix to a negative map depends only on the
+        prefix's partial signature and on p3's bucket, so the pools[2]
+        members that close negative, with their expansions, are found once
+        per sorted partial signature, and only those are visited."""
         root = _ROOT_STATE[v0val]
+        closing: dict[tuple, list[tuple[_SlicePattern, dict]]] = {}
         for p1 in pools[0]:
             acc1 = _join(v0val, root, p1)
             r1 = records[p1]
             for p2 in pools[1]:
-                acc2 = _join(v0val, acc1, p2)
+                comps, twos, c0, c1 = _join(v0val, acc1, p2)
+                acc2 = tuple(sorted(comps)), twos, c0, c1
+                members = closing.get(acc2)
+                if members is None:
+                    by_key: dict[tuple, dict] = {}
+                    for p3 in pools[2]:
+                        if p3.key not in by_key:
+                            exp = expansion_from_signature(_close(_join(v0val, acc2, p3)))
+                            by_key[p3.key] = exp if min_coefficient(exp) < 0 else None
+                    members = closing[acc2] = [
+                        (p3, by_key[p3.key]) for p3 in pools[2] if by_key[p3.key] is not None
+                    ]
+                if not members:
+                    continue
                 r2 = records[p2]
-                for p3 in pools[2]:
-                    expansion = expansion_from_signature(_close(_join(v0val, acc2, p3)))
-                    if min_coefficient(expansion) >= 0:
-                        continue
-                    w = [0] * size
-                    w[0] = v0val
-                    for sl, p in zip(slices, (p1, p2, p3)):
-                        for value, v in zip(p.values, sl.verts):
-                            w[v] = value
-                    w = tuple(w)
+                prefix = (v0val, *p1.values, *p2.values)
+                for p3, expansion in members:
+                    w = place(prefix + p3.values)
                     yield w, expansion, _join_analysis(ctx, w[:core_n], r1, r2, records[p3])
 
     for v0val in (0, 1, 2):

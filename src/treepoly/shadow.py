@@ -85,7 +85,9 @@ def part_pairs(comps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 def is_admissible(g: Graph, weights: Sequence[int]) -> bool:
     """True when no value exceeds 2 and every edge with two positive ends
-    carries weight 1 on both; all other maps have zero shadow."""
+    carries weight 1 on both; all other maps have zero shadow.  A walk over
+    the adjacency lists of any graph, kept as the reference for the forest
+    fold of ForestShadow."""
     if any(a < 0 or a > 2 for a in weights):
         return False
     for v in range(g.n):
@@ -100,9 +102,14 @@ def is_admissible(g: Graph, weights: Sequence[int]) -> bool:
 
 class ForestShadow:
     """Shadow evaluator bound to one forest; reuses a global 2-coloring, the
-    depth parity from each component's smallest vertex (colored 0)."""
+    depth parity from each component's smallest vertex (colored 0).
 
-    __slots__ = ("graph", "colors", "adj", "n")
+    In a forest the edges are exactly the parent edges of rooted_forest, so
+    every question about one map is a single fold over the rooted order:
+    each vertex meets its one edge up, and its parent has been seen first.
+    """
+
+    __slots__ = ("graph", "colors", "steps", "n")
 
     def __init__(self, g: Graph):
         order, parent = rooted_forest(g)
@@ -112,37 +119,57 @@ class ForestShadow:
                 colors[u] = 1 - colors[parent[u]]
         self.graph = g
         self.colors = tuple(colors)
-        self.adj = g.adj
+        self.steps = tuple((u, parent[u]) for u in order)
         self.n = g.n
 
-    def components(self, weights: Sequence[int]) -> list[tuple[int, int]]:
-        """(color-0, color-1) vertex counts of each weight-1 component of an
-        admissible map, ordered by smallest vertex."""
-        comps: list[tuple[int, int]] = []
-        seen = bytearray(self.n)
-        adj = self.adj
+    def _fold(self, weights: Sequence[int]) -> tuple[list[list[int]], int, bool]:
+        """The weight-1 components as [color-0, color-1] counts, in the
+        rooted order of their first vertex, the number of weight-2 vertices,
+        and whether the map is admissible.
+
+        A weight-1 vertex whose parent has weight 1 joins the parent's
+        component, and any other opens a new one.  A value outside 0..2, or
+        a parent edge with both ends positive and total 3 or more, makes the
+        map inadmissible; the components and the count are taken either
+        way."""
         colors = self.colors
-        for v in range(self.n):
-            if weights[v] == 1 and not seen[v]:
-                seen[v] = 1
-                c0 = c1 = 0
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    if colors[u]:
-                        c1 += 1
-                    else:
-                        c0 += 1
-                    for w in adj[u]:
-                        if weights[w] == 1 and not seen[w]:
-                            seen[w] = 1
-                            stack.append(w)
-                comps.append((c0, c1))
-        return comps
+        comp = [0] * self.n
+        counts: list[list[int]] = []
+        twos = 0
+        ok = True
+        for u, p in self.steps:
+            a = weights[u]
+            if not a:
+                continue
+            b = weights[p] if p >= 0 else 0
+            if a == 1:
+                if b == 1:
+                    k = comp[p]
+                else:
+                    k = len(counts)
+                    counts.append([0, 0])
+                    if b >= 2:
+                        ok = False
+                comp[u] = k
+                counts[k][colors[u]] += 1
+            elif a == 2:
+                twos += 1
+                if b:
+                    ok = False
+            else:
+                ok = False
+        return counts, twos, ok
+
+    def components(self, weights: Sequence[int]) -> list[tuple[int, int]]:
+        """(color-0, color-1) vertex counts of each weight-1 component, in
+        the rooted order of each component's first vertex: a component that
+        holds vertex 0 comes first."""
+        return [(c0, c1) for c0, c1 in self._fold(weights)[0]]
 
     def signature(self, weights: Sequence[int]) -> Signature:
         """Component part-pairs plus weight-2 count of an admissible map."""
-        return part_pairs(self.components(weights)), weights.count(2)
+        counts, twos, _ = self._fold(weights)
+        return part_pairs(counts), twos
 
     def expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
         return expansion_from_signature(self.signature(weights))
@@ -150,8 +177,9 @@ class ForestShadow:
     def any_expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
         """Expansion of any weight map: the signature path is only sound on
         admissible maps, and every other map has zero shadow."""
-        if is_admissible(self.graph, weights):
-            return self.expansion(weights)
+        counts, twos, ok = self._fold(weights)
+        if ok:
+            return expansion_from_signature((part_pairs(counts), twos))
         return {}
 
     def poly(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:

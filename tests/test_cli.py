@@ -171,6 +171,19 @@ def test_verify_section5_faithful_vs_repaired(capsys, tmp_path):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("suite", ["section4", "section5"])
+def test_verify_runs_on_legless_branches(capsys, tmp_path, suite):
+    # m = 0 leaves the first two branches without legs: one-vertex slices
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", suite, "-m", "0", "-n", "1", "-o", str(out_path)
+    )
+    assert code == 0
+    assert "all checks passed" in out
+    reports = json.loads(out_path.read_text())["reports"]
+    assert reports and all(r["violation_count"] == 0 for r in reports)
+
+
 def test_verify_reports_are_byte_identical(capsys, tmp_path):
     # --seed, --audit-limit and --sample are still accepted and change nothing
     flags = [(), (), ("--seed", "9", "--audit-limit", "0", "--sample", "5")]

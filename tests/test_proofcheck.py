@@ -341,6 +341,48 @@ def test_joined_analysis_matches_analyze_map(family, m, n, negatives):
     assert seen == negatives
 
 
+# sha256 of the sequence negative_members yields: each map, its sorted
+# expansion and its analysis fields, in yield order.  Recorded before the
+# enumerator visited only the members that close a prefix negative; the
+# sequence, order included, must not change with how it is produced.
+@pytest.mark.parametrize(
+    "family,m,n,digest",
+    [
+        ("t3mn", 2, 2, "e0486fb9ac27d78a52414ca5c7f41e3ac178636e64714101961c04a797ffb670"),
+        ("t3mn_star", 1, 2, "fd1e34013d2ac5b9b4b6637ae7bc074f31b27c4c1c59e15da4cb40f65d2d5db2"),
+    ],
+)
+def test_negative_members_order_is_pinned(family, m, n, digest):
+    h = hashlib.sha256()
+    for w, exp, a in negative_members(FamilyContext(family, m, n)):
+        info = tuple((s.local, s.k, s.positive, s.settled, s.vac) for s in a.info)
+        row = (
+            w, sorted(exp.items()), a.w, a.a0, a.branch, info,
+            a.total, a.full_weight, a.weighted_heads,
+        )
+        h.update(repr(row).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,m,n", [("t3mn", 2, 2), ("t3mn_star", 1, 2)])
+def test_class_dispatch_matches_full_scan(family, m, n):
+    # negative_class_matches evaluates only the predicates whose guard can
+    # hold; the scan over all 30 is the reference, also with the root value
+    # replaced, which moves maps between the guard groups
+    def full_scan(a):
+        return tuple(
+            i + 1 for i, pred in enumerate(proofcheck.NEGATIVE_CLASS_PREDICATES) if pred(a)
+        )
+
+    seen = set()
+    for _, _, a in negative_members(FamilyContext(family, m, n)):
+        for b in (a, a._replace(a0=0), a._replace(a0=1), a._replace(a0=2)):
+            matches = negative_class_matches(b)
+            assert matches == full_scan(b)
+            seen.update(matches)
+    assert {1, 10, 16, 30} <= seen  # both guard groups, several branch patterns
+
+
 @functools.lru_cache(maxsize=None)
 def _paired_maps(family, m, n):
     """A cell's contexts and its negative maps outside the final class, each

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepoly.graphs import (
     Graph,
@@ -18,6 +21,7 @@ from treepoly.shadow import (
     expansion_from_signature,
     is_admissible,
     min_coefficient,
+    part_pairs,
     poly_from_signature,
 )
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
@@ -78,6 +82,48 @@ def test_any_expansion_matches_literal_shadow(rng):
             assert dict(ctx.any_expansion(w)) == literal
 
 
+def walk_components(g, colors, weights):
+    """(color-0, color-1) counts of each weight-1 component, found by a
+    stack walk over the adjacency lists."""
+    seen = set()
+    comps = []
+    for v in range(g.n):
+        if weights[v] != 1 or v in seen:
+            continue
+        seen.add(v)
+        counts = [0, 0]
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            counts[colors[u]] += 1
+            for x in g.adj[u]:
+                if weights[x] == 1 and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        comps.append(tuple(counts))
+    return comps
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_fold_matches_adjacency_walk(data):
+    # any_expansion decides admissibility and finds the components in one
+    # pass over the rooted order; is_admissible and a separate walk are the
+    # reference, on maps with values outside 0..2 too
+    n = data.draw(st.integers(1, 12))
+    g = shuffled_forest(random.Random(data.draw(st.integers(0, 2**32))), n)
+    w = tuple(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
+    ctx = ForestShadow(g)
+    comps = walk_components(g, ctx.colors, w)
+    assert sorted(ctx.components(w)) == sorted(comps)
+    if w[0] == 1:  # vertex 0 is a root, so its component comes first
+        assert ctx.components(w)[0] == comps[0]
+    expected = {}
+    if is_admissible(g, w):
+        expected = expansion_from_signature((part_pairs(comps), w.count(2)))
+    assert dict(ctx.any_expansion(w)) == dict(expected)
+
+
 def test_signature_structure():
     g = t3mn(1, 1)
     ctx = ForestShadow(g)
@@ -88,7 +134,8 @@ def test_signature_structure():
     assert twos == 0 and len(comps) == 1
     p, q = comps[0]
     assert p + q == g.n and p >= q
-    # components are raw (color-0, color-1) counts, ordered by smallest vertex
+    # components are raw (color-0, color-1) counts, in the rooted order of
+    # their first vertex
     spider = ForestShadow(spider2(2))
     assert spider.components((0, 1, 0, 0, 1)) == [(0, 1), (1, 0)]
     assert spider.signature((0, 1, 0, 0, 1)) == (((1, 0), (1, 0)), 0)
