@@ -163,6 +163,8 @@ def _scan_cells(args) -> list[tuple[int, int]]:
     if args.diag is not None:
         if args.k is None:
             raise SystemExit2("--diag needs -k RANGE")
+        if args.m is not None or args.n is not None:
+            raise SystemExit2("--diag takes -k RANGE, not -m/-n")
         off_m, off_n = _parse_diag(args.diag)
         return [(k + off_m, k + off_n) for k in _parse_range(args.k)]
     if args.m is None or args.n is None:

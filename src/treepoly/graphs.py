@@ -8,6 +8,7 @@ so the order is part of each builder's contract and never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 
@@ -82,13 +83,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Color class sizes of a connected bipartite graph, ordered p >= q."""
+    """Color class sizes of a connected bipartite graph, ordered p >= q.
+
+    The result type of bipartition_of, the tests' per-component oracle for
+    the one coloring walk in symfunc.
+    """
 
     p: int
     q: int
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.p, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +312,8 @@ def bipartition_of(g: Graph, component: Iterable[int]) -> Optional[Bipartition]:
     """Bipartition sizes of one connected component, or None on an odd cycle.
 
     The result is swap stable: it does not depend on which side the coloring
-    starts from.
+    starts from.  Nothing in the package calls it: the tests keep it as the
+    per-component oracle for symfunc's coloring walk.
     """
     comp = sorted(component)
     if not comp:
@@ -362,39 +365,44 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
     return Graph(offset, edges, labels)
 
 
-def clan_graph(g: Graph, weights: Sequence[int]) -> Graph:
-    """Blow each vertex v up into a clique of size weights[v], joining the
-    cliques of adjacent vertices completely.
+def clan_adjacency(g: Graph, weights: Sequence[int]) -> list[list[int]]:
+    """Neighbor lists of the clan graph: each vertex v blown up into a clique
+    of size weights[v], the cliques of adjacent vertices joined completely.
 
-    Clan vertices are ordered by (owner vertex, copy index) and labeled
-    "<owner label>^(i)" so ownership is recoverable from the label.
+    Clan vertices are numbered by (owner vertex, copy index); each list comes
+    out sorted.
     """
     if len(weights) != g.n:
         raise ValueError("weight map length does not match vertex count")
-    if any(a < 0 for a in weights):
+    if min(weights, default=0) < 0:
         raise ValueError("weights must be nonnegative")
-    offsets = []
-    total = 0
-    for v in range(g.n):
-        offsets.append(total)
-        total += weights[v]
+    offsets = list(accumulate(weights, initial=0))
+    adj: list[list[int]] = []
+    for v, nbrs in enumerate(g.adj):
+        lo, hi = offsets[v], offsets[v + 1]
+        if lo == hi:
+            continue
+        below: list[int] = []
+        above: list[int] = []
+        for u in nbrs:
+            (below if u < v else above).extend(range(offsets[u], offsets[u + 1]))
+        for i in range(lo, hi):
+            adj.append([*below, *range(lo, i), *range(i + 1, hi), *above])
+    return adj
+
+
+def clan_graph(g: Graph, weights: Sequence[int]) -> Graph:
+    """The clan graph of clan_adjacency as a labeled Graph.
+
+    Clan vertices are labeled "<owner label>^(i)" so ownership is
+    recoverable from the label.
+    """
+    adj = clan_adjacency(g, weights)
     labels = [
         f"{g.labels[v]}^({i + 1})" for v in range(g.n) for i in range(weights[v])
     ]
-    edges = []
-    for v in range(g.n):
-        base = offsets[v]
-        for a in range(weights[v]):
-            for b in range(a + 1, weights[v]):
-                edges.append((base + a, base + b))
-        for w in g.adj[v]:
-            if w < v:
-                continue
-            wbase = offsets[w]
-            for a in range(weights[v]):
-                for b in range(weights[w]):
-                    edges.append((base + a, wbase + b))
-    return Graph(total, edges, labels)
+    edges = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if i < j]
+    return Graph(len(adj), edges, labels)
 
 
 def clan_owners(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:

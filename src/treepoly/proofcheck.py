@@ -1407,13 +1407,16 @@ def check_path_append_identities() -> CheckReport:
     ]
     dshadows = [chromatic_multicolor_2var(Graph(1, [], ["d"]), (dval,)) for dval in (0, 1, 2)]
     for base in bases:
+        base_maps = list(iproduct((0, 1, 2), repeat=base.n))
+        inners = [chromatic_multicolor_2var(base, base_w) for base_w in base_maps]
         for v in range(base.n):
             edges = base.edges() + [(v, base.n), (base.n, base.n + 1)]
             labels = list(base.labels) + ["c*", "d*"]
             gv = Graph(base.n + 2, edges, labels)
-            for base_w in iproduct((0, 1, 2), repeat=base.n):
-                inner = chromatic_multicolor_2var(base, base_w)
+            for base_w, inner in zip(base_maps, inners):
                 for cval, dval in iproduct((0, 1, 2), repeat=2):
+                    if cval == 1 and (dval != 1 or base_w[v] == 2):
+                        continue  # no identity covers this shape
                     w = base_w + (cval, dval)
                     lhs = chromatic_multicolor_2var(gv, w)
                     if cval == 0:

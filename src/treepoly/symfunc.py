@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Mapping, Sequence, Union
 
-from .graphs import Graph, NotAForestError, bipartition_of, clan_graph, connected_components
+from .graphs import Graph, NotAForestError, clan_adjacency
 from .intpoly import IntPoly, indpoly_bruteforce, indpoly_tree
 
 
@@ -215,20 +215,41 @@ def schur_expand(f: SymPoly2) -> TwoRowExpansion:
 # chromatic shadows
 
 
-def chromatic_2var(g: Graph) -> SymPoly2:
-    """Sum of x1^(size of class 1) x2^(size of class 2) over proper 2-colorings.
+def _coloring_shadow(adj: Sequence[Sequence[int]]) -> SymPoly2:
+    """Sum of x1^(size of class 1) x2^(size of class 2) over proper 2-colorings
+    of the graph with these neighbor lists, in one walk.
 
-    Computed per connected component: a bipartite component with parts (p, q)
-    contributes x1^p x2^q + x1^q x2^p, a non-bipartite component kills the
-    product.
+    Each component is colored from its smallest vertex while both color
+    classes are counted; a bipartite component with classes (p, q)
+    contributes x1^p x2^q + x1^q x2^p, and the first edge inside one class
+    (an odd cycle) makes the whole product zero.
     """
-    result = sym_one()
-    for comp in connected_components(g):
-        parts = bipartition_of(g, comp)
-        if parts is None:
-            return sym_zero()
-        result = result * monomial_pair(parts.p, parts.q)
-    return result
+    color = [-1] * len(adj)
+    terms = {(0, 0): 1}
+    for root in range(len(adj)):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        sizes = [1, 0]
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            other = 1 - color[u]
+            for w in adj[u]:
+                cw = color[w]
+                if cw < 0:
+                    color[w] = other
+                    sizes[other] += 1
+                    stack.append(w)
+                elif cw != other:
+                    return sym_zero()
+        terms = _mul_terms(terms, monomial_pair(*sizes).terms)
+    return SymPoly2(terms)
+
+
+def chromatic_2var(g: Graph) -> SymPoly2:
+    """Sum of x1^(size of class 1) x2^(size of class 2) over proper 2-colorings."""
+    return _coloring_shadow(g.adj)
 
 
 def chromatic_2var_bruteforce(g: Graph, limit: int = 16) -> SymPoly2:
@@ -260,8 +281,7 @@ def chromatic_multicolor_2var(g: Graph, weights: Sequence[int]) -> SymPoly2:
     The division is exact by construction; a remainder signals a bug, so it
     is checked rather than assumed.
     """
-    clan = clan_graph(g, weights)
-    raw = chromatic_2var(clan)
+    raw = _coloring_shadow(clan_adjacency(g, weights))
     d = weight_normalizer(weights)
     if d == 1:
         return raw

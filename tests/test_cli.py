@@ -2,9 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treepoly
 from treepoly import cli, proofcheck
 from treepoly.cli import main
 
@@ -131,6 +136,21 @@ def test_scan_single_cell_log_concave(capsys):
 def test_scan_usage_error(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "t3mn", "--diag", "k,k+1")
     assert code == 2
+    code, out, err = run_cli(capsys, "scan", "-m", "1", "-n", "1", "--diag", "k,k", "-k", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: --diag")
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(treepoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "treepoly", "verify", "--suite", "prop3", "-n", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "all checks passed" in done.stdout
 
 
 def test_verify_prop3(capsys, tmp_path):

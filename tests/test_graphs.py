@@ -103,7 +103,7 @@ def test_spider12_bipartition_rule():
         for r in range(0, 6):
             g = spider12(k, r)
             parts = bipartition_of(g, range(g.n))
-            assert parts.as_pair() == (r + k, r + 1)
+            assert parts == Bipartition(r + k, r + 1)
 
 
 def test_bipartition_swap_stable():
@@ -112,9 +112,9 @@ def test_bipartition_swap_stable():
     direct = bipartition_of(g, comp)
     relabeled = Graph(g.n, [(g.n - 1 - i, g.n - 1 - j) for i, j in g.edges()])
     flipped = bipartition_of(relabeled, range(g.n))
-    assert direct.as_pair() == flipped.as_pair()
+    assert direct == flipped == Bipartition(5, 3)
     assert bipartition_of(complete_graph(3), range(3)) is None
-    assert bipartition_of(Graph(1, []), [0]).as_pair() == (1, 0)
+    assert bipartition_of(Graph(1, []), [0]) == Bipartition(1, 0)
 
 
 def test_clan_graph_example():

@@ -35,7 +35,7 @@ from treepoly.proofcheck import (
 )
 from treepoly.reports import all_ok
 from treepoly.shadow import expansion_from_signature, is_admissible, min_coefficient
-from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
+from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, sym_one
 
 
 def brute_negatives(ctx):
@@ -501,9 +501,61 @@ def test_slice_info_is_computed_once_per_context(monkeypatch):
         assert computed and len(computed) == len(set(computed)), battery.__name__
 
 
-def test_path_append_identities():
+# cases of each path-append identity; the weight-2 identity is checked only
+# where the appended shadow is nonzero
+PATH_APPEND_SPLIT = {"weight-0": 3951, "weight-2": 210, "full-path": 439, "detached-path": 439}
+
+
+def _path_append_shape(g, w):
+    """The identity that reads chromatic_multicolor_2var(g, w), or None for the
+    base and single-vertex shadows the identities multiply."""
+    if g.labels[-2:] != ("c*", "d*"):
+        return None
+    c, d = g.n - 2, g.n - 1
+    v = next(u for u in g.adj[c] if u != d)
+    if w[c] == 0:
+        return "weight-0"
+    if w[c] == 2:
+        return "weight-2"
+    if w[d] == 1 and w[v] == 1:
+        return "full-path"
+    if w[d] == 1 and w[v] == 0:
+        return "detached-path"
+    return None
+
+
+def test_path_append_identities(monkeypatch):
+    calls = []
+    real = proofcheck.chromatic_multicolor_2var
+
+    def counting(g, w):
+        calls.append(_path_append_shape(g, w))
+        return real(g, w)
+
+    monkeypatch.setattr(proofcheck, "chromatic_multicolor_2var", counting)
     rep = check_path_append_identities()
-    assert rep.ok and rep.cases > 1000
+    assert rep.ok and rep.cases == sum(PATH_APPEND_SPLIT.values()) == 5039
+    # each shadow is computed once, and only where an identity reads it
+    assert len(calls) <= 9066
+    assert set(calls) == set(PATH_APPEND_SPLIT) | {None}
+
+
+@pytest.mark.parametrize("shape", sorted(PATH_APPEND_SPLIT))
+def test_path_append_identities_are_not_vacuous(monkeypatch, shape):
+    real = proofcheck.chromatic_multicolor_2var
+
+    def wrong_on_shape(g, w):
+        value = real(g, w)
+        if _path_append_shape(g, w) != shape:
+            return value
+        # the weight-2 identity only reads nonzero shadows, so keep zero at zero
+        return 2 * value if shape == "weight-2" else value + sym_one()
+
+    monkeypatch.setattr(proofcheck, "chromatic_multicolor_2var", wrong_on_shape)
+    rep = check_path_append_identities()
+    assert rep.cases == 5039
+    assert rep.violation_count == PATH_APPEND_SPLIT[shape]
+    assert all(v.reason.startswith(f"{shape} factorization fails") for v in rep.violations)
 
 
 def test_verify_chain():

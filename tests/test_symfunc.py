@@ -1,8 +1,20 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treepoly.graphs import Graph, complete_graph, disjoint_union, path_graph, spider12, spider2, t3mn
+from treepoly.graphs import (
+    Graph,
+    bipartition_of,
+    clan_adjacency,
+    clan_graph,
+    complete_graph,
+    connected_components,
+    disjoint_union,
+    path_graph,
+    spider12,
+    spider2,
+    t3mn,
+)
 from treepoly.intpoly import IntPoly, indpoly_tree
 from treepoly.symfunc import (
     AsymmetricInputError,
@@ -12,10 +24,12 @@ from treepoly.symfunc import (
     chromatic_2var_bruteforce,
     chromatic_multicolor_2var,
     f_p_2var,
+    monomial_pair,
     product,
     schur_expand,
     schur_sym,
     sym_one,
+    sym_zero,
     y_g_2var,
 )
 
@@ -203,6 +217,61 @@ def test_disjoint_union_multiplies(rng):
     assert chromatic_2var(u) == chromatic_2var(a) * chromatic_2var(b)
 
 
+@st.composite
+def cycles_and_paths(draw):
+    """A graph of up to three components, each a cycle (odd or even) or a
+    path, plus up to two random chords, with the vertices shuffled (at most
+    15 vertices), and a weight map on it with values 0..2."""
+    parts = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just(True), st.integers(3, 5)),
+                st.tuples(st.just(False), st.integers(1, 5)),
+            ),
+            max_size=3,
+        )
+    )
+    edges = []
+    n = 0
+    for closed, size in parts:
+        edges += [(n + i, n + i + 1) for i in range(size - 1)]
+        if closed:
+            edges.append((n + size - 1, n))
+        n += size
+    if n:
+        vertex = st.integers(0, n - 1)
+        chords = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+        edges += [(i, j) for i, j in chords if i != j]
+    perm = draw(st.permutations(range(n)))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Graph(n, [(perm[i], perm[j]) for i, j in edges]), tuple(weights)
+
+
+@given(cycles_and_paths())
+@example((Graph(0, []), ()))
+@settings(max_examples=120, deadline=None)
+def test_coloring_walk_matches_oracles(graph_and_weights):
+    g, w = graph_and_weights
+    walk = chromatic_2var(g)
+    assert walk == chromatic_2var_bruteforce(g)
+    per_component = sym_one()
+    for comp in connected_components(g):
+        parts = bipartition_of(g, comp)
+        factor = sym_zero() if parts is None else monomial_pair(parts.p, parts.q)
+        per_component = per_component * factor
+    assert walk == per_component
+    assert clan_graph(g, w).adj == tuple(tuple(sorted(nbrs)) for nbrs in clan_adjacency(g, w))
+
+
+@pytest.mark.parametrize("build", [clan_adjacency, clan_graph, chromatic_multicolor_2var])
+def test_clan_rejects_bad_weights(build):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="weight map length does not match vertex count"):
+        build(g, (1, 1))
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        build(g, (1, -1, 0))
+
+
 def test_factorization_when_no_cross_edges(rng):
     # weight maps vanishing on a separator factor across the two sides
     g = t3mn(1, 1)
@@ -222,8 +291,6 @@ def test_factorization_when_no_cross_edges(rng):
 def test_multicolor_matches_coloring_enumeration(rng):
     # dual route: clan coloring enumeration, then the exact normalization
     from math import factorial
-
-    from treepoly.graphs import clan_graph
 
     for _ in range(20):
         g = random_tree(rng, rng.randint(1, 5))
