@@ -1,4 +1,4 @@
-"""Weight maps on graphs: restriction, admissible enumeration, and the spider
+"""Weight maps on graphs: masking, admissible enumeration, and the spider
 classes behind the pairing arguments.
 
 A weight map assigns a nonnegative integer to every vertex in canonical
@@ -33,12 +33,7 @@ class EnumerationGuardError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# restriction and extension
-
-
-def restrict(weights: Sequence[int], vertices: Sequence[int]) -> Weights:
-    """Weight map over the induced subgraph on the given vertex order."""
-    return tuple(weights[v] for v in vertices)
+# masking
 
 
 def mask_outside(weights: Sequence[int], vertices: Iterable[int]) -> Weights:

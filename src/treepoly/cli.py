@@ -169,6 +169,8 @@ def _scan_cells(args) -> list[tuple[int, int]]:
         return [(k + off_m, k + off_n) for k in _parse_range(args.k)]
     if args.m is None or args.n is None:
         raise SystemExit2("scan needs -m and -n ranges (or --diag with -k)")
+    if args.k is not None:
+        raise SystemExit2("-k sets the --diag parameter; without --diag use -m/-n")
     return [(m, n) for m in _parse_range(args.m) for n in _parse_range(args.n)]
 
 
@@ -239,7 +241,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.repair_corner and args.suite != "section5":
+        raise SystemExit2("--repair-corner applies to the section5 suite only")
     if args.suite == "prop3":
+        if args.m is not None:
+            raise SystemExit2("prop3 takes -n (the leg count), not -m")
         legs = 4 if args.n is None else args.n
         if legs < 1:
             raise SystemExit2("prop3 needs -n of at least 1")

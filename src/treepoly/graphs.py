@@ -76,10 +76,6 @@ class Graph:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "labels": list(self.labels), "edges": [list(e) for e in self.edges()]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        return cls(data["n"], [tuple(e) for e in data["edges"]], data.get("labels"))
-
 
 @dataclass(frozen=True)
 class Bipartition:

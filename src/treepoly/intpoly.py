@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .graphs import NotAForestError  # noqa: F401  (re-exported: raised by indpoly_tree)
 from .graphs import Graph, rooted_forest, t3mn, t3mn_star
@@ -265,17 +265,3 @@ def scan_row(family: str, m: int, n: int) -> ScanRow:
     poly = indpoly_tree(family_graph(family, m, n))
     return ScanRow(family, m, n, poly, analyze(poly))
 
-
-def scan_families(
-    family: str,
-    m_values: Sequence[int],
-    n_values: Sequence[int],
-    cells: Optional[Sequence[tuple[int, int]]] = None,
-) -> list[ScanRow]:
-    """One report per grid cell, rows ordered by (m, n).
-
-    Pass explicit cells to scan a diagonal or any other sparse set.
-    """
-    if cells is None:
-        cells = [(m, n) for m in m_values for n in n_values]
-    return [scan_row(family, m, n) for m, n in cells]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -82,20 +82,12 @@ class FamilyContext:
         self.slice_views = tuple(
             spider_view(self.layout.leg_count(i)) for i in (1, 2, 3)
         )
-        self.slice_shadows = tuple(
-            ForestShadow(spider2(self.layout.leg_count(i))) for i in (1, 2, 3)
-        )
         self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
         self.leg_pairs = tuple(
             (i, j, self.layout.head(i, j), self.layout.foot(i, j))
             for i in (1, 2, 3)
             for j in range(1, self.layout.leg_count(i) + 1)
         )
-        # slice_record per slice, keyed by the slice's local values: a record
-        # depends on nothing else, and it is immutable, so entries are shared.
-        self._slice_records: tuple[dict, dict, dict] = ({}, {}, {})
-        # partner_star's core step, see _core_step.
-        self.core_steps: dict[tuple[bool, bool], dict[bytes, bytes | str]] = {}
 
     @cached_property
     def engine_slices(self) -> list[_EngineSlice]:
@@ -109,22 +101,48 @@ class FamilyContext:
             for comp in connected_components(below)
         ]
 
-    def slice_record(self, local: Weights, i: int) -> SliceRecord:
-        """The record of branch slice i with the given local values."""
-        cache = self._slice_records[i - 1]
-        rec = cache.get(local)
-        if rec is None:
-            legs = self.layout.leg_count(i)
-            rec = cache[local] = SliceRecord(
-                classify_spider(local, self.slice_views[i - 1], self.slice_shadows[i - 1]),
-                sum(local),
-                local[1 : legs + 1].count(1),
-            )
-        return rec
+    @cached_property
+    def core_steps(self) -> dict[bytes, CoreStep | str]:
+        """The base pairing of every negative map of this base-family
+        context, keyed by bytes(map) in negative_members order, from the
+        analysis each map is yielded with.  A map the injections refuse
+        outright (no single class, or the final class) holds the message."""
+        steps: dict[bytes, CoreStep | str] = {}
+        for w, _, a in negative_members(self):
+            matches = negative_class_matches(a)
+            if len(matches) != 1:
+                steps[bytes(w)] = f"core restriction matches classes {matches}"
+                continue
+            (cls,) = matches
+            if cls == 30:
+                steps[bytes(w)] = "core restriction falls in the final class"
+                continue
+            published = repaired = _partner_or_refusal(partner, self, a, cls)
+            if cls == 19 and marks_head_13(a):
+                repaired = _partner_or_refusal(_partner_19_low_mark, self, a)
+            corner = cls == 28 and only_gap_at_leg_13(a)
+            steps[bytes(w)] = CoreStep(cls, corner, published, repaired)
+        return steps
 
-    def slice_info(self, w: Sequence[int], i: int) -> SpiderClass:
-        """The spider class of branch slice i of w."""
-        return self.slice_record(self.slice_locals[i - 1](w), i).info
+
+class CoreStep(NamedTuple):
+    """A negative core map's class, whether it is the class-28 corner star
+    class 3 refuses (see only_gap_at_leg_13), and its published and
+    class-19-repaired partners (the same object outside the marks_head_13
+    corner), each as bytes or as the message of the refusal that stopped it:
+    a message keeps no traceback."""
+
+    cls: int
+    corner: bool
+    published: bytes | str
+    repaired: bytes | str
+
+
+def _partner_or_refusal(injection, *args) -> bytes | str:
+    try:
+        return bytes(injection(*args))
+    except PartnerError as exc:
+        return str(exc)
 
 
 def _tuple_getter(indices: Sequence[int]):
@@ -143,6 +161,25 @@ class SliceRecord(NamedTuple):
     info: SpiderClass
     total: int
     heads: int
+
+
+@cache
+def slice_record(local: Weights) -> SliceRecord:
+    """The record of a branch slice from its local values in spider order
+    (center, heads, feet).  Cached for the process by those values alone, on
+    which it depends, so every context and every slice of equal leg count
+    share entries."""
+    legs = (len(local) - 1) // 2
+    return SliceRecord(
+        classify_spider(local, spider_view(legs), _spider_shadow(legs)),
+        sum(local),
+        local[1 : legs + 1].count(1),
+    )
+
+
+@cache
+def _spider_shadow(legs: int) -> ForestShadow:
+    return ForestShadow(spider2(legs))
 
 
 class FamilyAnalysis(NamedTuple):
@@ -180,11 +217,7 @@ def analyze_map(ctx: FamilyContext, w: Sequence[int]) -> FamilyAnalysis:
     """The class analysis of w, joined from its three slice records."""
     get1, get2, get3 = ctx.slice_locals
     return _join_analysis(
-        ctx,
-        tuple(w),
-        ctx.slice_record(get1(w), 1),
-        ctx.slice_record(get2(w), 2),
-        ctx.slice_record(get3(w), 3),
+        ctx, tuple(w), slice_record(get1(w)), slice_record(get2(w)), slice_record(get3(w))
     )
 
 
@@ -988,13 +1021,13 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
     size = ctx.graph.n
     core_n = len(ctx.layout.core_vertices())
     records: dict[_SlicePattern, SliceRecord] = {}
-    for i, (sl, verts) in enumerate(zip(slices, ctx.slice_vertices), 1):
+    for sl, verts in zip(slices, ctx.slice_vertices):
         # In the star, x and y join slice 1 after its core vertices; the
         # record is taken on the core vertices alone.
         k = len(verts)
         assert sl.verts[:k] == verts and all(v >= core_n for v in sl.verts[k:])
         for p in sl.patterns:
-            records[p] = ctx.slice_record(p.values[:k], i)
+            records[p] = slice_record(p.values[:k])
     # The family map from (v0, *p1.values, *p2.values, *p3.values).
     spots = [0] * size
     for pos, v in enumerate((0, *(v for sl in slices for v in sl.verts))):
@@ -1239,16 +1272,6 @@ def _partner_19_low_mark(core_ctx: FamilyContext, a: FamilyAnalysis) -> Weights:
     return tuple(w)
 
 
-def core_partner(
-    core_ctx: FamilyContext, a: FamilyAnalysis, cls: int, repair_corner: bool
-) -> Weights:
-    """The core injection for class cls; with repair_corner the class-19
-    corner (see marks_head_13) takes the position-1 marking instead."""
-    if repair_corner and cls == 19 and marks_head_13(a):
-        return _partner_19_low_mark(core_ctx, a)
-    return partner(core_ctx, a, cls)
-
-
 def partner_star(
     ctx: FamilyContext,
     core_ctx: FamilyContext,
@@ -1266,6 +1289,10 @@ def partner_star(
     With repair_corner the class-19 corner (see marks_head_13) is routed
     through the position-1 marking; without it the published map is applied
     verbatim, which leaves that corner's pairing bound falsifiable.
+
+    The core step is read from core_ctx.core_steps.  A core map missing
+    there is refused; the shadow then tells a positive core map from a
+    negative one the core enumeration missed.
     """
     lay = ctx.layout
     core_n = core_ctx.graph.n
@@ -1277,47 +1304,22 @@ def partner_star(
         gamma = tuple(g)
     else:
         raise PartnerError(f"star class {cls} has no pairing injection")
-    _, mu = _core_step(core_ctx, gamma, cls == 3, repair_corner and cls == 3)
+    step = core_ctx.core_steps.get(bytes(gamma))
+    if step is None:
+        if min_coefficient(core_ctx.shadow.expansion(gamma)) >= 0:
+            raise PartnerError("core restriction is not negative")
+        raise PartnerError("core restriction is negative but not enumerated")
+    if isinstance(step, str):
+        raise PartnerError(step)
+    if cls == 3 and step.corner:
+        raise PartnerError("core restriction falls in the excluded corner case")
+    mu = step.repaired if repair_corner and cls == 3 else step.published
+    if isinstance(mu, str):
+        raise PartnerError(mu)
     out = [*mu, *w[core_n:]]
     if cls == 3:
         out[lay.foot(1, 3)] = w[lay.foot(1, 3)]
     return tuple(out)
-
-
-def _core_step(
-    core_ctx: FamilyContext, gamma: Weights, cls3: bool, repair_corner: bool
-) -> tuple[int, Weights]:
-    """The core class of gamma and its core partner, as partner_star needs
-    them; cls3 adds the class-3 refusal of the class-28 corner.  A refusal
-    raises PartnerError.
-
-    Memoized per core context under (cls3, repair_corner) and bytes(gamma).
-    A value is bytes((class, *partner)) or the refusal's message: keeping no
-    exception object keeps no traceback, and a cached refusal raises a
-    PartnerError with the same message."""
-    memo = core_ctx.core_steps.setdefault((cls3, repair_corner), {})
-    key = bytes(gamma)
-    step = memo.get(key)
-    if step is None:
-        try:
-            if min_coefficient(core_ctx.shadow.expansion(gamma)) >= 0:
-                raise PartnerError("core restriction is not negative")
-            a = analyze_map(core_ctx, gamma)
-            matches = negative_class_matches(a)
-            if len(matches) != 1:
-                raise PartnerError(f"core restriction matches classes {matches}")
-            tcls = matches[0]
-            if tcls == 30:
-                raise PartnerError("core restriction falls in the final class")
-            if cls3 and tcls == 28 and only_gap_at_leg_13(a):
-                raise PartnerError("core restriction falls in the excluded corner case")
-            step = bytes((tcls, *core_partner(core_ctx, a, tcls, repair_corner)))
-        except PartnerError as exc:
-            step = str(exc)
-        memo[key] = step
-    if isinstance(step, str):
-        raise PartnerError(step)
-    return step[0], tuple(step[1:])
 
 
 def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport]:
@@ -1367,23 +1369,22 @@ def _repair_locality_reports(
     head13 = lay.head(1, 3)
     rep_foot = CheckReport("partner-preserves-foot13", core_ctx.m, core_ctx.n)
     rep_head = CheckReport("partner-monotone-head13", core_ctx.m, core_ctx.n)
-    for w, _, _ in negative_members(core_ctx):
-        # The core steps partner_star memoized.  Repair changes only class
-        # 19, and there both markings need the same anchored slices, so the
-        # published step fails exactly when the repaired one does.
-        try:
-            cls, beta = _core_step(core_ctx, w, False, False)
-            if repair_corner and cls == 19:
-                _, beta = _core_step(core_ctx, w, True, True)
-        except PartnerError:
+    for w, step in core_ctx.core_steps.items():
+        # Repair changes only class 19, and there both markings need the
+        # same anchored slices, so the published step fails exactly when the
+        # repaired one does.
+        if isinstance(step, str):
+            continue
+        beta = step.repaired if repair_corner else step.published
+        if isinstance(beta, str):
             continue
         rep_foot.cases += 1
         if beta[foot13] != w[foot13]:
-            rep_foot.record(w, f"class {cls}: foot value changed")
-        if not (cls == 28 and _empty_legs(w, core_ctx.leg_pairs) == [(1, 3)]):
+            rep_foot.record(w, f"class {step.cls}: foot value changed")
+        if not step.corner:
             rep_head.cases += 1
             if w[head13] < beta[head13]:
-                rep_head.record(w, f"class {cls}: head value increased")
+                rep_head.record(w, f"class {step.cls}: head value increased")
     spent = time.perf_counter() - t0
     rep_foot.elapsed = spent
     rep_head.elapsed = spent

@@ -146,11 +146,6 @@ class TwoRowExpansion:
     def diagonal(self, k: int) -> int:
         return self.coeffs.get((k, k), 0)
 
-    @property
-    def is_nonnegative(self) -> bool:
-        """The two-row positivity predicate: every coefficient >= 0."""
-        return all(c >= 0 for c in self.coeffs.values())
-
     def min_coefficient(self) -> int:
         return min(self.coeffs.values(), default=0)
 
@@ -170,15 +165,6 @@ class TwoRowExpansion:
 
     def items_sorted(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.coeffs.items(), reverse=True)
-
-    def to_json_list(self) -> list:
-        return [[a, b, str(c)] for (a, b), c in self.items_sorted()]
-
-    def to_sympoly(self) -> SymPoly2:
-        out = SymPoly2()
-        for (a, b), c in self.coeffs.items():
-            out = out + c * schur_sym(a, b)
-        return out
 
     def __repr__(self) -> str:
         body = ", ".join(f"s({a},{b})*{c}" for (a, b), c in self.items_sorted())

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,49 @@ def test_scan_usage_error(capsys):
     code, out, err = run_cli(capsys, "scan", "-m", "1", "-n", "1", "--diag", "k,k", "-k", "1")
     assert code == 2 and not out
     assert err.startswith("error: --diag")
+    code, out, err = run_cli(capsys, "scan", "--family", "t3mn", "-m", "1", "-n", "1", "-k", "5")
+    assert code == 2 and not out
+    assert err.startswith("error: -k ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--suite", "prop3", "-m", "2", "-n", "1"), "error: prop3 takes -n"),
+        (("--suite", "prop3", "-n", "1", "--repair-corner"), "error: --repair-corner"),
+        (("--suite", "section4", "-m", "1", "-n", "1", "--repair-corner"), "error: --repair-corner"),
+    ],
+)
+def test_verify_usage_error_for_an_ignored_flag(capsys, monkeypatch, argv, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("battery ran despite a usage error")
+
+    for name in ("verify_base", "verify_star", "spider_suite"):
+        monkeypatch.setattr(cli, name, no_run)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file without importing the
+    rest of the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", sorted(_benchmark_workloads()))
+def test_benchmark_command_lines_are_accepted(capsys, monkeypatch, tmp_path, name):
+    # every benchmark workload's command line parses and runs to exit 0 with
+    # the batteries and the scan replaced by cheap stand-ins, so a removed
+    # flag or a new usage error cannot break a workload unnoticed
+    row = cli.scan_row("t3mn", 1, 1)
+    monkeypatch.setattr(cli, "verify_base", lambda m, n: [])
+    monkeypatch.setattr(cli, "verify_star", lambda m, n, repair_corner=False: [])
+    monkeypatch.setattr(cli, "scan_row", lambda family, m, n: row)
+    argv = _benchmark_workloads()[name].argv(1, str(tmp_path / "report.json"))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 def test_python_dash_m_entry_point():

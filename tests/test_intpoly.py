@@ -25,7 +25,6 @@ from treepoly.intpoly import (
     analyze,
     indpoly_bruteforce,
     indpoly_tree,
-    scan_families,
     scan_row,
     tail_start,
 )
@@ -223,11 +222,10 @@ def test_log_concave_implies_unimodal(coeffs):
 
 
 def test_scan_families():
-    rows = scan_families("t3mn", range(1, 4), range(1, 4))
-    assert len(rows) == 9
+    rows = [scan_row("t3mn", m, n) for m in range(1, 4) for n in range(1, 4)]
     assert [(r.m, r.n) for r in rows] == [(m, n) for m in range(1, 4) for n in range(1, 4)]
-    assert all(r.report.unimodal for r in rows)
-    diag = scan_families("t3mn_star", [], [], cells=[(k, k + 1) for k in range(3, 6)])
+    assert all(r.family == "t3mn" and r.report.unimodal for r in rows)
+    diag = [scan_row("t3mn_star", k, k + 1) for k in range(3, 6)]
     assert all(not r.report.log_concave for r in diag)
     row = scan_row("t3mn", 1, 1)
     assert row.report.log_concave

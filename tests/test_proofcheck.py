@@ -12,8 +12,9 @@ from treepoly.alphamaps import (
     admissible_maps,
     classify_spider,
     count_admissible,
+    spider_view,
 )
-from treepoly.graphs import family_layout
+from treepoly.graphs import family_layout, spider2
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
     FamilyContext,
@@ -28,13 +29,14 @@ from treepoly.proofcheck import (
     partner,
     partner_star,
     POSITIVE_CLASS_PREDICATES,
+    slice_record,
     star_class_matches,
     verify_base,
     verify_chain,
     verify_star,
 )
 from treepoly.reports import all_ok
-from treepoly.shadow import expansion_from_signature, is_admissible, min_coefficient
+from treepoly.shadow import ForestShadow, expansion_from_signature, is_admissible, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, sym_one
 
 
@@ -297,28 +299,30 @@ def _cell_maps(family, m, n):
 
 
 @pytest.mark.parametrize("family,m,n", [("t3mn", 2, 1), ("t3mn_star", 1, 1)])
-def test_cached_slice_info_matches_uncached(family, m, n):
+def test_cached_slice_record_matches_uncached(family, m, n):
     _, core_ctx, negatives, partners = _cell_maps(family, m, n)
-    fresh = FamilyContext("t3mn", m, n)
-    lay = fresh.layout
+    lay = core_ctx.layout
     maps = [w for w, _ in negatives] + partners
     assert len(partners) > 100
     for w in partners:  # the battery analyzes partners to audit their targets
         analyze_map(core_ctx, w[: core_ctx.graph.n])
+    misses = slice_record.cache_info().misses
+    spiders = {}
     for w in maps:
         core_w = w[: core_ctx.graph.n]
         for i in (1, 2, 3):
             verts = core_ctx.slice_vertices[i - 1]
             local = tuple(core_w[v] for v in verts)
-            record = core_ctx._slice_records[i - 1][local]  # served from the cache
-            uncached = classify_spider(
-                local, fresh.slice_views[i - 1], fresh.slice_shadows[i - 1]
-            )
-            assert core_ctx.slice_info(core_w, i) == record.info == uncached
+            legs = lay.leg_count(i)
+            if legs not in spiders:
+                spiders[legs] = spider_view(legs), ForestShadow(spider2(legs))
+            record = slice_record(local)
+            assert record.info == classify_spider(local, *spiders[legs])
             assert record.total == sum(core_w[v] for v in verts)
             assert record.heads == sum(
-                1 for j in range(1, lay.leg_count(i) + 1) if core_w[lay.head(i, j)] == 1
+                1 for j in range(1, legs + 1) if core_w[lay.head(i, j)] == 1
             )
+    assert slice_record.cache_info().misses == misses  # all served from the cache
 
 
 @pytest.mark.parametrize(
@@ -401,13 +405,18 @@ def _paired_maps(family, m, n):
     return ctx, core_ctx, maps
 
 
+@functools.lru_cache(maxsize=None)
+def _fresh_contexts(family, m, n):
+    """A second context pair for a cell, never used through _paired_maps."""
+    return FamilyContext(family, m, n), FamilyContext("t3mn", m, n)
+
+
 def _pair(family, m, n, w, cls, repair_corner=False, fresh=False):
-    """The partner of w, from the cell's shared contexts or from new ones;
-    repair_corner applies to the extended family only."""
+    """The partner of w, from the cell's shared contexts or from the cell's
+    second pair; repair_corner applies to the extended family only."""
     ctx, core_ctx, _ = _paired_maps(family, m, n)
     if fresh:
-        ctx = FamilyContext(family, m, n)
-        core_ctx = FamilyContext("t3mn", m, n)
+        ctx, core_ctx = _fresh_contexts(family, m, n)
     if family == "t3mn":
         return partner(ctx, analyze_map(ctx, w), cls)
     return partner_star(ctx, core_ctx, w, cls, repair_corner)
@@ -461,12 +470,50 @@ def test_repair_changes_only_the_six_inadmissible_corner_partners():
     assert inadmissible == changed == corner
 
 
-def test_partner_star_memo_is_transparent():
-    ctx, core_ctx, negatives, _ = _cell_maps("t3mn_star", 1, 1)
+def _direct_partner_star(ctx, core_ctx, w, cls, repair_corner):
+    """partner_star computed from the core map itself, without the core-step
+    table: shadow sign, class analysis, corner refusal, injection."""
+    lay = ctx.layout
+    gamma = list(w[: core_ctx.graph.n])
+    if cls == 3:
+        gamma[lay.foot(1, 3)] = 0
+    elif cls not in (1, 2):
+        return f"star class {cls} has no pairing injection"
+    gamma = tuple(gamma)
+    if min_coefficient(core_ctx.shadow.expansion(gamma)) >= 0:
+        return "core restriction is not negative"
+    a = analyze_map(core_ctx, gamma)
+    matches = negative_class_matches(a)
+    if len(matches) != 1:
+        return f"core restriction matches classes {matches}"
+    (core_cls,) = matches
+    if core_cls == 30:
+        return "core restriction falls in the final class"
+    if cls == 3 and core_cls == 28 and only_gap_at_leg_13(a):
+        return "core restriction falls in the excluded corner case"
+    try:
+        if repair_corner and cls == 3 and core_cls == 19 and marks_head_13(a):
+            mu = proofcheck._partner_19_low_mark(core_ctx, a)
+        else:
+            mu = partner(core_ctx, a, core_cls)
+    except PartnerError as exc:
+        return str(exc)
+    out = [*mu, *w[core_ctx.graph.n :]]
+    if cls == 3:
+        out[lay.foot(1, 3)] = w[lay.foot(1, 3)]
+    return tuple(out)
 
-    def outcome(core, w, cls, repair):
+
+def test_partner_star_memo_is_transparent():
+    # partner_star reads its core step from the core context's table; every
+    # outcome, partner or refusal, equals the one computed from the core map
+    # on a separate context
+    ctx, core_ctx, negatives, _ = _cell_maps("t3mn_star", 1, 1)
+    reference = FamilyContext("t3mn", 1, 1)
+
+    def outcome(w, cls, repair):
         try:
-            return partner_star(ctx, core, w, cls, repair_corner=repair)
+            return partner_star(ctx, core_ctx, w, cls, repair_corner=repair)
         except PartnerError as exc:
             return str(exc)
 
@@ -474,31 +521,97 @@ def test_partner_star_memo_is_transparent():
     for repair in (False, True):
         for w, matches in negatives:
             for cls in matches:
-                shared = outcome(core_ctx, w, cls, repair)
-                assert shared == outcome(FamilyContext("t3mn", 1, 1), w, cls, repair)
-                seen.add(type(shared))
-    assert seen == {tuple, str}  # both partners and refusals came from the memo
-    assert {key for key in core_ctx.core_steps if core_ctx.core_steps[key]} == {
-        (False, False), (True, False), (True, True)
-    }
+                got = outcome(w, cls, repair)
+                assert got == _direct_partner_star(ctx, reference, w, cls, repair)
+                seen.add(type(got))
+    assert seen == {tuple, str}  # both partners and refusals came from the table
 
 
-def test_slice_info_is_computed_once_per_context(monkeypatch):
-    # Each slice has its own ForestShadow, so (shadow, map) names one
-    # (context, slice, local values) cache entry; holding the shadow keeps
-    # its identity unique while the battery runs.
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_core_step_table_matches_fresh_analysis(m, n):
+    # (1, 2) is the core of star (1, 2).  Every base negative has one entry,
+    # in enumeration order, equal to what the predicates and injections give
+    # on a separate context's analyze_map.
+    table = FamilyContext("t3mn", m, n).core_steps
+    fresh = FamilyContext("t3mn", m, n)
+    assert list(table) == [bytes(w) for w, _, _ in negative_members(fresh)]
+
+    def attempt(injection, *args):
+        try:
+            return bytes(injection(*args))
+        except PartnerError as exc:
+            return str(exc)
+
+    kinds = set()
+    for key, step in table.items():
+        a = analyze_map(fresh, tuple(key))
+        matches = negative_class_matches(a)
+        if len(matches) != 1:
+            assert step == f"core restriction matches classes {matches}"
+            continue
+        (cls,) = matches
+        if cls == 30:
+            assert step == "core restriction falls in the final class"
+            kinds.add("final")
+            continue
+        published = attempt(partner, fresh, a, cls)
+        corner19 = cls == 19 and marks_head_13(a)
+        repaired = attempt(proofcheck._partner_19_low_mark, fresh, a) if corner19 else published
+        corner28 = cls == 28 and only_gap_at_leg_13(a)
+        assert step == (cls, corner28, published, repaired)
+        if not corner19:
+            assert step.repaired is step.published
+        kinds.update(k for k, on in (("corner19", corner19), ("corner28", corner28)) if on)
+        kinds.add(type(published))
+    assert {"final", "corner19", bytes} <= kinds
+
+
+def test_partner_star_refuses_a_positive_core():
+    ctx, core_ctx = FamilyContext("t3mn_star", 1, 1), FamilyContext("t3mn", 1, 1)
+    zero = (0,) * ctx.graph.n
+    for cls in (1, 2, 3):
+        with pytest.raises(PartnerError, match="^core restriction is not negative$"):
+            partner_star(ctx, core_ctx, zero, cls)
+
+
+def test_partner_star_refuses_a_negative_core_the_table_misses(monkeypatch):
+    # The star battery does not trust the core enumeration it does not audit:
+    # a negative core map missing from the table gets its own refusal.
+    real = proofcheck.negative_members
+    dropped = []
+
+    def drop_first(c):
+        members = real(c)
+        if c.family == "t3mn":
+            dropped.append(next(members)[0])
+        return members
+
+    monkeypatch.setattr(proofcheck, "negative_members", drop_first)
+    ctx, core_ctx = FamilyContext("t3mn_star", 1, 1), FamilyContext("t3mn", 1, 1)
+    assert core_ctx.core_steps and len(dropped) == 1
+    (gamma,) = dropped
+    assert bytes(gamma) not in core_ctx.core_steps
+    w = gamma + (0,) * (ctx.graph.n - core_ctx.graph.n)  # x at 0: star class 1
+    with pytest.raises(PartnerError, match="^core restriction is negative but not enumerated$"):
+        partner_star(ctx, core_ctx, w, 1)
+
+
+def test_slice_record_is_computed_once(monkeypatch):
+    # slice_record is keyed by the slice map alone, so across both batteries,
+    # their star and core contexts and their slices, no slice map is
+    # classified twice
     computed = []
     real = proofcheck.classify_spider
 
     def counting(weights, sp, shadow):
-        computed.append((shadow, weights))
+        computed.append(tuple(weights))
         return real(weights, sp, shadow)
 
     monkeypatch.setattr(proofcheck, "classify_spider", counting)
-    for battery in (verify_star, verify_base):
-        computed.clear()
-        battery(1, 1)
-        assert computed and len(computed) == len(set(computed)), battery.__name__
+    slice_record.cache_clear()
+    verify_star(1, 1)
+    verify_base(1, 1)
+    assert computed and len(computed) == len(set(computed))
 
 
 # cases of each path-append identity; the weight-2 identity is checked only
@@ -616,8 +729,9 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
 # negative-coverage.cases, 300 sampled maps -> all 616,769 admissible maps;
 # the per-report violation_count key is the only further difference.  The
 # base (2, 1) cell pins the pattern order on slices with two legs.  The
-# star (1, 2) cell, recorded before slice_info and partner_star's core step
-# were memoized, takes memo hits from star classes 1/2 and 3.
+# star (1, 2) cell was recorded before slice classifications and
+# partner_star's core steps were cached; star classes 1/2 and 3 read the
+# same core-step table.
 @pytest.mark.parametrize(
     "verify,m,n,kwargs,digest",
     [
