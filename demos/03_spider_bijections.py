@@ -40,7 +40,7 @@ print("  pair sum:", total, " nonnegative:", min_coefficient(total) >= 0)
 
 print("\nclassification of a few maps:")
 for sample in [w, image, (0,) * g.n, (1,) * g.n]:
-    print(f"  {sample} -> {classify_spider(sample, sp, ctx)}")
+    print(f"  {sample} -> {classify_spider(sample)}")
 
 print("\nthe full exhaustive battery at desk scale:")
 for rep in spider_suite(max_legs=4):

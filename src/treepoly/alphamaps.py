@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -209,15 +210,19 @@ def has_isolated_clan_vertex(g: Graph, weights: Sequence[int]) -> bool:
 class SpiderClass:
     """The class of a weight map on a spider with length-two legs: the map,
     its bare-leg count, its shadow sign, the settled flag (positive with no
-    isolated clan vertex; the empty clan counts as settled) and its vacated
-    signature.  A negative map has center weight 1, so it has no vacated
-    signature."""
+    isolated clan vertex; the empty clan counts as settled), its vacated
+    signature, its weight sum, its number of weight-1 heads and its
+    (head, foot) values leg by leg.  A negative map has center weight 1, so
+    it has no vacated signature."""
 
     local: Weights
     k: int
     positive: bool
     settled: bool
     vac: Optional[tuple[tuple[int, ...], int]]
+    total: int
+    heads: int
+    legs: tuple[tuple[int, int], ...]
 
     @property
     def family_index(self) -> Optional[int]:
@@ -237,19 +242,31 @@ class SpiderClass:
         return self.vac == (marks, t)
 
 
-def classify_spider(
-    weights: Sequence[int], sp: SpiderView, shadow: ForestShadow
-) -> SpiderClass:
-    """The spider class of a map on the spider the view and shadow describe."""
-    local = tuple(weights)
+@cache
+def classify_spider(local: Weights) -> SpiderClass:
+    """The spider class of a map on spider2(n), given in spider order
+    (center, heads, feet), so n is (len(local) - 1) // 2.  Cached for the
+    process by the map alone, on which the class depends."""
+    n = (len(local) - 1) // 2
+    sp = spider_view(n)
+    shadow = _spider_shadow(n)
     positive = min_coefficient(shadow.expansion(local)) >= 0
+    heads = local[1 : n + 1]
     return SpiderClass(
         local=local,
         k=bare_leg_count(local, sp),
         positive=positive,
         settled=positive and not has_isolated_clan_vertex(shadow.graph, local),
         vac=vacated_signature(local, sp),
+        total=sum(local),
+        heads=heads.count(1),
+        legs=tuple(zip(heads, local[n + 1 :])),
     )
+
+
+@cache
+def _spider_shadow(n: int) -> ForestShadow:
+    return ForestShadow(spider2(n))
 
 
 # ---------------------------------------------------------------------------

@@ -87,21 +87,25 @@ def _check_output_path(path: Optional[str]) -> None:
         os.remove(path)
 
 
+# The size flags each family of poly and plotdata takes; a flag set for a
+# family that would ignore it is a usage error.
+_POLY_FLAGS = {"spider2": ("n",), "spider12": ("k", "r")}
+
+
 def _poly_for(args) -> tuple[str, Optional[int], Optional[int], "object"]:
     family = args.family
+    takes = _POLY_FLAGS.get(family, ("m", "n"))
+    flags = " and ".join("-" + f for f in takes)
+    ignored = [f for f in "mnkr" if f not in takes and getattr(args, f) is not None]
+    if ignored:
+        raise SystemExit2(f"{family} takes {flags}, not {'/'.join('-' + f for f in ignored)}")
+    if any(getattr(args, f) is None for f in takes):
+        raise SystemExit2(f"{family} needs {flags}")
     if family == "spider2":
-        if args.n is None:
-            raise SystemExit2("spider2 needs -n")
-        g = spider2(args.n)
-        return "spider2", None, args.n, g
+        return "spider2", None, args.n, spider2(args.n)
     if family == "spider12":
-        if args.k is None or args.r is None:
-            raise SystemExit2("spider12 needs -k and -r")
-        g = spider12(args.k, args.r)
-        return "spider12", args.k, args.r, g
+        return "spider12", args.k, args.r, spider12(args.k, args.r)
     fam = FAMILY_ALIASES[family]
-    if args.m is None or args.n is None:
-        raise SystemExit2(f"{family} needs -m and -n")
     return fam, args.m, args.n, family_graph(fam, args.m, args.n)
 
 

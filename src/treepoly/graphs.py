@@ -48,9 +48,6 @@ class Graph:
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.labels = labels
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

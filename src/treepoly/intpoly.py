@@ -98,12 +98,6 @@ class IntPoly:
         """Multiply by t**k."""
         return IntPoly((0,) * k + self.coeffs)
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 

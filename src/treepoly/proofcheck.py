@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -77,17 +77,11 @@ class FamilyContext:
         self.layout = family_layout(m, n, star=(family == "t3mn_star"))
         self.graph = family_graph(family, m, n)
         self.shadow = ForestShadow(self.graph)
-        self.full_weight = 2 * m + 2 * n + 10
         self.slice_vertices = tuple(self.layout.slice_vertices(i) for i in (1, 2, 3))
         self.slice_views = tuple(
             spider_view(self.layout.leg_count(i)) for i in (1, 2, 3)
         )
         self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
-        self.leg_pairs = tuple(
-            (i, j, self.layout.head(i, j), self.layout.foot(i, j))
-            for i in (1, 2, 3)
-            for j in range(1, self.layout.leg_count(i) + 1)
-        )
 
     @cached_property
     def engine_slices(self) -> list[_EngineSlice]:
@@ -154,47 +148,18 @@ def _tuple_getter(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-class SliceRecord(NamedTuple):
-    """What the class analysis reads of one branch slice: its spider class,
-    its weight sum and its number of heads with weight 1."""
-
-    info: SpiderClass
-    total: int
-    heads: int
-
-
-@cache
-def slice_record(local: Weights) -> SliceRecord:
-    """The record of a branch slice from its local values in spider order
-    (center, heads, feet).  Cached for the process by those values alone, on
-    which it depends, so every context and every slice of equal leg count
-    share entries."""
-    legs = (len(local) - 1) // 2
-    return SliceRecord(
-        classify_spider(local, spider_view(legs), _spider_shadow(legs)),
-        sum(local),
-        local[1 : legs + 1].count(1),
-    )
-
-
-@cache
-def _spider_shadow(legs: int) -> ForestShadow:
-    return ForestShadow(spider2(legs))
-
-
 class FamilyAnalysis(NamedTuple):
-    """Per-map data consumed by the class predicates.  A named tuple: one is
-    built for every negative map and every partner, and a tuple is the
-    cheapest immutable record to build."""
+    """Per-map data consumed by the class predicates: the core map, its root
+    and branch values, and the spider class of each branch slice.  A named
+    tuple: one is built for every negative map and every partner, and a
+    tuple is the cheapest immutable record to build."""
 
     w: Weights
     a0: int
     branch: tuple[int, int, int]
     info: tuple[SpiderClass, SpiderClass, SpiderClass]
     total: int
-    full_weight: int
     weighted_heads: int
-    leg_pairs: tuple
 
     def k(self, i: int) -> int:
         return self.info[i - 1].k
@@ -212,18 +177,22 @@ class FamilyAnalysis(NamedTuple):
     def ksum(self) -> int:
         return self.info[0].k + self.info[1].k + self.info[2].k
 
+    @property
+    def full_weight(self) -> int:
+        """The core vertex count: the root and the three slices."""
+        s1, s2, s3 = self.info
+        return 1 + len(s1.local) + len(s2.local) + len(s3.local)
+
 
 def analyze_map(ctx: FamilyContext, w: Sequence[int]) -> FamilyAnalysis:
     """The class analysis of w, joined from its three slice records."""
     get1, get2, get3 = ctx.slice_locals
     return _join_analysis(
-        ctx, tuple(w), slice_record(get1(w)), slice_record(get2(w)), slice_record(get3(w))
+        tuple(w), classify_spider(get1(w)), classify_spider(get2(w)), classify_spider(get3(w))
     )
 
 
-def _join_analysis(
-    ctx: FamilyContext, w: Weights, r1: SliceRecord, r2: SliceRecord, r3: SliceRecord
-) -> FamilyAnalysis:
+def _join_analysis(w: Weights, r1: SpiderClass, r2: SpiderClass, r3: SpiderClass) -> FamilyAnalysis:
     """The analysis of core map w from the records of its three slices: the
     core vertices are the root and the slices, so the core weight and the
     weighted heads are sums over the slices."""
@@ -231,12 +200,25 @@ def _join_analysis(
         w=w,
         a0=w[0],
         branch=(w[1], w[2], w[3]),
-        info=(r1.info, r2.info, r3.info),
+        info=(r1, r2, r3),
         total=w[0] + r1.total + r2.total + r3.total,
-        full_weight=ctx.full_weight,
         weighted_heads=r1.heads + r2.heads + r3.heads,
-        leg_pairs=ctx.leg_pairs,
     )
+
+
+def _legs_with(a: FamilyAnalysis, leg: tuple[int, int]) -> list[tuple[int, int]]:
+    """(branch, leg) of every leg whose (head, foot) values are leg, in leg
+    order."""
+    return [
+        (i, j)
+        for i, s in enumerate(a.info, 1)
+        for j, values in enumerate(s.legs, 1)
+        if values == leg
+    ]
+
+
+def _heads_all_zero(a: FamilyAnalysis) -> bool:
+    return all(h == 0 for s in a.info for h, _ in s.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +377,7 @@ def _negative_class_predicates():
         )
 
     def n29(a):
-        return a.a0 == 1 and _branch_is(a, 1, 1, 1) and a.weighted_heads == 0 and all(
-            a.w[h] == 0 for (_, _, h, _) in a.leg_pairs
-        )
+        return a.a0 == 1 and _branch_is(a, 1, 1, 1) and a.weighted_heads == 0 and _heads_all_zero(a)
 
     def n30(a):
         return (
@@ -455,14 +435,9 @@ def is_full_weight_class(a: FamilyAnalysis) -> bool:
     return NEGATIVE_CLASS_PREDICATES[29](a)
 
 
-def _empty_legs(w: Sequence[int], leg_pairs: tuple) -> list[tuple[int, int]]:
-    """(branch, leg) of every leg whose head and foot have weight 0."""
-    return [(i, j) for (i, j, h, f) in leg_pairs if w[h] == 0 and w[f] == 0]
-
-
 def only_gap_at_leg_13(a: FamilyAnalysis) -> bool:
     """Class-28 maps whose single empty leg is the third leg of branch 1."""
-    return _empty_legs(a.w, a.leg_pairs) == [(1, 3)]
+    return _legs_with(a, (0, 0)) == [(1, 3)]
 
 
 def marks_head_13(a: FamilyAnalysis) -> bool:
@@ -475,8 +450,7 @@ def marks_head_13(a: FamilyAnalysis) -> bool:
     bound fails, so this corner needs the same special treatment the
     published argument gives the class-28 corner.
     """
-    s1 = a.slice(1).local
-    return a.k(1) == 2 and s1[3] == 1 and s1[6] == 0
+    return a.k(1) == 2 and a.slice(1).legs[2] == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +588,8 @@ def partner(ctx: FamilyContext, a: FamilyAnalysis, cls: int) -> Weights:
         _apply_marks(ctx, w, 2, ())
         _apply_marks(ctx, w, 3, (1,))
     elif cls == 28:
-        gaps = _empty_legs(a.w, a.leg_pairs)
-        pairs = [
-            (i, j)
-            for (i, j, h, f) in a.leg_pairs
-            if a.w[h] == 1 and a.w[f] == 1
-        ]
+        gaps = _legs_with(a, (0, 0))
+        pairs = _legs_with(a, (1, 1))
         if not gaps or not pairs:
             raise PartnerError("class-28 map without an empty leg or a full leg")
         # empty slot: largest branch first, then smallest leg index;
@@ -722,7 +692,7 @@ def _positive_class_predicates():
         return a.a0 == 1 and a.slice(1).vac_is((1,), 2) and a.settled(2) and a.settled(3)
 
     def m11(a):
-        return _exact_slice1(a, heads=(1, 1, 0), feet=(1, 0, 0)) and a.branch[1:] == (0, 0)
+        return _exact_slice1(a, ((1, 1), (1, 0), (0, 0))) and a.branch[1:] == (0, 0)
 
     def m12(a):
         return (
@@ -776,7 +746,7 @@ def _positive_class_predicates():
 
     def m18(a):
         return (
-            _exact_slice1(a, heads=(1, 1, 0), feet=(1, 1, 0))
+            _exact_slice1(a, ((1, 1), (1, 1), (0, 0)))
             and a.branch[1] == 0
             and not a.slice(2).in_family((1,))
             and a.slice(3).in_family(())
@@ -824,7 +794,7 @@ def _positive_class_predicates():
 
     def m23(a):
         return (
-            _exact_slice1(a, heads=(1, 0, 1), feet=(1, 1, 0))
+            _exact_slice1(a, ((1, 1), (0, 1), (1, 0)))
             and a.branch[1:] == (0, 0)
             and a.slice(2).in_family(())
             and not a.slice(3).in_family((1,))
@@ -841,7 +811,7 @@ def _positive_class_predicates():
 
     def m25(a):
         return (
-            _exact_slice1(a, heads=(0, 1, 1), feet=(1, 1, 0))
+            _exact_slice1(a, ((0, 1), (1, 1), (1, 0)))
             and a.branch[1:] == (0, 0)
             and a.slice(2).in_family(())
             and a.slice(3).in_family((1,))
@@ -867,18 +837,18 @@ def _positive_class_predicates():
         )
 
     def m28(a):
-        if not (a.a0 == 1 and a.branch == (1, 1, 1) and a.ksum == 1):
-            return False
-        lonely_feet = sum(
-            1 for (_, _, h, f) in a.leg_pairs if a.w[h] == 0 and a.w[f] == 1
+        return (
+            a.a0 == 1
+            and a.branch == (1, 1, 1)
+            and a.ksum == 1
+            and len(_legs_with(a, (0, 1))) == 1
         )
-        return lonely_feet == 1
 
     def m29(a):
         return (
             a.a0 == 0
             and a.branch == (2, 1, 1)
-            and all(a.w[h] == 0 for (_, _, h, _) in a.leg_pairs)
+            and _heads_all_zero(a)
         )
 
     return (
@@ -888,9 +858,10 @@ def _positive_class_predicates():
     )
 
 
-def _exact_slice1(a: FamilyAnalysis, heads: tuple[int, int, int], feet: tuple[int, int, int]) -> bool:
-    s1 = a.slice(1).local
-    return a.a0 == 1 and s1[0] == 1 and s1[1:4] == heads and s1[4:7] == feet
+def _exact_slice1(a: FamilyAnalysis, legs: tuple[tuple[int, int], ...]) -> bool:
+    """Root and branch 1 at weight 1, and branch 1's (head, foot) values
+    exactly legs."""
+    return a.a0 == 1 and a.branch[0] == 1 and a.slice(1).legs == legs
 
 
 POSITIVE_CLASS_PREDICATES = _positive_class_predicates()
@@ -1020,14 +991,14 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
     slices = ctx.engine_slices
     size = ctx.graph.n
     core_n = len(ctx.layout.core_vertices())
-    records: dict[_SlicePattern, SliceRecord] = {}
+    records: dict[_SlicePattern, SpiderClass] = {}
     for sl, verts in zip(slices, ctx.slice_vertices):
         # In the star, x and y join slice 1 after its core vertices; the
         # record is taken on the core vertices alone.
         k = len(verts)
         assert sl.verts[:k] == verts and all(v >= core_n for v in sl.verts[k:])
         for p in sl.patterns:
-            records[p] = slice_record(p.values[:k])
+            records[p] = classify_spider(p.values[:k])
     # The family map from (v0, *p1.values, *p2.values, *p3.values).
     spots = [0] * size
     for pos, v in enumerate((0, *(v for sl in slices for v in sl.verts))):
@@ -1066,7 +1037,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
                 prefix = (v0val, *p1.values, *p2.values)
                 for p3, expansion in members:
                     w = place(prefix + p3.values)
-                    yield w, expansion, _join_analysis(ctx, w[:core_n], r1, r2, records[p3])
+                    yield w, expansion, _join_analysis(w[:core_n], r1, r2, records[p3])
 
     for v0val in (0, 1, 2):
         allowed = [
@@ -1247,7 +1218,7 @@ def star_class_matches(ctx: FamilyContext, w: Sequence[int], core: FamilyAnalysi
     wx, wy = w[lay.x], w[lay.y]
     core_total = core.total
     last = is_full_weight_class(core)
-    limit = ctx.full_weight - 3
+    limit = core.full_weight - 3
     matches = []
     if wx != 1 and not last:
         matches.append(1)
@@ -1465,19 +1436,6 @@ class ChainSummary:
     @property
     def consistent(self) -> bool:
         return self.chain_unimodal and self.direct_unimodal
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "m": self.m,
-            "n": self.n,
-            "prefix_log_concave": self.prefix_log_concave,
-            "tail_ok": self.tail_ok,
-            "direct_unimodal": self.direct_unimodal,
-            "direct_log_concave": self.direct_log_concave,
-            "chain_unimodal": self.chain_unimodal,
-            "consistent": self.consistent,
-        }
 
 
 def verify_chain(m: int, n: int, family: str = "t3mn") -> ChainSummary:

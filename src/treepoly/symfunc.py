@@ -62,9 +62,6 @@ class SymPoly2:
     def __init__(self, terms: Union[Mapping[tuple[int, int], int], None] = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
-    def coefficient(self, d1: int, d2: int) -> int:
-        return self.terms.get((d1, d2), 0)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,12 +118,6 @@ def schur_sym(a: int, b: int) -> SymPoly2:
     if a < b or b < 0:
         raise ValueError("shape must satisfy a >= b >= 0")
     return SymPoly2({(a - i, b + i): 1 for i in range(a - b + 1)})
-
-
-def product(f: SymPoly2, g: SymPoly2) -> SymPoly2:
-    """Exact product; correct for two-row coefficients because the shadow is
-    multiplicative."""
-    return f * g
 
 
 class TwoRowExpansion:

@@ -103,7 +103,7 @@ def test_bare_and_anchored():
 def test_vacated_signature():
     sp = spider_view(2)
     assert vacated_signature((0, 2, 1, 0, 0), sp) == ((1,), 2)
-    cls = classify_spider((0, 2, 1, 0, 0), sp, ForestShadow(spider2(2)))
+    cls = classify_spider((0, 2, 1, 0, 0))
     assert cls.vac_is((1,), 2) and not cls.vac_is((1,), 1)
     assert cls.in_family((1,)) and not cls.in_family(())
     assert vacated_signature((1, 1, 1, 0, 0), sp) is None
@@ -136,24 +136,25 @@ def test_mark_rejects_bad_input():
 def test_classify_spider():
     n = 3
     g = spider2(n)
-    ctx = ForestShadow(g)
     sp = spider_view(n)
     negative = (1, 1, 1, 1, 0, 0, 0)
-    cls = classify_spider(negative, sp, ctx)
+    cls = classify_spider(negative)
     assert cls.local == negative and cls.k == 3
+    assert cls.total == 4 and cls.heads == 3 and cls.legs == ((1, 0),) * 3
     assert not cls.positive and not cls.settled
     assert cls.vac is None and cls.family_index is None
     marked = mark_legs(negative, sp, (1,))
-    cls = classify_spider(marked, sp, ctx)
+    cls = classify_spider(marked)
     assert cls.local == marked and cls.k == 2
+    assert cls.total == 4 and cls.heads == 2 and cls.legs == ((2, 0), (1, 0), (1, 0))
     assert cls.positive and not cls.settled  # the two bare heads are isolated
     assert cls.vac == ((1,), 3) and cls.family_index == 1
     zero = (0,) * g.n
-    cls = classify_spider(zero, sp, ctx)
+    cls = classify_spider(zero)
     assert cls.positive and cls.settled and cls.k == 0
     assert cls.vac == ((), 0) and cls.family_index == 0
     anchored = (1, 1, 1, 1, 1, 1, 1)
-    cls = classify_spider(anchored, sp, ctx)
+    cls = classify_spider(anchored)
     assert cls.positive and cls.settled and cls.k == 0
     assert cls.vac is None and cls.family_index == 0
 
@@ -165,7 +166,7 @@ def test_classify_exclusive_families():
         ctx = ForestShadow(spider2(n))
         sp = spider_view(n)
         for w in admissible_maps(ctx.graph):
-            cls = classify_spider(w, sp, ctx)
+            cls = classify_spider(w)
             assert cls.vac == vacated_signature(w, sp)
             assert cls.k == bare_leg_count(w, sp)
             if not cls.positive:

@@ -57,6 +57,31 @@ def test_poly_missing_args(capsys):
     assert "needs" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("poly", "--family", "spider2", "-m", "3", "-n", "2"), "error: spider2 takes -n, not -m"),
+        (("plotdata", "--family", "spider2", "-n", "2", "-k", "1"), "error: spider2 takes -n, not -k"),
+        (
+            ("poly", "--family", "t3mn", "-m", "1", "-n", "1", "-k", "5", "-r", "2"),
+            "error: t3mn takes -m and -n, not -k/-r",
+        ),
+        (
+            ("plotdata", "--family", "spider12", "-k", "1", "-r", "2", "-m", "4", "-n", "9"),
+            "error: spider12 takes -k and -r, not -m/-n",
+        ),
+        (
+            ("plotdata", "--family", "t3mn-star", "-m", "1", "-n", "1", "-r", "2"),
+            "error: t3mn-star takes -m and -n, not -r",
+        ),
+    ],
+)
+def test_poly_usage_error_for_an_ignored_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
 def test_scan_grid_assert_unimodal(capsys, tmp_path):
     out_path = tmp_path / "rows.csv"
     code, _, _ = run_cli(

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepoly import proofcheck
+from treepoly import alphamaps, proofcheck
 from treepoly.alphamaps import (
     EnumerationGuardError,
     admissible_maps,
     classify_spider,
     count_admissible,
-    spider_view,
 )
-from treepoly.graphs import family_layout, spider2
+from treepoly.graphs import family_layout
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
     FamilyContext,
@@ -29,14 +28,13 @@ from treepoly.proofcheck import (
     partner,
     partner_star,
     POSITIVE_CLASS_PREDICATES,
-    slice_record,
     star_class_matches,
     verify_base,
     verify_chain,
     verify_star,
 )
 from treepoly.reports import all_ok
-from treepoly.shadow import ForestShadow, expansion_from_signature, is_admissible, min_coefficient
+from treepoly.shadow import expansion_from_signature, is_admissible, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, sym_one
 
 
@@ -97,7 +95,7 @@ def test_class_examples():
         else:
             w[lay.foot(i, j)] = 2
     a = analyze_map(ctx, tuple(w))
-    assert sum(w) == ctx.full_weight
+    assert sum(w) == ctx.graph.n
     assert is_full_weight_class(a)
     assert negative_class_matches(a) == (30,)
 
@@ -306,23 +304,21 @@ def test_cached_slice_record_matches_uncached(family, m, n):
     assert len(partners) > 100
     for w in partners:  # the battery analyzes partners to audit their targets
         analyze_map(core_ctx, w[: core_ctx.graph.n])
-    misses = slice_record.cache_info().misses
-    spiders = {}
+    misses = classify_spider.cache_info().misses
     for w in maps:
         core_w = w[: core_ctx.graph.n]
         for i in (1, 2, 3):
             verts = core_ctx.slice_vertices[i - 1]
             local = tuple(core_w[v] for v in verts)
-            legs = lay.leg_count(i)
-            if legs not in spiders:
-                spiders[legs] = spider_view(legs), ForestShadow(spider2(legs))
-            record = slice_record(local)
-            assert record.info == classify_spider(local, *spiders[legs])
+            legs = range(1, lay.leg_count(i) + 1)
+            record = classify_spider(local)
+            assert record == classify_spider.__wrapped__(local)
             assert record.total == sum(core_w[v] for v in verts)
-            assert record.heads == sum(
-                1 for j in range(1, legs + 1) if core_w[lay.head(i, j)] == 1
+            assert record.heads == sum(1 for j in legs if core_w[lay.head(i, j)] == 1)
+            assert record.legs == tuple(
+                (core_w[lay.head(i, j)], core_w[lay.foot(i, j)]) for j in legs
             )
-    assert slice_record.cache_info().misses == misses  # all served from the cache
+    assert classify_spider.cache_info().misses == misses  # all served from the cache
 
 
 @pytest.mark.parametrize(
@@ -340,9 +336,34 @@ def test_joined_analysis_matches_analyze_map(family, m, n, negatives):
     for w, _, a in negative_members(ctx):
         assert a == analyze_map(fresh, w[:core_n])
         assert a.total == sum(w[:core_n])
-        assert a.weighted_heads == sum(1 for (_, _, h, _) in ctx.leg_pairs if w[h] == 1)
+        assert a.weighted_heads == sum(
+            1
+            for i in (1, 2, 3)
+            for j in range(1, ctx.layout.leg_count(i) + 1)
+            if w[ctx.layout.head(i, j)] == 1
+        )
         seen += 1
     assert seen == negatives
+
+
+@pytest.mark.parametrize("family,m,n", [("t3mn", 2, 1), ("t3mn", 2, 2), ("t3mn_star", 1, 2)])
+def test_leg_facts_match_a_layout_walk(family, m, n):
+    # The leg facts the class predicates and the class-28 injection read from
+    # the slice records equal a walk over the core map's heads and feet, on
+    # every negative map and every realized partner.
+    _, core_ctx, negatives, partners = _cell_maps(family, m, n)
+    assert len(partners) > 1000
+    lay = core_ctx.layout
+    core_n = core_ctx.graph.n
+    legs = [(i, j) for i in (1, 2, 3) for j in range(1, lay.leg_count(i) + 1)]
+    for w in [w for w, _ in negatives] + partners:
+        a = analyze_map(core_ctx, w[:core_n])
+        values = {ij: (w[lay.head(*ij)], w[lay.foot(*ij)]) for ij in legs}
+        for leg in ((0, 0), (1, 1), (0, 1)):
+            assert proofcheck._legs_with(a, leg) == [ij for ij in legs if values[ij] == leg]
+        assert proofcheck._heads_all_zero(a) == all(h == 0 for h, _ in values.values())
+        assert a.weighted_heads == sum(1 for h, _ in values.values() if h == 1)
+        assert a.full_weight == core_n
 
 
 # sha256 of the sequence negative_members yields: each map, its sorted
@@ -597,18 +618,19 @@ def test_partner_star_refuses_a_negative_core_the_table_misses(monkeypatch):
 
 
 def test_slice_record_is_computed_once(monkeypatch):
-    # slice_record is keyed by the slice map alone, so across both batteries,
-    # their star and core contexts and their slices, no slice map is
-    # classified twice
+    # classify_spider is cached by the slice map alone, so across both
+    # batteries, their star and core contexts and their slices, no slice map
+    # is classified twice; the body's vacated_signature call counts the
+    # classifications the cache did not serve
     computed = []
-    real = proofcheck.classify_spider
+    real = alphamaps.vacated_signature
 
-    def counting(weights, sp, shadow):
+    def counting(weights, sp):
         computed.append(tuple(weights))
-        return real(weights, sp, shadow)
+        return real(weights, sp)
 
-    monkeypatch.setattr(proofcheck, "classify_spider", counting)
-    slice_record.cache_clear()
+    monkeypatch.setattr(alphamaps, "vacated_signature", counting)
+    classify_spider.cache_clear()
     verify_star(1, 1)
     verify_base(1, 1)
     assert computed and len(computed) == len(set(computed))

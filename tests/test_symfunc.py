@@ -25,7 +25,6 @@ from treepoly.symfunc import (
     chromatic_multicolor_2var,
     f_p_2var,
     monomial_pair,
-    product,
     schur_expand,
     schur_sym,
     sym_one,
@@ -93,7 +92,7 @@ def test_schur_polynomials():
 
 def test_schur_expand_examples():
     assert schur_expand(SymPoly2({(1, 1): 1})).coeffs == {(1, 1): 1}
-    square = product(schur_sym(1, 0), schur_sym(1, 0))
+    square = schur_sym(1, 0) * schur_sym(1, 0)
     assert schur_expand(square).coeffs == {(2, 0): 1, (1, 1): 1}
     f = SymPoly2({(3, 1): 1, (1, 3): 1, (2, 2): 1})
     assert schur_expand(f).coeffs == {(3, 1): 1}
@@ -133,7 +132,7 @@ def test_product_shadow_matches_lr_oracle(rng):
     for _ in range(100):
         mu = rng.choice(shapes)
         nu = rng.choice(shapes)
-        got = schur_expand(product(schur_sym(*mu), schur_sym(*nu)))
+        got = schur_expand(schur_sym(*mu) * schur_sym(*nu))
         total = sum(mu) + sum(nu)
         expected = {
             lam: lr_coefficient(mu, nu, lam)
@@ -146,7 +145,7 @@ def test_product_shadow_matches_lr_oracle(rng):
 def test_marked_pair_product_identity():
     # one doubled pair block and two loose vertices: 2 s11 (s2 + s11)
     lhs = schur_expand(
-        product(product(2 * schur_sym(1, 1), schur_sym(1, 0)), schur_sym(1, 0))
+        2 * schur_sym(1, 1) * schur_sym(1, 0) * schur_sym(1, 0)
     )
     assert lhs[(3, 1)] == 2
     assert lhs[(2, 2)] == 2
