@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -31,15 +32,28 @@ FAMILY_ALIASES = {
 ASSERT_CHOICES = ("unimodal", "log-concave", "non-log-concave")
 
 
-def _parse_range(text: str) -> list[int]:
+# The most (m, n) cells one scan takes, so that an oversized range is a usage
+# error instead of a run that exhausts memory; each family scanned adds a row
+# per cell.  A 100x100 grid fits.
+MAX_SCAN_CELLS = 10_000
+
+
+def _parse_range(text: str) -> range:
     """Accept "4" or "1..10" (inclusive)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    lo = int(lo)
+    hi = int(hi) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
+
+
+def _check_scan_size(*ranges: range) -> None:
+    """Usage error when the ranges span more than MAX_SCAN_CELLS cells,
+    decided from their bounds before any cell is listed."""
+    cells = math.prod(r.stop - r.start for r in ranges)
+    if cells > MAX_SCAN_CELLS:
+        raise SystemExit2(f"scan of {cells} cells exceeds the limit of {MAX_SCAN_CELLS}")
 
 
 _DIAG_TERM = re.compile(r"^k([+-]\d+)?$")
@@ -170,12 +184,16 @@ def _scan_cells(args) -> list[tuple[int, int]]:
         if args.m is not None or args.n is not None:
             raise SystemExit2("--diag takes -k RANGE, not -m/-n")
         off_m, off_n = _parse_diag(args.diag)
-        return [(k + off_m, k + off_n) for k in _parse_range(args.k)]
+        ks = _parse_range(args.k)
+        _check_scan_size(ks)
+        return [(k + off_m, k + off_n) for k in ks]
     if args.m is None or args.n is None:
         raise SystemExit2("scan needs -m and -n ranges (or --diag with -k)")
     if args.k is not None:
         raise SystemExit2("-k sets the --diag parameter; without --diag use -m/-n")
-    return [(m, n) for m in _parse_range(args.m) for n in _parse_range(args.n)]
+    ms, ns = _parse_range(args.m), _parse_range(args.n)
+    _check_scan_size(ms, ns)
+    return [(m, n) for m in ms for n in ns]
 
 
 def cmd_scan(args) -> int:

@@ -182,9 +182,12 @@ class FamilyLayout:
     def leg_count(self, i: int) -> int:
         return (3, self.m, self.n)[i - 1]
 
+    def _head_base(self, i: int) -> int:
+        """Index of head(i, 1); branch i's heads follow it, then its feet."""
+        return (4, 10, 10 + 2 * self.m)[i - 1]
+
     def head(self, i: int, j: int) -> int:
-        base = (4, 10, 10 + 2 * self.m)[i - 1]
-        return base + (j - 1)
+        return self._head_base(i) + (j - 1)
 
     def foot(self, i: int, j: int) -> int:
         return self.head(i, j) + self.leg_count(i)
@@ -213,10 +216,10 @@ class FamilyLayout:
     def edge_list(self) -> list[tuple[int, int]]:
         edges = []
         for i in (1, 2, 3):
-            edges.append((self.v0, self.branch(i)))
-            for j in range(1, self.leg_count(i) + 1):
-                edges.append((self.branch(i), self.head(i, j)))
-                edges.append((self.head(i, j), self.foot(i, j)))
+            b, lc, base = self.branch(i), self.leg_count(i), self._head_base(i)
+            edges.append((self.v0, b))
+            for h in range(base, base + lc):
+                edges += ((b, h), (h, h + lc))
         if self.star:
             edges.append((self.foot(1, 3), self.x))
             edges.append((self.x, self.y))
@@ -224,18 +227,10 @@ class FamilyLayout:
 
     def label_list(self) -> list[str]:
         labels = ["v0", "v1", "v2", "v3"]
-        for j in range(1, 4):
-            labels.append(f"v1{j}")
-        for j in range(1, 4):
-            labels.append(f"v1{j}'")
-        for j in range(1, self.m + 1):
-            labels.append(f"v2{j}")
-        for j in range(1, self.m + 1):
-            labels.append(f"v2{j}'")
-        for j in range(1, self.n + 1):
-            labels.append(f"v3{j}")
-        for j in range(1, self.n + 1):
-            labels.append(f"v3{j}'")
+        for i in (1, 2, 3):
+            legs = range(1, self.leg_count(i) + 1)
+            labels += [f"v{i}{j}" for j in legs]
+            labels += [f"v{i}{j}'" for j in legs]
         if self.star:
             labels.extend(["x", "y"])
         return labels

@@ -133,20 +133,29 @@ def indpoly_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> IntPoly:
     return IntPoly(counts)
 
 
+# The shape intern table of indpoly_tree, kept for the process.  A shape id
+# names one isomorphism class of rooted subtree, the same in every graph, so
+# a pair computed for one tree holds for every later one.  The table grows by
+# one pair per distinct shape seen; an id is recorded only after its pair, so
+# an exception mid-DP never leaves an id without a pair.
+_SHAPE_IDS: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
+_SHAPE_PAIRS: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
+
+
 def indpoly_tree(g: Graph) -> IntPoly:
     """Independence polynomial of a forest by rooted dynamic programming,
     done once per shape of rooted subtree.
 
     Every vertex carries the pair (sets avoiding it, sets containing it).  A
     vertex's shape is the sorted tuple of its children's shape ids, interned
-    for this call only, so isomorphic rooted subtrees share one pair.  A run
-    of k children of one shape enters as a k-th power.
+    in the process-wide table above, so isomorphic rooted subtrees share one
+    pair within a call and across calls.  A run of k children of one shape
+    enters as a k-th power.
     """
     order, parent = rooted_forest(g)
     adj = g.adj
     shape = [0] * g.n
-    ids: dict[tuple[int, ...], int] = {}
-    pairs: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
+    ids, pairs = _SHAPE_IDS, _SHAPE_PAIRS
     result = ONE
     for u in reversed(order):
         pu = parent[u]
@@ -159,8 +168,9 @@ def indpoly_tree(g: Graph) -> IntPoly:
                 e, total = pairs[child]
                 excl = excl * total**k
                 incl = incl * e**k
-            sid = ids[key] = len(pairs)
+            sid = len(pairs)
             pairs.append((excl, excl + incl.shifted(1)))
+            ids[key] = sid
         shape[u] = sid
         if pu == -1:
             result = result * pairs[sid][1]

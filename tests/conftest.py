@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treepoly import intpoly
 from treepoly.graphs import Graph, disjoint_union
 
 
@@ -48,6 +49,13 @@ def shuffled_forest(rng: random.Random, n: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, [(perm[i], perm[j]) for i, j in f.edges()])
+
+
+def clear_shape_table() -> None:
+    """Empty indpoly_tree's process-wide shape table, ids before pairs, so
+    the next call computes every shape afresh."""
+    intpoly._SHAPE_IDS.clear()
+    intpoly._SHAPE_PAIRS.clear()
 
 
 @pytest.fixture

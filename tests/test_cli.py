@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import treepoly
-from treepoly import cli, proofcheck
+from treepoly import cli, intpoly, proofcheck
 from treepoly.cli import main
+
+from conftest import clear_shape_table
 
 
 def run_cli(capsys, *argv):
@@ -189,11 +191,15 @@ def test_verify_usage_error_for_an_ignored_flag(capsys, monkeypatch, argv, messa
     assert err.startswith(message)
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, loaded from its file without importing the
-    rest of the benchmark."""
+def _benchmark_module():
+    """The namespace of perfbench/workloads.py, loaded from its file without
+    importing the rest of the benchmark."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    return runpy.run_path(str(path))["WORKLOADS"]
+    return runpy.run_path(str(path))
+
+
+def _benchmark_workloads():
+    return _benchmark_module()["WORKLOADS"]
 
 
 @pytest.mark.parametrize("name", sorted(_benchmark_workloads()))
@@ -208,6 +214,24 @@ def test_benchmark_command_lines_are_accepted(capsys, monkeypatch, tmp_path, nam
     argv = _benchmark_workloads()[name].argv(1, str(tmp_path / "report.json"))
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
+
+
+def test_benchmark_scan_check_passes_on_cold_and_warm_tables(capsys):
+    # the benchmark's own scan-grid check, run in process on an emptied shape
+    # table and again on the table the first run filled
+    bench = _benchmark_module()
+    argv = bench["WORKLOADS"]["scan-grid"].argv(1, "unused")
+    expected = bench["load_expected"]()["scan-grid"]
+    clear_shape_table()
+    outputs, shapes = [], []
+    for table in ("cold", "warm"):
+        code, out, _ = run_cli(capsys, *argv)
+        outcome = bench["check_scan"](expected, code, out)
+        assert outcome.failed == 0, (table, outcome.problems)
+        outputs.append(out)
+        shapes.append(len(intpoly._SHAPE_PAIRS))
+    assert outputs[0] == outputs[1]
+    assert 0 < shapes[0] == shapes[1]  # the warm run added no shape
 
 
 def test_python_dash_m_entry_point():
@@ -461,6 +485,38 @@ def test_scan_jobs_are_bounded(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *scan, "--jobs", "-1")
     assert code == 2 and err.startswith("error: ")
     assert requested == [4, 3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "t3mn", "-m", "1..1000000000000", "-n", "1"),
+        ("--family", "both", "-m", "1..101", "-n", "1..100"),
+        ("-m", "0..10" + "0" * 30, "-n", "0..10" + "0" * 30),
+        ("--diag", "k,k+1", "-k", "1..1000000000000"),
+    ],
+)
+def test_oversized_scan_is_usage_error(capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("scan started despite an oversized range")
+
+    monkeypatch.setattr(cli, "scan_row", no_run)
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: scan of ")
+    assert err.endswith(f"cells exceeds the limit of {cli.MAX_SCAN_CELLS}\n")
+
+
+def test_scan_size_limit_admits_its_own_size(capsys, monkeypatch):
+    row = cli.scan_row("t3mn", 1, 1)
+    cells = []
+    monkeypatch.setattr(cli, "scan_row", lambda family, m, n: cells.append((m, n)) or row)
+    code, _, err = run_cli(capsys, "scan", "--family", "t3mn", "-m", "1..100", "-n", "1..100")
+    assert code == 0, err
+    assert len(cells) == cli.MAX_SCAN_CELLS == 100 * 100
+    code, _, err = run_cli(capsys, "scan", "--family", "t3mn", "--diag", "k,k", "-k", "1..10000")
+    assert code == 0, err
+    assert len(cells) == 2 * cli.MAX_SCAN_CELLS
 
 
 # Recorded before the tree DP shared work between isomorphic subtrees.

@@ -75,6 +75,33 @@ def test_t3mn_star_counts():
     assert core == t3mn(2, 2)
 
 
+def walked_family_graph(m: int, n: int, star: bool) -> Graph:
+    """The family graph built edge by edge and label by label from the
+    layout's head/foot indices: the oracle for the range arithmetic of
+    t3mn and t3mn_star."""
+    lay = family_layout(m, n, star=star)
+    labels = [""] * lay.size
+    labels[:4] = ["v0", "v1", "v2", "v3"]
+    edges = []
+    for i in (1, 2, 3):
+        edges.append((lay.v0, lay.branch(i)))
+        for j in range(1, lay.leg_count(i) + 1):
+            head, foot = lay.head(i, j), lay.foot(i, j)
+            edges += [(lay.branch(i), head), (head, foot)]
+            labels[head], labels[foot] = f"v{i}{j}", f"v{i}{j}'"
+    if star:
+        edges += [(lay.foot(1, 3), lay.x), (lay.x, lay.y)]
+        labels[lay.x], labels[lay.y] = "x", "y"
+    return Graph(lay.size, edges, labels)
+
+
+def test_family_graphs_match_the_head_foot_walk():
+    for m in range(7):
+        for n in range(7):
+            assert t3mn(m, n) == walked_family_graph(m, n, star=False)
+            assert t3mn_star(m, n) == walked_family_graph(m, n, star=True)
+
+
 def test_every_foot_is_a_pendant_of_its_head():
     for m in range(0, 9):
         for n in range(0, 9):

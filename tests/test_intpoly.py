@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from treepoly import intpoly
 from treepoly.alphamaps import count_admissible
 from treepoly.graphs import (
     Graph,
@@ -30,7 +31,7 @@ from treepoly.intpoly import (
 )
 from treepoly.shadow import ForestShadow
 
-from conftest import random_forest, random_tree
+from conftest import clear_shape_table, random_forest, random_tree
 
 
 def test_intpoly_basics():
@@ -90,16 +91,94 @@ FOREST_PARTS = st.one_of(
 )
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_shared_shape_dp_matches_bruteforce(data):
-    parts = data.draw(st.lists(FOREST_PARTS, min_size=1, max_size=4))
-    parts += [Graph(1, [])] * data.draw(st.integers(0, 3))
-    forest = disjoint_union(data.draw(st.permutations(parts)))
+@st.composite
+def forests(draw):
+    """Up to four parts and three isolated vertices, at most 20 vertices,
+    shuffled into one vertex order."""
+    parts = draw(st.lists(FOREST_PARTS, min_size=1, max_size=4))
+    parts += [Graph(1, [])] * draw(st.integers(0, 3))
+    forest = disjoint_union(draw(st.permutations(parts)))
     assume(forest.n <= 20)
-    perm = data.draw(st.permutations(range(forest.n)))
-    forest = relabel(forest, perm)
+    return relabel(forest, draw(st.permutations(range(forest.n))))
+
+
+@given(forests())
+@settings(max_examples=80, deadline=None)
+def test_shared_shape_dp_matches_bruteforce(forest):
     assert indpoly_tree(forest) == indpoly_bruteforce(forest)
+
+
+def assert_shape_table_consistent():
+    ids, pairs = intpoly._SHAPE_IDS, intpoly._SHAPE_PAIRS
+    assert sorted(ids.values()) == list(range(len(ids)))
+    assert len(ids) <= len(pairs)
+
+
+FAMILY_CELLS = st.builds(
+    lambda family, m, n: family(m, n),
+    st.sampled_from([t3mn, t3mn_star]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
+@given(st.lists(st.one_of(forests(), FAMILY_CELLS), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_shape_table_shared_across_calls_is_exact(graphs):
+    # the table stays warm from call to call (and from earlier tests); every
+    # result must equal the oracle (all graphs drawn have at most 24
+    # vertices) and a computation on an emptied table
+    warm = [indpoly_tree(g) for g in graphs]
+    assert_shape_table_consistent()
+    for g, p in zip(graphs, warm):
+        assert p == indpoly_bruteforce(g)
+        clear_shape_table()
+        assert indpoly_tree(g) == p
+
+
+@pytest.mark.parametrize("family", [t3mn, t3mn_star])
+def test_mirrored_cell_adds_no_shape(family):
+    clear_shape_table()
+    for m, n in [(0, 3), (2, 5), (7, 4), (1, 12)]:
+        before = len(intpoly._SHAPE_PAIRS)
+        p = indpoly_tree(family(m, n))
+        size = len(intpoly._SHAPE_PAIRS)
+        assert size > before  # a new root shape at least
+        assert indpoly_tree(family(n, m)) == p
+        assert len(intpoly._SHAPE_PAIRS) == size
+
+
+@pytest.mark.parametrize("op", ["__mul__", "__add__"])
+def test_dp_raising_mid_run_leaves_a_usable_table(monkeypatch, op):
+    # make IntPoly's op raise at each call of one cold DP run in turn
+    victim = t3mn_star(3, 2)
+    later = [t3mn(2, 3), t3mn_star(1, 2), binary_tree(3), spider12(3, 2), victim]
+    real = getattr(IntPoly, op)
+    calls = 0
+
+    def failing(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise RuntimeError("arithmetic failed")
+        return real(a, b)
+
+    budget = math.inf
+    clear_shape_table()
+    monkeypatch.setattr(IntPoly, op, failing)
+    indpoly_tree(victim)
+    total = calls
+    assert total > 0
+    for budget in range(total):
+        clear_shape_table()
+        calls = 0
+        monkeypatch.setattr(IntPoly, op, failing)
+        with pytest.raises(RuntimeError, match="arithmetic failed"):
+            indpoly_tree(victim)
+        monkeypatch.setattr(IntPoly, op, real)
+        assert_shape_table_consistent()
+        for g in later:
+            assert indpoly_tree(g) == indpoly_bruteforce(g)
 
 
 def test_shared_shape_dp_on_wide_spiders():
