@@ -15,11 +15,11 @@ import math
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .alphamaps import EnumerationGuardError, spider_suite
-from .graphs import spider2, spider12
-from .intpoly import GuardLimitError, analyze, family_graph, indpoly_tree, scan_row
+from .graphs import family_layout, spider2, spider12
+from .intpoly import GuardLimitError, IntPoly, analyze, family_poly, indpoly_tree, scan_row
 from .proofcheck import verify_base, verify_star
 from .reports import all_ok
 
@@ -37,6 +37,13 @@ ASSERT_CHOICES = ("unimodal", "log-concave", "non-log-concave")
 # per cell.  A 100x100 grid fits.
 MAX_SCAN_CELLS = 10_000
 
+# The most vertices of one family tree that poly, plotdata and scan take, so
+# that a huge cell is a usage error instead of an unbounded polynomial power.
+# The largest cells it admits, t3mn(1245,1245) and t3mn_star(1244,1244),
+# take about 12 s and 30 MB each on a 2-CPU Xeon host; one of 8,012 vertices
+# takes about a minute.  A 100x100 grid's largest tree has 412.
+MAX_FAMILY_VERTICES = 5_000
+
 
 def _parse_range(text: str) -> range:
     """Accept "4" or "1..10" (inclusive)."""
@@ -46,6 +53,16 @@ def _parse_range(text: str) -> range:
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
+
+
+def _check_family_size(family: str, m: int, n: int) -> None:
+    """Usage error when the family tree at (m, n) has more than
+    MAX_FAMILY_VERTICES vertices, decided from m and n alone."""
+    size = family_layout(m, n, star=(family == "t3mn_star")).size
+    if size > MAX_FAMILY_VERTICES:
+        raise SystemExit2(
+            f"{family}({m},{n}) has {size} vertices, more than the limit of {MAX_FAMILY_VERTICES}"
+        )
 
 
 def _check_scan_size(*ranges: range) -> None:
@@ -106,7 +123,9 @@ def _check_output_path(path: Optional[str]) -> None:
 _POLY_FLAGS = {"spider2": ("n",), "spider12": ("k", "r")}
 
 
-def _poly_for(args) -> tuple[str, Optional[int], Optional[int], "object"]:
+def _poly_for(args) -> tuple[str, Optional[int], Optional[int], Callable[[], IntPoly]]:
+    """The family name and size columns of a poly or plotdata row, and the
+    computation of its polynomial, for after the output path is checked."""
     family = args.family
     takes = _POLY_FLAGS.get(family, ("m", "n"))
     flags = " and ".join("-" + f for f in takes)
@@ -116,11 +135,14 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], "object"]:
     if any(getattr(args, f) is None for f in takes):
         raise SystemExit2(f"{family} needs {flags}")
     if family == "spider2":
-        return "spider2", None, args.n, spider2(args.n)
+        g = spider2(args.n)
+        return "spider2", None, args.n, lambda: indpoly_tree(g)
     if family == "spider12":
-        return "spider12", args.k, args.r, spider12(args.k, args.r)
+        g = spider12(args.k, args.r)
+        return "spider12", args.k, args.r, lambda: indpoly_tree(g)
     fam = FAMILY_ALIASES[family]
-    return fam, args.m, args.n, family_graph(fam, args.m, args.n)
+    _check_family_size(fam, args.m, args.n)
+    return fam, args.m, args.n, lambda: family_poly(fam, args.m, args.n)
 
 
 class SystemExit2(SystemExit):
@@ -130,9 +152,9 @@ class SystemExit2(SystemExit):
 
 
 def cmd_poly(args) -> int:
-    fam, m, n, g = _poly_for(args)
+    fam, m, n, compute = _poly_for(args)
     _check_output_path(args.output)
-    poly = indpoly_tree(g)
+    poly = compute()
     report = analyze(poly)
     row = {
         "family": fam,
@@ -203,6 +225,9 @@ def cmd_scan(args) -> int:
         else [FAMILY_ALIASES[args.family]]
     )
     cells = _scan_cells(args)
+    top_m, top_n = max(m for m, _ in cells), max(n for _, n in cells)
+    for fam in families:
+        _check_family_size(fam, top_m, top_n)
     work = [(fam, m, n) for fam in families for m, n in cells]
     if args.jobs < 0:
         raise SystemExit2("--jobs must be 0 or more")
@@ -306,9 +331,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    fam, m, n, g = _poly_for(args)
+    fam, m, n, compute = _poly_for(args)
     _check_output_path(args.output)
-    poly = indpoly_tree(g)
+    poly = compute()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "coefficient", "defect"])

@@ -11,7 +11,7 @@ from itertools import groupby
 from typing import Iterable
 
 from .graphs import NotAForestError  # noqa: F401  (re-exported: raised by indpoly_tree)
-from .graphs import Graph, rooted_forest, t3mn, t3mn_star
+from .graphs import Graph, family_layout, rooted_forest, t3mn, t3mn_star
 
 BRUTE_FORCE_LIMIT = 30
 
@@ -133,47 +133,55 @@ def indpoly_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> IntPoly:
     return IntPoly(counts)
 
 
-# The shape intern table of indpoly_tree, kept for the process.  A shape id
-# names one isomorphism class of rooted subtree, the same in every graph, so
-# a pair computed for one tree holds for every later one.  The table grows by
-# one pair per distinct shape seen; an id is recorded only after its pair, so
-# an exception mid-DP never leaves an id without a pair.
+# The shape intern table of _shape_id, kept for the process and shared by
+# indpoly_tree and family_poly.  A shape id names one isomorphism class of
+# rooted subtree, the same in every graph, so a pair computed for one tree
+# holds for every later one.  The table grows by one pair per distinct shape
+# seen; an id is recorded only after its pair, so an exception mid-DP never
+# leaves an id without a pair.
 _SHAPE_IDS: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
 _SHAPE_PAIRS: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
+
+
+def _shape_id(key: tuple[int, ...]) -> int:
+    """The id of the rooted shape whose children have the sorted shape ids
+    key, interned with its (excl, excl + incl) pair on first sight.
+
+    excl counts the sets avoiding the root, incl those containing it; a run
+    of k children of one shape enters as a k-th power.
+    """
+    sid = _SHAPE_IDS.get(key)
+    if sid is None:
+        pairs = _SHAPE_PAIRS
+        excl = incl = ONE
+        for child, run in groupby(key):
+            k = sum(1 for _ in run)
+            e, total = pairs[child]
+            excl = excl * total**k
+            incl = incl * e**k
+        sid = len(pairs)
+        pairs.append((excl, excl + incl.shifted(1)))
+        _SHAPE_IDS[key] = sid
+    return sid
 
 
 def indpoly_tree(g: Graph) -> IntPoly:
     """Independence polynomial of a forest by rooted dynamic programming,
     done once per shape of rooted subtree.
 
-    Every vertex carries the pair (sets avoiding it, sets containing it).  A
-    vertex's shape is the sorted tuple of its children's shape ids, interned
-    in the process-wide table above, so isomorphic rooted subtrees share one
-    pair within a call and across calls.  A run of k children of one shape
-    enters as a k-th power.
+    A vertex's shape is the sorted tuple of its children's shape ids,
+    interned by _shape_id in the process-wide table above, so isomorphic
+    rooted subtrees share one pair within a call and across calls.
     """
     order, parent = rooted_forest(g)
     adj = g.adj
     shape = [0] * g.n
-    ids, pairs = _SHAPE_IDS, _SHAPE_PAIRS
     result = ONE
     for u in reversed(order):
         pu = parent[u]
-        key = tuple(sorted([shape[w] for w in adj[u] if w != pu]))
-        sid = ids.get(key)
-        if sid is None:
-            excl = incl = ONE
-            for child, run in groupby(key):
-                k = sum(1 for _ in run)
-                e, total = pairs[child]
-                excl = excl * total**k
-                incl = incl * e**k
-            sid = len(pairs)
-            pairs.append((excl, excl + incl.shifted(1)))
-            ids[key] = sid
-        shape[u] = sid
+        sid = shape[u] = _shape_id(tuple(sorted([shape[w] for w in adj[u] if w != pu])))
         if pu == -1:
-            result = result * pairs[sid][1]
+            result = result * _SHAPE_PAIRS[sid][1]
     return result
 
 
@@ -244,6 +252,31 @@ def family_graph(family: str, m: int, n: int) -> Graph:
     return builder(m, n)
 
 
+def family_poly(family: str, m: int, n: int) -> IntPoly:
+    """indpoly_tree(family_graph(family, m, n)), read from the family
+    layout's rooted shapes instead of a built graph.
+
+    Rooted at v0, the tree is the root over three branches, each branch a
+    spider over its legs, each leg a path of two rooted at its head; in the
+    star the leg (1,3) is the path head, foot, x, y.  Those are the keys
+    indpoly_tree interns for the same tree, so both share the shape ids.
+    """
+    if family not in FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {family!r}")
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be nonnegative")
+    lay = family_layout(m, n, star=(family == "t3mn_star"))
+    point = _shape_id(())
+    leg = _shape_id((point,))
+    branches = []
+    for i in (1, 2, 3):
+        legs = [leg] * lay.leg_count(i)
+        if i == 1 and lay.star:
+            legs[2] = _shape_id((_shape_id((leg,)),))
+        branches.append(_shape_id(tuple(sorted(legs))))
+    return _SHAPE_PAIRS[_shape_id(tuple(sorted(branches)))][1]
+
+
 @dataclass(frozen=True)
 class ScanRow:
     family: str
@@ -266,6 +299,6 @@ class ScanRow:
 
 
 def scan_row(family: str, m: int, n: int) -> ScanRow:
-    poly = indpoly_tree(family_graph(family, m, n))
+    poly = family_poly(family, m, n)
     return ScanRow(family, m, n, poly, analyze(poly))
 

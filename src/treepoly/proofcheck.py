@@ -32,6 +32,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .alphamaps import (
+    EnumerationGuardError,
     SpiderClass,
     Weights,
     admissible_maps,
@@ -41,7 +42,7 @@ from .alphamaps import (
     spider_view,
 )
 from .graphs import Graph, connected_components, family_layout, induced_subgraph, path_graph, spider2
-from .intpoly import analyze, family_graph, indpoly_tree
+from .intpoly import analyze, family_graph, family_poly
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
@@ -54,6 +55,12 @@ from .shadow import (
 from .symfunc import chromatic_multicolor_2var, f_p_2var, schur_expand
 
 PATTERN_GUARD = 300_000
+
+# The most negative maps a verify battery realizes.  The battery keeps every
+# negative map and its partner, about 630 B each, so star (3,3) at 3,178,818
+# negatives peaks near 2.1 GB; base (4,4), at 33,044,455, would need some
+# 20 GB and is refused from the exact count before any enumeration.
+MAX_NEGATIVES = 4_000_000
 
 
 class PartnerError(RuntimeError):
@@ -94,6 +101,21 @@ class FamilyContext:
             _EngineSlice(self.graph, tuple(v + 1 for v in comp))
             for comp in connected_components(below)
         ]
+
+    @cached_property
+    def signature_counts(self) -> dict[Signature, int]:
+        """Number of admissible maps per shadow signature, counted once and
+        shared by the negative-map guard and the coverage audit."""
+        return _count_by_signature(self.engine_slices)
+
+    @cached_property
+    def negative_count(self) -> int:
+        """Number of admissible maps with negative shadow, from the counts."""
+        return sum(
+            c
+            for sig, c in self.signature_counts.items()
+            if min_coefficient(expansion_from_signature(sig)) < 0
+        )
 
     @cached_property
     def core_steps(self) -> dict[bytes, CoreStep | str]:
@@ -1081,14 +1103,10 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     ForestShadow, and exactly that many."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-coverage", ctx.m, ctx.n)
-    counts = _count_by_signature(ctx.engine_slices)
-    rep.cases = sum(counts.values())
+    rep.cases = sum(ctx.signature_counts.values())
     admissible = count_admissible(ctx.graph)
     if rep.cases != admissible:
         rep.record(None, f"buckets count {rep.cases} admissible maps, count_admissible {admissible}")
-    negative = sum(
-        c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0
-    )
     seen: set[Weights] = set()
     for w in negatives:
         if w in seen:
@@ -1096,8 +1114,8 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
         elif min_coefficient(ctx.shadow.any_expansion(w)) >= 0:
             rep.record(w, "enumerated map is not negative")
         seen.add(w)
-    if len(seen) != negative:
-        rep.record(None, f"enumerated {len(seen)} negative maps, counted {negative}")
+    if len(seen) != ctx.negative_count:
+        rep.record(None, f"enumerated {len(seen)} negative maps, counted {ctx.negative_count}")
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -1171,9 +1189,20 @@ def _pairing_reports(
     return reports, negatives
 
 
+def _check_negative_count(ctx: FamilyContext) -> None:
+    """Refuse a battery whose negative maps exceed MAX_NEGATIVES, from the
+    exact count, before any map is enumerated."""
+    if ctx.negative_count > MAX_NEGATIVES:
+        raise EnumerationGuardError(
+            f"{ctx.family}({ctx.m},{ctx.n}) has {ctx.negative_count:,} negative maps,"
+            f" more than the limit of {MAX_NEGATIVES:,}"
+        )
+
+
 def verify_base(m: int, n: int) -> list[CheckReport]:
     """Run the full pairing-certificate battery for the base family at (m, n)."""
     ctx = FamilyContext("t3mn", m, n)
+    _check_negative_count(ctx)
 
     def target(beta: Weights, cls: int) -> Optional[str]:
         if POSITIVE_CLASS_PREDICATES[cls - 1](analyze_map(ctx, beta)):
@@ -1197,7 +1226,7 @@ def _diagonal_report(ctx: FamilyContext) -> CheckReport:
     nonnegative strictly below the top index."""
     t0 = time.perf_counter()
     rep = CheckReport("y-diagonal-nonnegative", ctx.m, ctx.n)
-    poly = indpoly_tree(ctx.graph)
+    poly = family_poly(ctx.family, ctx.m, ctx.n)
     exp = schur_expand(f_p_2var(poly))
     for k in range(1, ctx.m + ctx.n + 5):
         rep.cases += 1
@@ -1302,6 +1331,7 @@ def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport
     expected to be violation free.
     """
     ctx = FamilyContext("t3mn_star", m, n)
+    _check_negative_count(ctx)
     core_ctx = FamilyContext("t3mn", m, n)
     lay = ctx.layout
 
@@ -1439,8 +1469,7 @@ class ChainSummary:
 
 
 def verify_chain(m: int, n: int, family: str = "t3mn") -> ChainSummary:
-    g = family_graph(family, m, n)
-    poly = indpoly_tree(g)
+    poly = family_poly(family, m, n)
     report = analyze(poly)
     exp = schur_expand(f_p_2var(poly))
     prefix_lc = all(exp.diagonal(k) >= 0 for k in range(1, poly.degree - 1))

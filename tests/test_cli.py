@@ -359,7 +359,7 @@ def test_unwritable_output_fails_before_the_polynomials(capsys, monkeypatch, tmp
     def no_run(*args, **kwargs):
         raise AssertionError("polynomials computed before the output path was checked")
 
-    for name in ("scan_row", "indpoly_tree"):
+    for name in ("scan_row", "indpoly_tree", "family_poly"):
         monkeypatch.setattr(cli, name, no_run)
     path = str(tmp_path / "missing" / "s.json")
     code, out, err = run_cli(capsys, *argv, "-o", path)
@@ -510,6 +510,8 @@ def test_oversized_scan_is_usage_error(capsys, monkeypatch, argv):
 def test_scan_size_limit_admits_its_own_size(capsys, monkeypatch):
     row = cli.scan_row("t3mn", 1, 1)
     cells = []
+    # 10,000 diagonal cells reach m = n = 10,000, past the vertex limit
+    monkeypatch.setattr(cli, "MAX_FAMILY_VERTICES", 40_012)
     monkeypatch.setattr(cli, "scan_row", lambda family, m, n: cells.append((m, n)) or row)
     code, _, err = run_cli(capsys, "scan", "--family", "t3mn", "-m", "1..100", "-n", "1..100")
     assert code == 0, err
@@ -527,3 +529,77 @@ def test_scan_bytes_are_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "3a8158c58c91dddfdc6999ce6b35c4d0a079fb474c89480fb0918d27450e6990"
+
+
+def no_polynomial(monkeypatch):
+    """Make every way to a family polynomial fail if it is reached."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("polynomial computed despite an oversized cell")
+
+    for name in ("scan_row", "family_poly", "indpoly_tree"):
+        monkeypatch.setattr(cli, name, no_run)
+    for name in ("family_poly", "family_graph", "indpoly_tree"):
+        monkeypatch.setattr(intpoly, name, no_run)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("poly", "--family", "t3mn", "-m", "1000000000000", "-n", "1"),
+         "t3mn(1000000000000,1) has 2000000000012 vertices"),
+        (("plotdata", "--family", "t3mn-star", "-m", "0", "-n", "2495"),
+         "t3mn_star(0,2495) has 5002 vertices"),
+        (("scan", "--family", "t3mn", "-m", "1000000000000", "-n", "1"),
+         "t3mn(1000000000000,1) has 2000000000012 vertices"),
+        (("scan", "--family", "both", "-m", "1..3", "-n", "2490..2492"),
+         "t3mn_star(3,2492) has 5002 vertices"),
+        (("scan", "--family", "t3mn", "--diag", "k+1,k-1", "-k", "1..1248"),
+         "t3mn(1249,1247) has 5002 vertices"),
+    ],
+)
+def test_oversized_family_cell_is_usage_error(capsys, monkeypatch, argv, message):
+    no_polynomial(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, more than the limit of {cli.MAX_FAMILY_VERTICES}\n"
+
+
+def test_family_vertex_limit_admits_its_own_size(capsys, monkeypatch):
+    no_polynomial(monkeypatch)
+    cells = []
+    row = intpoly.ScanRow("t3mn", 1, 1, intpoly.ONE, intpoly.analyze(intpoly.ONE))
+
+    def record(family, m, n):
+        cells.append((family, m, n))
+        return row if family == "scan" else intpoly.ONE
+
+    monkeypatch.setattr(cli, "family_poly", record)
+    monkeypatch.setattr(cli, "scan_row", lambda family, m, n: record("scan", m, n))
+    for argv in (
+        ("poly", "--family", "t3mn", "-m", "2495", "-n", "0"),
+        ("plotdata", "--family", "t3mn_star", "-m", "1247", "-n", "1247"),
+        ("scan", "--family", "both", "-m", "1..100", "-n", "1..100", "--format", "json"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert cells[:2] == [("t3mn", 2495, 0), ("t3mn_star", 1247, 1247)]
+    assert len(cells) == 2 + 2 * 100 * 100
+
+
+def test_verify_refuses_too_many_negatives_before_enumerating(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("negative maps enumerated despite the guard")
+
+    monkeypatch.setattr(proofcheck, "negative_members", no_run)
+    code, out, err = run_cli(capsys, "verify", "--suite", "section4", "-m", "4", "-n", "4")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: t3mn(4,4) has 33,044,455 negative maps, "
+        f"more than the limit of {proofcheck.MAX_NEGATIVES:,}\n"
+    )
+    # section5 counts the star's own negatives, not its core's 2,897
+    monkeypatch.setattr(proofcheck, "MAX_NEGATIVES", 12_810)
+    code, out, err = run_cli(capsys, "verify", "--suite", "section5", "-m", "1", "-n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: t3mn_star(1,2) has 12,811 negative maps, ")

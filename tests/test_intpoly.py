@@ -24,6 +24,8 @@ from treepoly.intpoly import (
     IntPoly,
     NotAForestError,
     analyze,
+    family_graph,
+    family_poly,
     indpoly_bruteforce,
     indpoly_tree,
     scan_row,
@@ -146,6 +148,41 @@ def test_mirrored_cell_adds_no_shape(family):
         assert size > before  # a new root shape at least
         assert indpoly_tree(family(n, m)) == p
         assert len(intpoly._SHAPE_PAIRS) == size
+
+
+@pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
+def test_family_poly_matches_the_graph_dp(family):
+    for m in range(13):
+        for n in range(13):
+            clear_shape_table()
+            assert family_poly(family, m, n) == indpoly_tree(family_graph(family, m, n))
+
+
+@pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
+def test_family_poly_interns_the_graph_dp_shapes(family):
+    # both paths intern the same keys, so either one finds every shape the
+    # other added
+    clear_shape_table()
+    for m, n in [(0, 0), (3, 1), (2, 5), (12, 7)]:
+        p = family_poly(family, m, n)
+        size = len(intpoly._SHAPE_PAIRS)
+        assert indpoly_tree(family_graph(family, m, n)) == p
+        assert len(intpoly._SHAPE_PAIRS) == size
+        g = family_graph(family, n + 1, m)
+        q = indpoly_tree(g)
+        size = len(intpoly._SHAPE_PAIRS)
+        assert family_poly(family, n + 1, m) == q
+        assert len(intpoly._SHAPE_PAIRS) == size
+    assert_shape_table_consistent()
+
+
+@pytest.mark.parametrize("m,n", [(-1, 0), (2, -1), (-3, -3)])
+def test_family_poly_rejects_negative_counts(m, n):
+    for family in ("t3mn", "t3mn_star"):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            family_poly(family, m, n)
+    with pytest.raises(ValueError, match="unknown family"):
+        family_poly("t4mn", 1, 1)
 
 
 @pytest.mark.parametrize("op", ["__mul__", "__add__"])

@@ -196,6 +196,43 @@ def test_slice_patterns_are_built_once_per_context(monkeypatch):
         FamilyContext("t3mn", 1, 1).engine_slices
 
 
+def test_signatures_are_counted_once_per_context(monkeypatch):
+    calls = []
+    real = proofcheck._count_by_signature
+
+    def counting(slices):
+        calls.append(len(slices))
+        return real(slices)
+
+    monkeypatch.setattr(proofcheck, "_count_by_signature", counting)
+    verify_base(1, 1)
+    assert calls == [3]  # shared by the negative-map guard and the audit
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("verify,family,m,n", [(verify_base, "t3mn", 1, 1), (verify_star, "t3mn_star", 1, 2)])
+def test_negative_map_guard_binds_past_its_limit(monkeypatch, verify, family, m, n):
+    def reached(ctx):
+        raise Reached
+
+    monkeypatch.setattr(proofcheck, "negative_members", reached)
+    count = FamilyContext(family, m, n).negative_count
+    monkeypatch.setattr(proofcheck, "MAX_NEGATIVES", count)
+    with pytest.raises(Reached):
+        verify(m, n)
+    monkeypatch.setattr(proofcheck, "MAX_NEGATIVES", count - 1)
+    with pytest.raises(EnumerationGuardError, match=f"has {count:,} negative maps"):
+        verify(m, n)
+
+
+def test_negative_map_limit_admits_star_3_3():
+    assert FamilyContext("t3mn_star", 3, 3).negative_count == 3_178_818 <= proofcheck.MAX_NEGATIVES
+    assert FamilyContext("t3mn", 3, 4).negative_count == 4_692_665 > proofcheck.MAX_NEGATIVES
+
+
 @pytest.mark.parametrize("fault", ["drop", "not-negative", "duplicate"])
 def test_coverage_audit_catches_a_faulty_enumeration(monkeypatch, fault):
     real = proofcheck.negative_members
