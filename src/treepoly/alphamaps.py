@@ -110,15 +110,6 @@ class SpiderView:
     center: int
     legs: tuple[tuple[int, int], ...]
 
-    @property
-    def leg_count(self) -> int:
-        return len(self.legs)
-
-    def vertices(self) -> tuple[int, ...]:
-        return (self.center,) + tuple(h for h, _ in self.legs) + tuple(
-            f for _, f in self.legs
-        )
-
 
 def spider_view(n: int) -> SpiderView:
     """View matching the canonical order of spider2(n)."""
@@ -422,7 +413,10 @@ def check_leaf_spider_pairing(n: int) -> CheckReport:
     return rep
 
 
+# The forest checks' spiders have _FOREST_LEGS legs each; spider_suite runs
+# them on forests of 1 to _FOREST_COMPONENTS spiders.
 _FOREST_LEGS = 3
+_FOREST_COMPONENTS = 3
 
 
 def _bare_spider_forest(components: int) -> tuple[ForestShadow, list[SpiderView], Weights]:
@@ -517,7 +511,7 @@ def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3
     return rep
 
 
-def spider_suite(max_legs: int = 4, forest_components: int = 3) -> list[CheckReport]:
+def spider_suite(max_legs: int = 4) -> list[CheckReport]:
     """The complete spider check battery at the default desk-scale guards."""
     # check_negative_spider_pairing(max_legs) enumerates the largest spider's
     # admissible maps; apply its guard before the mark-case walks, which grow
@@ -536,7 +530,7 @@ def spider_suite(max_legs: int = 4, forest_components: int = 3) -> list[CheckRep
         reports.append(check_negative_spider_pairing(n))
     for n in range(2, max_legs):
         reports.append(check_leaf_spider_pairing(n))
-    for c in range(1, forest_components + 1):
+    for c in range(1, _FOREST_COMPONENTS + 1):
         reports.append(check_forest_pairing(c))
         reports.append(check_forest_multi_marking(c))
     reports.append(check_no_singleton_when_deficient())

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .alphamaps import EnumerationGuardError, spider_suite
 from .graphs import family_layout, spider2, spider12
-from .intpoly import GuardLimitError, IntPoly, analyze, family_poly, indpoly_tree, scan_row
+from .intpoly import GuardLimitError, IntPoly, ScanRow, analyze, family_poly, indpoly_tree, scan_row
 from .proofcheck import verify_base, verify_star
 from .reports import all_ok
 
@@ -37,11 +37,13 @@ ASSERT_CHOICES = ("unimodal", "log-concave", "non-log-concave")
 # per cell.  A 100x100 grid fits.
 MAX_SCAN_CELLS = 10_000
 
-# The most vertices of one family tree that poly, plotdata and scan take, so
-# that a huge cell is a usage error instead of an unbounded polynomial power.
-# The largest cells it admits, t3mn(1245,1245) and t3mn_star(1244,1244),
-# take about 12 s and 30 MB each on a 2-CPU Xeon host; one of 8,012 vertices
-# takes about a minute.  A 100x100 grid's largest tree has 412.
+# The most vertices of one family tree or spider that poly, plotdata and scan
+# take, so that a huge cell is a usage error instead of an unbounded
+# polynomial power or graph.  The largest cells it admits, t3mn(1245,1245)
+# and t3mn_star(1244,1244), take about 12 s and 30 MB each on a 2-CPU Xeon
+# host; one of 8,012 vertices takes about a minute.  Of the spiders,
+# spider2(2499) and spider12(1,2499) take about 6 s and spider12(4999,0)
+# about 22 s.  A 100x100 grid's largest tree has 412.
 MAX_FAMILY_VERTICES = 5_000
 
 
@@ -55,14 +57,17 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _check_family_size(family: str, m: int, n: int) -> None:
-    """Usage error when the family tree at (m, n) has more than
-    MAX_FAMILY_VERTICES vertices, decided from m and n alone."""
-    size = family_layout(m, n, star=(family == "t3mn_star")).size
+def _check_vertices(cell: str, size: int) -> None:
+    """Usage error when the graph named cell has more than
+    MAX_FAMILY_VERTICES vertices, decided from its size before it is built."""
     if size > MAX_FAMILY_VERTICES:
         raise SystemExit2(
-            f"{family}({m},{n}) has {size} vertices, more than the limit of {MAX_FAMILY_VERTICES}"
+            f"{cell} has {size} vertices, more than the limit of {MAX_FAMILY_VERTICES}"
         )
+
+
+def _check_family_size(family: str, m: int, n: int) -> None:
+    _check_vertices(f"{family}({m},{n})", family_layout(family, m, n).size)
 
 
 def _check_scan_size(*ranges: range) -> None:
@@ -135,9 +140,11 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], Callable[[], Int
     if any(getattr(args, f) is None for f in takes):
         raise SystemExit2(f"{family} needs {flags}")
     if family == "spider2":
+        _check_vertices(f"spider2({args.n})", 2 * args.n + 1)
         g = spider2(args.n)
         return "spider2", None, args.n, lambda: indpoly_tree(g)
     if family == "spider12":
+        _check_vertices(f"spider12({args.k},{args.r})", args.k + 2 * args.r + 1)
         g = spider12(args.k, args.r)
         return "spider12", args.k, args.r, lambda: indpoly_tree(g)
     fam = FAMILY_ALIASES[family]
@@ -156,16 +163,7 @@ def cmd_poly(args) -> int:
     _check_output_path(args.output)
     poly = compute()
     report = analyze(poly)
-    row = {
-        "family": fam,
-        "m": m,
-        "n": n,
-        "coeffs": [str(c) for c in poly.coeffs],
-        "unimodal": report.unimodal,
-        "log_concave": report.log_concave,
-        "breaks": list(report.breaks),
-        "tail_ok": report.tail_ok,
-    }
+    row = ScanRow(fam, m, n, poly, report).to_json_dict()
     if args.format == "json":
         _write_output(json.dumps(row, sort_keys=True), args.output)
     elif args.format == "csv":

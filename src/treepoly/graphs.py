@@ -97,19 +97,13 @@ def t3mn(m: int, n: int) -> Graph:
     Canonical order: v0; v1,v2,v3; heads of branch 1; feet of branch 1;
     heads of branch 2; feet of branch 2; heads of branch 3; feet of branch 3.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    lay = family_layout(m, n, star=False)
-    return Graph(lay.size, lay.edge_list(), lay.label_list())
+    return family_graph("t3mn", m, n)
 
 
 def t3mn_star(m: int, n: int) -> Graph:
     """t3mn(m, n) with the third leg of branch 1 extended by a path of two
     extra vertices x, y appended last in the order."""
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    lay = family_layout(m, n, star=True)
-    return Graph(lay.size, lay.edge_list(), lay.label_list())
+    return family_graph("t3mn_star", m, n)
 
 
 def spider2(n: int) -> Graph:
@@ -236,8 +230,20 @@ class FamilyLayout:
         return labels
 
 
-def family_layout(m: int, n: int, star: bool = False) -> FamilyLayout:
-    return FamilyLayout(m, n, star)
+def family_layout(family: str, m: int, n: int) -> FamilyLayout:
+    """The layout of a family member: the one place that turns a family name
+    (t3mn or t3mn_star) and (m, n) into a tree."""
+    if family not in ("t3mn", "t3mn_star"):
+        raise ValueError(f"unknown family {family!r}")
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be nonnegative")
+    return FamilyLayout(m, n, star=family == "t3mn_star")
+
+
+def family_graph(family: str, m: int, n: int) -> Graph:
+    """The tree of a family member, built from its layout."""
+    lay = family_layout(family, m, n)
+    return Graph(lay.size, lay.edge_list(), lay.label_list())
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .graphs import NotAForestError  # noqa: F401  (re-exported: raised by indpoly_tree)
-from .graphs import Graph, family_layout, rooted_forest, t3mn, t3mn_star
+from .graphs import family_graph  # noqa: F401  (re-exported: the tree of a family_poly cell)
+from .graphs import Graph, family_layout, rooted_forest
 
 BRUTE_FORCE_LIMIT = 30
-
-FAMILY_BUILDERS = {
-    "t3mn": t3mn,
-    "t3mn_star": t3mn_star,
-}
 
 
 class GuardLimitError(RuntimeError):
@@ -105,13 +101,13 @@ class IntPoly:
 ONE = IntPoly((1,))
 
 
-def indpoly_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> IntPoly:
+def indpoly_bruteforce(g: Graph) -> IntPoly:
     """Count independent sets of every size by pruned subset enumeration.
 
-    This is the oracle path; the guard keeps it at desk scale.
+    This is the oracle path; BRUTE_FORCE_LIMIT keeps it at desk scale.
     """
-    if g.n > limit:
-        raise GuardLimitError(f"brute force limited to {limit} vertices, got {g.n}")
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise GuardLimitError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
     nbr = [0] * g.n
     for v in range(g.n):
         mask = 0
@@ -244,14 +240,6 @@ def analyze(p: IntPoly) -> SequenceReport:
 # family scans
 
 
-def family_graph(family: str, m: int, n: int) -> Graph:
-    try:
-        builder = FAMILY_BUILDERS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-    return builder(m, n)
-
-
 def family_poly(family: str, m: int, n: int) -> IntPoly:
     """indpoly_tree(family_graph(family, m, n)), read from the family
     layout's rooted shapes instead of a built graph.
@@ -261,11 +249,7 @@ def family_poly(family: str, m: int, n: int) -> IntPoly:
     star the leg (1,3) is the path head, foot, x, y.  Those are the keys
     indpoly_tree interns for the same tree, so both share the shape ids.
     """
-    if family not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {family!r}")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    lay = family_layout(m, n, star=(family == "t3mn_star"))
+    lay = family_layout(family, m, n)
     point = _shape_id(())
     leg = _shape_id((point,))
     branches = []
@@ -280,7 +264,7 @@ def family_poly(family: str, m: int, n: int) -> IntPoly:
 @dataclass(frozen=True)
 class ScanRow:
     family: str
-    m: int
+    m: Optional[int]
     n: int
     poly: IntPoly
     report: SequenceReport

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -41,8 +41,8 @@ from .alphamaps import (
     mark_legs,
     spider_view,
 )
-from .graphs import Graph, connected_components, family_layout, induced_subgraph, path_graph, spider2
-from .intpoly import analyze, family_graph, family_poly
+from .graphs import Graph, family_graph, family_layout, path_graph, spider2
+from .intpoly import analyze, family_poly
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
@@ -76,12 +76,10 @@ class FamilyContext:
     """Everything needed to analyze weight maps on one family member."""
 
     def __init__(self, family: str, m: int, n: int):
-        if family not in ("t3mn", "t3mn_star"):
-            raise ValueError(f"unknown family {family!r}")
+        self.layout = family_layout(family, m, n)
         self.family = family
         self.m = m
         self.n = n
-        self.layout = family_layout(m, n, star=(family == "t3mn_star"))
         self.graph = family_graph(family, m, n)
         self.shadow = ForestShadow(self.graph)
         self.slice_vertices = tuple(self.layout.slice_vertices(i) for i in (1, 2, 3))
@@ -90,23 +88,19 @@ class FamilyContext:
         )
         self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
 
-    @cached_property
-    def engine_slices(self) -> list[_EngineSlice]:
-        """The three branch slices with their patterns, built once and shared
-        by negative_members and the coverage audit.  Without the root the
-        family graph falls into the slices, ordered by smallest vertex: the
-        branches 1, 2, 3."""
-        below = induced_subgraph(self.graph, range(1, self.graph.n))
-        return [
-            _EngineSlice(self.graph, tuple(v + 1 for v in comp))
-            for comp in connected_components(below)
-        ]
+    @property
+    def slice_patterns(self) -> tuple[tuple[_SlicePattern, ...], ...]:
+        """The patterns of the branches 1, 2, 3, read from the process-wide
+        table by slice shape: the branch's leg count, and for branch 1 of
+        the star the path x, y below its third foot."""
+        lay = self.layout
+        return tuple(_slice_patterns(lay.leg_count(i), lay.star and i == 1) for i in (1, 2, 3))
 
     @cached_property
     def signature_counts(self) -> dict[Signature, int]:
         """Number of admissible maps per shadow signature, counted once and
         shared by the negative-map guard and the coverage audit."""
-        return _count_by_signature(self.engine_slices)
+        return _count_by_signature(self.slice_patterns)
 
     @cached_property
     def negative_count(self) -> int:
@@ -894,15 +888,18 @@ POSITIVE_CLASS_PREDICATES = _positive_class_predicates()
 
 
 class _SlicePattern:
-    """One slice map and its bucket: patterns with equal key (tau, comps,
-    twos, cc0, cc1) join every partial signature alike (see _join)."""
+    """One slice map, its bucket and the spider class of its core vertices
+    (the slice without x, y): patterns with equal key (tau, comps, twos,
+    cc0, cc1) join every partial signature alike (see _join)."""
 
     __slots__ = (
-        "values", "tau", "comps", "twos", "cc0", "cc1", "key", "d", "solo_bad", "internal_bad",
+        "values", "record", "tau", "comps", "twos", "cc0", "cc1", "key", "d", "solo_bad",
+        "internal_bad",
     )
 
-    def __init__(self, values, tau, comps, twos, cc0, cc1):
+    def __init__(self, values, record, tau, comps, twos, cc0, cc1):
         self.values = values
+        self.record = record
         self.tau = tau
         self.comps = comps
         self.twos = twos
@@ -914,23 +911,26 @@ class _SlicePattern:
         self.internal_bad = any(p - q >= 2 for p, q in comps)
 
 
-class _EngineSlice:
-    """One branch slice below the root: its family vertices, ascending, and
-    the pattern of every admissible map of the slice subgraph, in
-    admissible_maps order."""
+@cache
+def _slice_patterns(legs: int, tail: bool) -> tuple[_SlicePattern, ...]:
+    """The pattern of every admissible map of one branch slice, in
+    admissible_maps order, built once per slice shape for the process and
+    shared by every context: spider2(legs), and with tail the path x, y
+    below its third foot, in that vertex order (branch 1 of the star)."""
+    g = spider2(legs)
+    if tail:
+        x = g.n
+        g = Graph(x + 2, [*g.edges(), (legs + 3, x), (x, x + 1)])
+    shadow = ForestShadow(g)
+    return tuple(
+        _pattern(shadow, values, 2 * legs + 1) for values in admissible_maps(g, PATTERN_GUARD)
+    )
 
-    __slots__ = ("verts", "patterns")
 
-    def __init__(self, g: Graph, verts: tuple[int, ...]):
-        self.verts = verts
-        sub = induced_subgraph(g, verts)
-        shadow = ForestShadow(sub)
-        self.patterns = [_pattern(shadow, values) for values in admissible_maps(sub, PATTERN_GUARD)]
-
-
-def _pattern(shadow: ForestShadow, values: Weights) -> _SlicePattern:
-    """The bucket data of one slice map.  The slice center is vertex 0, the
-    root of the slice graph's rooted order, so its component comes first."""
+def _pattern(shadow: ForestShadow, values: Weights, core: int) -> _SlicePattern:
+    """The bucket data of one slice map, and the spider class of its first
+    core values.  The slice center is vertex 0, the root of the slice
+    graph's rooted order, so its component comes first."""
     parts = shadow.components(values)
     cc0 = cc1 = 0
     if values[0] == 1:
@@ -938,7 +938,8 @@ def _pattern(shadow: ForestShadow, values: Weights) -> _SlicePattern:
         # family graph's colors: the slice graph colors its center 0, the
         # family graph colors it 1.
         cc1, cc0 = parts.pop(0)
-    return _SlicePattern(values, values[0], part_pairs(parts), values.count(2), cc0, cc1)
+    record = classify_spider(values[:core])
+    return _SlicePattern(values, record, values[0], part_pairs(parts), values.count(2), cc0, cc1)
 
 
 _TAU_ALLOWED = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
@@ -975,7 +976,7 @@ def _close(acc: tuple) -> Signature:
     return tuple(sorted(comps)), twos
 
 
-def _count_by_signature(slices: list[_EngineSlice]) -> dict[Signature, int]:
+def _count_by_signature(slices: Sequence[Sequence[_SlicePattern]]) -> dict[Signature, int]:
     """Number of admissible maps per shadow signature, folded over v0 and
     the slice-pattern buckets of every slice.  Every combination is counted,
     not only the unbalanced ones negative_members prunes to, so the count
@@ -983,9 +984,9 @@ def _count_by_signature(slices: list[_EngineSlice]) -> dict[Signature, int]:
     counts: dict[Signature, int] = {}
     for v0val in (0, 1, 2):
         states = {_ROOT_STATE[v0val]: 1}
-        for sl in slices:
+        for patterns in slices:
             buckets: dict[tuple, list] = {}
-            for p in sl.patterns:
+            for p in patterns:
                 if p.tau in _TAU_ALLOWED[v0val]:
                     buckets.setdefault(p.key, [p, 0])[1] += 1
             folded: dict[tuple, int] = {}
@@ -1007,23 +1008,19 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
 
     Exact for every (m, n) within the pattern guard: candidates require an
     unbalanced component, which must either sit inside one slice or on the
-    spine through the root.  The analysis is joined from the records of the
-    map's three slice patterns, each looked up once per pattern.
+    spine through the root.  The analysis is joined from the records the
+    map's three slice patterns carry.
     """
-    slices = ctx.engine_slices
-    size = ctx.graph.n
-    core_n = len(ctx.layout.core_vertices())
-    records: dict[_SlicePattern, SpiderClass] = {}
-    for sl, verts in zip(slices, ctx.slice_vertices):
-        # In the star, x and y join slice 1 after its core vertices; the
-        # record is taken on the core vertices alone.
-        k = len(verts)
-        assert sl.verts[:k] == verts and all(v >= core_n for v in sl.verts[k:])
-        for p in sl.patterns:
-            records[p] = classify_spider(p.values[:k])
-    # The family map from (v0, *p1.values, *p2.values, *p3.values).
-    spots = [0] * size
-    for pos, v in enumerate((0, *(v for sl in slices for v in sl.verts))):
+    slices = ctx.slice_patterns
+    lay = ctx.layout
+    core_n = len(lay.core_vertices())
+    # The family map from (v0, *p1.values, *p2.values, *p3.values); in the
+    # star, x and y follow slice 1's core vertices.
+    tail = (lay.x, lay.y) if lay.star else ()
+    s1, s2, s3 = ctx.slice_vertices
+    order = (lay.v0, *s1, *tail, *s2, *s3)
+    spots = [0] * len(order)
+    for pos, v in enumerate(order):
         spots[v] = pos
     place = itemgetter(*spots)
 
@@ -1039,7 +1036,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
         closing: dict[tuple, list[tuple[_SlicePattern, dict]]] = {}
         for p1 in pools[0]:
             acc1 = _join(v0val, root, p1)
-            r1 = records[p1]
+            r1 = p1.record
             for p2 in pools[1]:
                 comps, twos, c0, c1 = _join(v0val, acc1, p2)
                 acc2 = tuple(sorted(comps)), twos, c0, c1
@@ -1055,15 +1052,15 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
                     ]
                 if not members:
                     continue
-                r2 = records[p2]
+                r2 = p2.record
                 prefix = (v0val, *p1.values, *p2.values)
                 for p3, expansion in members:
                     w = place(prefix + p3.values)
-                    yield w, expansion, _join_analysis(w[:core_n], r1, r2, records[p3])
+                    yield w, expansion, _join_analysis(w[:core_n], r1, r2, p3.record)
 
     for v0val in (0, 1, 2):
         allowed = [
-            [p for p in sl.patterns if p.tau in _TAU_ALLOWED[v0val]] for sl in slices
+            [p for p in patterns if p.tau in _TAU_ALLOWED[v0val]] for patterns in slices
         ]
         # A root component is unbalanced on its own only when v0 is not 1;
         # with v0 at 1 it joins the spine, handled by the d grouping below.

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+# The most violations one report keeps as examples; every one is counted.
+VIOLATION_EXAMPLES = 50
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -40,10 +43,10 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, weights, reason: str, cap: int = 50) -> None:
-        """Count every violation; keep the first cap as examples."""
+    def record(self, weights, reason: str) -> None:
+        """Count every violation; keep the first VIOLATION_EXAMPLES as examples."""
         self.violation_count += 1
-        if len(self.violations) < cap:
+        if len(self.violations) < VIOLATION_EXAMPLES:
             self.violations.append(
                 Violation(tuple(weights) if weights is not None else None, reason)
             )

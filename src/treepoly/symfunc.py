@@ -229,10 +229,14 @@ def chromatic_2var(g: Graph) -> SymPoly2:
     return _coloring_shadow(g.adj)
 
 
-def chromatic_2var_bruteforce(g: Graph, limit: int = 16) -> SymPoly2:
+# The most vertices chromatic_2var_bruteforce enumerates the colorings of.
+COLORING_LIMIT = 16
+
+
+def chromatic_2var_bruteforce(g: Graph) -> SymPoly2:
     """Direct enumeration over all 2-colorings; cross-check oracle only."""
-    if g.n > limit:
-        raise ValueError(f"coloring enumeration limited to {limit} vertices")
+    if g.n > COLORING_LIMIT:
+        raise ValueError(f"coloring enumeration limited to {COLORING_LIMIT} vertices")
     edges = g.edges()
     out: dict[tuple[int, int], int] = {}
     for mask in range(1 << g.n):

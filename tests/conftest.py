@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treepoly import intpoly
+from treepoly import intpoly, proofcheck
 from treepoly.graphs import Graph, disjoint_union
 
 
@@ -56,6 +56,12 @@ def clear_shape_table() -> None:
     the next call computes every shape afresh."""
     intpoly._SHAPE_IDS.clear()
     intpoly._SHAPE_PAIRS.clear()
+
+
+def clear_slice_patterns() -> None:
+    """Empty proofcheck's process-wide slice-pattern table, so the next
+    context walks the admissible maps of every slice shape afresh."""
+    proofcheck._slice_patterns.cache_clear()
 
 
 @pytest.fixture

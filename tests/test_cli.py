@@ -14,7 +14,7 @@ import treepoly
 from treepoly import cli, intpoly, proofcheck
 from treepoly.cli import main
 
-from conftest import clear_shape_table
+from conftest import clear_shape_table, clear_slice_patterns
 
 
 def run_cli(capsys, *argv):
@@ -446,6 +446,7 @@ def test_scan_parallel_matches_serial(capsys):
 
 
 def test_verify_guard_overrun_is_usage_error(capsys, monkeypatch):
+    clear_slice_patterns()  # a warm table would skip the lowered guard
     monkeypatch.setattr(proofcheck, "PATTERN_GUARD", 10)
     code, out, err = run_cli(
         capsys, "verify", "--suite", "section4", "-m", "1", "-n", "1"
@@ -532,12 +533,13 @@ def test_scan_bytes_are_pinned(capsys):
 
 
 def no_polynomial(monkeypatch):
-    """Make every way to a family polynomial fail if it is reached."""
+    """Make every way to a family polynomial, and every spider builder,
+    fail if it is reached."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("polynomial computed despite an oversized cell")
 
-    for name in ("scan_row", "family_poly", "indpoly_tree"):
+    for name in ("scan_row", "family_poly", "indpoly_tree", "spider2", "spider12"):
         monkeypatch.setattr(cli, name, no_run)
     for name in ("family_poly", "family_graph", "indpoly_tree"):
         monkeypatch.setattr(intpoly, name, no_run)
@@ -556,6 +558,12 @@ def no_polynomial(monkeypatch):
          "t3mn_star(3,2492) has 5002 vertices"),
         (("scan", "--family", "t3mn", "--diag", "k+1,k-1", "-k", "1..1248"),
          "t3mn(1249,1247) has 5002 vertices"),
+        (("poly", "--family", "spider2", "-n", "100000000"), "spider2(100000000) has 200000001 vertices"),
+        (("plotdata", "--family", "spider12", "-k", "100000000", "-r", "1"),
+         "spider12(100000000,1) has 100000003 vertices"),
+        (("plotdata", "--family", "spider2", "-n", "2500"), "spider2(2500) has 5001 vertices"),
+        (("poly", "--family", "spider12", "-k", "2", "-r", "2499"), "spider12(2,2499) has 5001 vertices"),
+        (("poly", "--family", "spider12", "-k", "5000", "-r", "0"), "spider12(5000,0) has 5001 vertices"),
     ],
 )
 def test_oversized_family_cell_is_usage_error(capsys, monkeypatch, argv, message):
@@ -576,15 +584,24 @@ def test_family_vertex_limit_admits_its_own_size(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "family_poly", record)
     monkeypatch.setattr(cli, "scan_row", lambda family, m, n: record("scan", m, n))
+    monkeypatch.setattr(cli, "spider2", lambda n: record("spider2", None, n))
+    monkeypatch.setattr(cli, "spider12", lambda k, r: record("spider12", k, r))
+    monkeypatch.setattr(cli, "indpoly_tree", lambda g: g)
     for argv in (
         ("poly", "--family", "t3mn", "-m", "2495", "-n", "0"),
         ("plotdata", "--family", "t3mn_star", "-m", "1247", "-n", "1247"),
+        ("poly", "--family", "spider2", "-n", "2499"),
+        ("plotdata", "--family", "spider12", "-k", "1", "-r", "2499"),
+        ("poly", "--family", "spider12", "-k", "4999", "-r", "0"),
         ("scan", "--family", "both", "-m", "1..100", "-n", "1..100", "--format", "json"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-    assert cells[:2] == [("t3mn", 2495, 0), ("t3mn_star", 1247, 1247)]
-    assert len(cells) == 2 + 2 * 100 * 100
+    assert cells[:5] == [
+        ("t3mn", 2495, 0), ("t3mn_star", 1247, 1247),
+        ("spider2", None, 2499), ("spider12", 1, 2499), ("spider12", 4999, 0),
+    ]
+    assert len(cells) == 5 + 2 * 100 * 100
 
 
 def test_verify_refuses_too_many_negatives_before_enumerating(capsys, monkeypatch):

@@ -58,7 +58,7 @@ def test_t3mn_counts():
     # the leaves are exactly the m+n+3 feet once m, n >= 1
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     assert len(leaves) == 6
-    lay = family_layout(1, 2)
+    lay = family_layout("t3mn", 1, 2)
     assert sorted(leaves) == sorted(
         lay.foot(i, j) for i in (1, 2, 3) for j in range(1, lay.leg_count(i) + 1)
     )
@@ -68,18 +68,18 @@ def test_t3mn_star_counts():
     assert t3mn_star(3, 4).n == 26
     assert t3mn_star(0, 0).n == 12
     g = t3mn_star(2, 2)
-    lay = family_layout(2, 2, star=True)
+    lay = family_layout("t3mn_star", 2, 2)
     assert g.degree(lay.foot(1, 3)) == 2
     assert g.labels[lay.x] == "x" and g.labels[lay.y] == "y"
     core = induced_subgraph(g, lay.core_vertices())
     assert core == t3mn(2, 2)
 
 
-def walked_family_graph(m: int, n: int, star: bool) -> Graph:
+def walked_family_graph(family: str, m: int, n: int) -> Graph:
     """The family graph built edge by edge and label by label from the
     layout's head/foot indices: the oracle for the range arithmetic of
     t3mn and t3mn_star."""
-    lay = family_layout(m, n, star=star)
+    lay = family_layout(family, m, n)
     labels = [""] * lay.size
     labels[:4] = ["v0", "v1", "v2", "v3"]
     edges = []
@@ -89,24 +89,34 @@ def walked_family_graph(m: int, n: int, star: bool) -> Graph:
             head, foot = lay.head(i, j), lay.foot(i, j)
             edges += [(lay.branch(i), head), (head, foot)]
             labels[head], labels[foot] = f"v{i}{j}", f"v{i}{j}'"
-    if star:
+    if lay.star:
         edges += [(lay.foot(1, 3), lay.x), (lay.x, lay.y)]
         labels[lay.x], labels[lay.y] = "x", "y"
     return Graph(lay.size, edges, labels)
 
 
+@pytest.mark.parametrize("m,n", [(-1, 0), (2, -1), (-3, -3)])
+def test_family_layout_rejects_bad_cells(m, n):
+    for family in ("t3mn", "t3mn_star"):
+        with pytest.raises(ValueError, match="^m and n must be nonnegative$"):
+            family_layout(family, m, n)
+    with pytest.raises(ValueError, match="^unknown family 't4mn'$"):
+        family_layout("t4mn", 1, 1)
+    assert family_layout("t3mn_star", 0, 0).star and not family_layout("t3mn", 0, 0).star
+
+
 def test_family_graphs_match_the_head_foot_walk():
     for m in range(7):
         for n in range(7):
-            assert t3mn(m, n) == walked_family_graph(m, n, star=False)
-            assert t3mn_star(m, n) == walked_family_graph(m, n, star=True)
+            assert t3mn(m, n) == walked_family_graph("t3mn", m, n)
+            assert t3mn_star(m, n) == walked_family_graph("t3mn_star", m, n)
 
 
 def test_every_foot_is_a_pendant_of_its_head():
     for m in range(0, 9):
         for n in range(0, 9):
             g = t3mn(m, n)
-            lay = family_layout(m, n)
+            lay = family_layout("t3mn", m, n)
             assert is_forest(g) and len(connected_components(g)) == 1
             assert g.edge_count == g.n - 1
             for i in (1, 2, 3):
@@ -180,7 +190,7 @@ def test_components_and_subgraph():
     assert connected_components(Graph(0, [])) == []
     assert len(connected_components(t3mn(2, 2))) == 1
     g = t3mn_star(1, 1)
-    lay = family_layout(1, 1, star=True)
+    lay = family_layout("t3mn_star", 1, 1)
     core = induced_subgraph(g, lay.core_vertices())
     assert core == t3mn(1, 1)
     assert induced_subgraph(g, range(g.n)) == g

@@ -13,7 +13,7 @@ from treepoly.alphamaps import (
     classify_spider,
     count_admissible,
 )
-from treepoly.graphs import family_layout
+from treepoly.graphs import connected_components, family_layout, induced_subgraph
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
     FamilyContext,
@@ -34,8 +34,10 @@ from treepoly.proofcheck import (
     verify_star,
 )
 from treepoly.reports import all_ok
-from treepoly.shadow import expansion_from_signature, is_admissible, min_coefficient
+from treepoly.shadow import ForestShadow, expansion_from_signature, is_admissible, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, sym_one
+
+from conftest import clear_slice_patterns
 
 
 def brute_negatives(ctx):
@@ -53,7 +55,7 @@ def test_negative_enumeration_matches_bruteforce(family, m, n):
     brute = brute_negatives(ctx)
     assert engine == brute
     # the coverage audit's bucket count, against the exhaustive sweep
-    counts = proofcheck._count_by_signature(ctx.engine_slices)
+    counts = proofcheck._count_by_signature(ctx.slice_patterns)
     assert sum(counts.values()) == count_admissible(ctx.graph)
     negative = sum(c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0)
     assert negative == len(brute)
@@ -175,7 +177,8 @@ def test_verify_base_small_grid():
         assert by_name["negative-coverage"].cases > 0
 
 
-def test_slice_patterns_are_built_once_per_context(monkeypatch):
+def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
+    clear_slice_patterns()
     calls = []
     real = proofcheck.admissible_maps
 
@@ -185,15 +188,46 @@ def test_slice_patterns_are_built_once_per_context(monkeypatch):
 
     monkeypatch.setattr(proofcheck, "admissible_maps", counting)
     verify_base(1, 1)
-    assert calls == [7, 3, 3]  # one walk per slice, shared by enumeration and audit
+    # spider2(3) for branch 1, then spider2(1) once for branches 2 and 3,
+    # shared by the enumeration and the audit
+    assert calls == [7, 3]
+    verify_star(1, 1)
+    assert calls == [7, 3, 9]  # only the star's branch 1, with x and y, is new
+    verify_star(2, 2, repair_corner=True)
+    assert calls == [7, 3, 9, 5]  # only spider2(2) is new
 
-    def no_pattern(shadow, values):
+    def no_pattern(*args):
         raise AssertionError("pattern built before the guard check")
 
+    clear_slice_patterns()
     monkeypatch.setattr(proofcheck, "PATTERN_GUARD", 10)
     monkeypatch.setattr(proofcheck, "_pattern", no_pattern)
     with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
-        FamilyContext("t3mn", 1, 1).engine_slices
+        FamilyContext("t3mn", 1, 1).slice_patterns
+
+
+@pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
+def test_slice_patterns_match_the_family_graph_slices(family):
+    """The table against the derivation it replaced: without its root the
+    family graph falls into the branch slices, ordered by smallest vertex,
+    and each slice's patterns come from its own induced subgraph, with the
+    record taken on the slice's core vertices."""
+    for m in range(4):
+        for n in range(4):
+            ctx = FamilyContext(family, m, n)
+            g = ctx.graph
+            below = induced_subgraph(g, range(1, g.n))
+            slices = [tuple(v + 1 for v in comp) for comp in connected_components(below)]
+            assert len(slices) == 3
+            for verts, core, table in zip(slices, ctx.slice_vertices, ctx.slice_patterns):
+                sub = induced_subgraph(g, verts)
+                shadow = ForestShadow(sub)
+                derived = []
+                for values in admissible_maps(sub):
+                    local = dict(zip(verts, values))
+                    record = classify_spider(tuple(local[v] for v in core))
+                    derived.append((values, proofcheck._pattern(shadow, values, 1).key, record))
+                assert [(p.values, p.key, p.record) for p in table] == derived
 
 
 def test_signatures_are_counted_once_per_context(monkeypatch):
@@ -273,7 +307,7 @@ def test_verify_star_faithful_records_corner():
     assert not offending.ok
     # every violation is the published class-19 corner
     core_ctx = FamilyContext("t3mn", 1, 1)
-    lay = family_layout(1, 1, star=True)
+    lay = family_layout("t3mn_star", 1, 1)
     for v in offending.violations:
         w = v.weights
         gamma = list(w[: core_ctx.graph.n])
