@@ -256,6 +256,17 @@ def classify_spider(local: Weights) -> SpiderClass:
 
 
 @cache
+def marked_slice(local: Weights, marks: tuple[int, ...]) -> Weights | str:
+    """mark_legs of a map on spider2(n), given in spider order, or the
+    message of its refusal.  Cached for the process by the map and the
+    marks, as classify_spider is by the map."""
+    try:
+        return mark_legs(local, spider_view((len(local) - 1) // 2), marks)
+    except ValueError as exc:
+        return str(exc)
+
+
+@cache
 def _spider_shadow(n: int) -> ForestShadow:
     return ForestShadow(spider2(n))
 

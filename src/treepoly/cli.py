@@ -37,8 +37,8 @@ ASSERT_CHOICES = ("unimodal", "log-concave", "non-log-concave")
 # per cell.  A 100x100 grid fits.
 MAX_SCAN_CELLS = 10_000
 
-# The most vertices of one family tree or spider that poly, plotdata and scan
-# take, so that a huge cell is a usage error instead of an unbounded
+# The most vertices of one family tree or spider that poly, plotdata, scan and
+# verify take, so that a huge cell is a usage error instead of an unbounded
 # polynomial power or graph.  The largest cells it admits, t3mn(1245,1245)
 # and t3mn_star(1244,1244), take about 12 s and 30 MB each on a 2-CPU Xeon
 # host; one of 8,012 vertices takes about a minute.  Of the spiders,
@@ -294,8 +294,11 @@ def cmd_verify(args) -> int:
         legs = 4 if args.n is None else args.n
         if legs < 1:
             raise SystemExit2("prop3 needs -n of at least 1")
+        _check_vertices(f"spider2({legs})", 2 * legs + 1)
     elif args.m is None or args.n is None:
         raise SystemExit2(f"{args.suite} needs -m and -n")
+    else:
+        _check_family_size("t3mn" if args.suite == "section4" else "t3mn_star", args.m, args.n)
     _check_output_path(args.output)
     if args.suite == "prop3":
         reports = spider_suite(max_legs=legs)

@@ -38,8 +38,7 @@ from .alphamaps import (
     admissible_maps,
     classify_spider,
     count_admissible,
-    mark_legs,
-    spider_view,
+    marked_slice,
 )
 from .graphs import Graph, family_graph, family_layout, path_graph, spider2
 from .intpoly import analyze, family_poly
@@ -83,18 +82,26 @@ class FamilyContext:
         self.graph = family_graph(family, m, n)
         self.shadow = ForestShadow(self.graph)
         self.slice_vertices = tuple(self.layout.slice_vertices(i) for i in (1, 2, 3))
-        self.slice_views = tuple(
-            spider_view(self.layout.leg_count(i)) for i in (1, 2, 3)
-        )
         self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
 
     @property
     def slice_patterns(self) -> tuple[tuple[_SlicePattern, ...], ...]:
         """The patterns of the branches 1, 2, 3, read from the process-wide
         table by slice shape: the branch's leg count, and for branch 1 of
-        the star the path x, y below its third foot."""
+        the star the path x, y below its third foot.  A slice past the
+        pattern guard is refused with the cell and the slice named."""
         lay = self.layout
-        return tuple(_slice_patterns(lay.leg_count(i), lay.star and i == 1) for i in (1, 2, 3))
+        out = []
+        for i in (1, 2, 3):
+            legs = lay.leg_count(i)
+            try:
+                out.append(_slice_patterns(legs, lay.star and i == 1))
+            except EnumerationGuardError:
+                raise EnumerationGuardError(
+                    f"{self.family}({self.m},{self.n}): slice spider2({legs}) has more"
+                    f" admissible maps than the pattern guard of {PATTERN_GUARD:,} maps"
+                ) from None
+        return tuple(out)
 
     @cached_property
     def signature_counts(self) -> dict[Signature, int]:
@@ -473,14 +480,11 @@ def marks_head_13(a: FamilyAnalysis) -> bool:
 # the 29 pairing injections
 
 
-def _apply_marks(ctx: FamilyContext, w: list[int], i: int, marks: Sequence[int]) -> None:
-    verts = ctx.slice_vertices[i - 1]
-    local = tuple(w[v] for v in verts)
-    try:
-        marked = mark_legs(local, ctx.slice_views[i - 1], marks)
-    except ValueError as exc:
-        raise PartnerError(f"marking slice {i} with {tuple(marks)}: {exc}") from exc
-    for value, v in zip(marked, verts):
+def _apply_marks(ctx: FamilyContext, w: list[int], i: int, marks: tuple[int, ...]) -> None:
+    marked = marked_slice(ctx.slice_locals[i - 1](w), marks)
+    if isinstance(marked, str):
+        raise PartnerError(f"marking slice {i} with {marks}: {marked}")
+    for value, v in zip(marked, ctx.slice_vertices[i - 1]):
         w[v] = value
 
 
@@ -1026,34 +1030,44 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
 
     def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict, FamilyAnalysis]]:
         """The negative maps among pools[0] x pools[1] x pools[2], in that
-        product's order; each prefix is joined to the root once.
+        product's order.
 
         Whether p3 closes a prefix to a negative map depends only on the
-        prefix's partial signature and on p3's bucket, so the pools[2]
-        members that close negative, with their expansions, are found once
-        per sorted partial signature, and only those are visited."""
+        prefix's sorted partial signature and on p3's bucket, so the
+        pools[2] members that close negative, with their expansions, are
+        found once per sorted partial signature.  Likewise which p2 leave
+        some closing member depends only on the sorted partial signature
+        after p1, so each p1 walks the (p2, members) pairs of its signature,
+        listed once, and only those."""
         root = _ROOT_STATE[v0val]
         closing: dict[tuple, list[tuple[_SlicePattern, dict]]] = {}
+        rows: dict[tuple, list[tuple[_SlicePattern, list]]] = {}
         for p1 in pools[0]:
-            acc1 = _join(v0val, root, p1)
+            comps, twos, c0, c1 = _join(v0val, root, p1)
+            acc1 = tuple(sorted(comps)), twos, c0, c1
+            row = rows.get(acc1)
+            if row is None:
+                row = rows[acc1] = []
+                for p2 in pools[1]:
+                    comps, twos, c0, c1 = _join(v0val, acc1, p2)
+                    acc2 = tuple(sorted(comps)), twos, c0, c1
+                    members = closing.get(acc2)
+                    if members is None:
+                        by_key: dict[tuple, dict] = {}
+                        for p3 in pools[2]:
+                            if p3.key not in by_key:
+                                exp = expansion_from_signature(_close(_join(v0val, acc2, p3)))
+                                by_key[p3.key] = exp if min_coefficient(exp) < 0 else None
+                        members = closing[acc2] = [
+                            (p3, by_key[p3.key]) for p3 in pools[2] if by_key[p3.key] is not None
+                        ]
+                    if members:
+                        row.append((p2, members))
             r1 = p1.record
-            for p2 in pools[1]:
-                comps, twos, c0, c1 = _join(v0val, acc1, p2)
-                acc2 = tuple(sorted(comps)), twos, c0, c1
-                members = closing.get(acc2)
-                if members is None:
-                    by_key: dict[tuple, dict] = {}
-                    for p3 in pools[2]:
-                        if p3.key not in by_key:
-                            exp = expansion_from_signature(_close(_join(v0val, acc2, p3)))
-                            by_key[p3.key] = exp if min_coefficient(exp) < 0 else None
-                    members = closing[acc2] = [
-                        (p3, by_key[p3.key]) for p3 in pools[2] if by_key[p3.key] is not None
-                    ]
-                if not members:
-                    continue
+            head = (v0val, *p1.values)
+            for p2, members in row:
                 r2 = p2.record
-                prefix = (v0val, *p1.values, *p2.values)
+                prefix = head + p2.values
                 for p3, expansion in members:
                     w = place(prefix + p3.values)
                     yield w, expansion, _join_analysis(w[:core_n], r1, r2, p3.record)

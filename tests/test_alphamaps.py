@@ -20,6 +20,7 @@ from treepoly.alphamaps import (
     count_admissible,
     has_isolated_clan_vertex,
     mark_legs,
+    marked_slice,
     mask_outside,
     spider_suite,
     spider_view,
@@ -123,6 +124,20 @@ def test_mark_unmark_roundtrip_exhaustive():
                     image = mark_legs(w, sp, marks)
                     assert unmark_legs(image, sp) == w
                     assert vacated_signature(image, sp) == (marks, k)
+
+
+def test_marked_slice_matches_mark_legs():
+    # every map with values 0..2 on spider2(1..4), under every marks tuple
+    # the pairing injections pass: the same image, or the same refusal text
+    for n in range(1, 5):
+        sp = spider_view(n)
+        for w in itertools.product((0, 1, 2), repeat=2 * n + 1):
+            for marks in ((), (1,), (2,), (3,), (4,), (1, 2), (1, 2, 3)):
+                try:
+                    expected = mark_legs(w, sp, marks)
+                except ValueError as exc:
+                    expected = str(exc)
+                assert marked_slice(w, marks) == expected
 
 
 def test_mark_rejects_bad_input():

@@ -533,13 +533,16 @@ def test_scan_bytes_are_pinned(capsys):
 
 
 def no_polynomial(monkeypatch):
-    """Make every way to a family polynomial, and every spider builder,
-    fail if it is reached."""
+    """Make every way to a family polynomial, every spider builder and every
+    verify driver fail if it is reached."""
 
     def no_run(*args, **kwargs):
-        raise AssertionError("polynomial computed despite an oversized cell")
+        raise AssertionError("cell built despite its size")
 
-    for name in ("scan_row", "family_poly", "indpoly_tree", "spider2", "spider12"):
+    for name in (
+        "scan_row", "family_poly", "indpoly_tree", "spider2", "spider12",
+        "verify_base", "verify_star", "spider_suite",
+    ):
         monkeypatch.setattr(cli, name, no_run)
     for name in ("family_poly", "family_graph", "indpoly_tree"):
         monkeypatch.setattr(intpoly, name, no_run)
@@ -564,6 +567,12 @@ def no_polynomial(monkeypatch):
         (("plotdata", "--family", "spider2", "-n", "2500"), "spider2(2500) has 5001 vertices"),
         (("poly", "--family", "spider12", "-k", "2", "-r", "2499"), "spider12(2,2499) has 5001 vertices"),
         (("poly", "--family", "spider12", "-k", "5000", "-r", "0"), "spider12(5000,0) has 5001 vertices"),
+        (("verify", "--suite", "section4", "-m", "100000000", "-n", "1"),
+         "t3mn(100000000,1) has 200000012 vertices"),
+        (("verify", "--suite", "section5", "-m", "1", "-n", "100000000"),
+         "t3mn_star(1,100000000) has 200000014 vertices"),
+        (("verify", "--suite", "prop3", "-n", "100000000"), "spider2(100000000) has 200000001 vertices"),
+        (("verify", "--suite", "section4", "-m", "2496", "-n", "0"), "t3mn(2496,0) has 5002 vertices"),
     ],
 )
 def test_oversized_family_cell_is_usage_error(capsys, monkeypatch, argv, message):
@@ -602,6 +611,18 @@ def test_family_vertex_limit_admits_its_own_size(capsys, monkeypatch):
         ("spider2", None, 2499), ("spider12", 1, 2499), ("spider12", 4999, 0),
     ]
     assert len(cells) == 5 + 2 * 100 * 100
+
+
+def test_verify_at_the_vertex_limit_ends_at_the_pattern_guard(capsys):
+    # t3mn(2495,0) has exactly MAX_FAMILY_VERTICES vertices, so it passes the
+    # vertex guard; its branch 2, spider2(2495), is refused by the pattern
+    # guard before any pattern is built
+    code, out, err = run_cli(capsys, "verify", "--suite", "section4", "-m", "2495", "-n", "0")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: t3mn(2495,0): slice spider2(2495) has more admissible maps than the"
+        f" pattern guard of {proofcheck.PATTERN_GUARD:,} maps\n"
+    )
 
 
 def test_verify_refuses_too_many_negatives_before_enumerating(capsys, monkeypatch):

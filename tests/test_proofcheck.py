@@ -438,14 +438,19 @@ def test_leg_facts_match_a_layout_walk(family, m, n):
 
 
 # sha256 of the sequence negative_members yields: each map, its sorted
-# expansion and its analysis fields, in yield order.  Recorded before the
-# enumerator visited only the members that close a prefix negative; the
-# sequence, order included, must not change with how it is produced.
+# expansion and its analysis fields, in yield order.  The first two were
+# recorded before the enumerator visited only the members that close a
+# prefix negative, the last two (which cover the v0 = 1 spine groups and the
+# star's x, y tail) before it listed the closing pairs once per first-slice
+# signature; the sequence, order included, must not change with how it is
+# produced.
 @pytest.mark.parametrize(
     "family,m,n,digest",
     [
         ("t3mn", 2, 2, "e0486fb9ac27d78a52414ca5c7f41e3ac178636e64714101961c04a797ffb670"),
         ("t3mn_star", 1, 2, "fd1e34013d2ac5b9b4b6637ae7bc074f31b27c4c1c59e15da4cb40f65d2d5db2"),
+        ("t3mn", 2, 1, "ce4c227eb3be671aa94b35fb69f8fe60f34ca671639a3aa4b0a799319ba184d9"),
+        ("t3mn_star", 1, 1, "20b7b934da04110aa3866a996d45c294bf48de29a7cc15fd00fd22cfa5dd449c"),
     ],
 )
 def test_negative_members_order_is_pinned(family, m, n, digest):
@@ -705,6 +710,25 @@ def test_slice_record_is_computed_once(monkeypatch):
     verify_star(1, 1)
     verify_base(1, 1)
     assert computed and len(computed) == len(set(computed))
+
+
+def test_slice_marking_is_computed_once(monkeypatch):
+    # the injections mark slices through marked_slice, cached by the slice
+    # map and the marks, so across two batteries mark_legs runs once per
+    # distinct pair and the table serves every repeat
+    calls = []
+    real = alphamaps.mark_legs
+
+    def counting(weights, sp, marks):
+        calls.append((tuple(weights), tuple(marks)))
+        return real(weights, sp, marks)
+
+    monkeypatch.setattr(alphamaps, "mark_legs", counting)
+    alphamaps.marked_slice.cache_clear()
+    verify_base(1, 1)
+    verify_base(1, 1)
+    assert calls and len(calls) == len(set(calls))
+    assert alphamaps.marked_slice.cache_info().hits > len(calls)
 
 
 # cases of each path-append identity; the weight-2 identity is checked only
