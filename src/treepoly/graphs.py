@@ -8,7 +8,6 @@ so the order is part of each builder's contract and never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 
@@ -359,6 +358,21 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
     return Graph(offset, edges, labels)
 
 
+def clan_offsets(g: Graph, weights: Sequence[int]) -> list[int]:
+    """First clan vertex of each vertex, then the clan size: copy i of v is
+    clan vertex offsets[v] + i."""
+    if len(weights) != g.n:
+        raise ValueError("weight map length does not match vertex count")
+    total = 0
+    offsets = [0]
+    for a in weights:
+        if a < 0:
+            raise ValueError("weights must be nonnegative")
+        total += a
+        offsets.append(total)
+    return offsets
+
+
 def clan_adjacency(g: Graph, weights: Sequence[int]) -> list[list[int]]:
     """Neighbor lists of the clan graph: each vertex v blown up into a clique
     of size weights[v], the cliques of adjacent vertices joined completely.
@@ -366,11 +380,7 @@ def clan_adjacency(g: Graph, weights: Sequence[int]) -> list[list[int]]:
     Clan vertices are numbered by (owner vertex, copy index); each list comes
     out sorted.
     """
-    if len(weights) != g.n:
-        raise ValueError("weight map length does not match vertex count")
-    if min(weights, default=0) < 0:
-        raise ValueError("weights must be nonnegative")
-    offsets = list(accumulate(weights, initial=0))
+    offsets = clan_offsets(g, weights)
     adj: list[list[int]] = []
     for v, nbrs in enumerate(g.adj):
         lo, hi = offsets[v], offsets[v + 1]

@@ -1421,12 +1421,18 @@ def check_path_append_identities() -> CheckReport:
     dshadows = [chromatic_multicolor_2var(Graph(1, [], ["d"]), (dval,)) for dval in (0, 1, 2)]
     for base in bases:
         base_maps = list(iproduct((0, 1, 2), repeat=base.n))
-        inners = [chromatic_multicolor_2var(base, base_w) for base_w in base_maps]
+        # right-hand sides once per base map: inner * dshadows[d] for each d,
+        # inner * pair and 2 * inner * pair
+        rhss = []
+        for base_w in base_maps:
+            inner = chromatic_multicolor_2var(base, base_w)
+            paired = inner * pair
+            rhss.append(([inner * ds for ds in dshadows], paired, 2 * paired))
         for v in range(base.n):
             edges = base.edges() + [(v, base.n), (base.n, base.n + 1)]
             labels = list(base.labels) + ["c*", "d*"]
             gv = Graph(base.n + 2, edges, labels)
-            for base_w, inner in zip(base_maps, inners):
+            for base_w, (by_d, paired, twice_paired) in zip(base_maps, rhss):
                 for cval, dval in iproduct((0, 1, 2), repeat=2):
                     if cval == 1 and (dval != 1 or base_w[v] == 2):
                         continue  # no identity covers this shape
@@ -1434,19 +1440,19 @@ def check_path_append_identities() -> CheckReport:
                     lhs = chromatic_multicolor_2var(gv, w)
                     if cval == 0:
                         rep.cases += 1
-                        if lhs != inner * dshadows[dval]:
+                        if lhs != by_d[dval]:
                             rep.record(w, f"weight-0 factorization fails on {base.labels}")
                     elif cval == 2 and not lhs.is_zero:
                         rep.cases += 1
-                        if lhs != inner * pair:
+                        if lhs != paired:
                             rep.record(w, f"weight-2 factorization fails on {base.labels}")
                     elif cval == 1 and dval == 1 and w[v] == 1:
                         rep.cases += 1
-                        if lhs != inner * pair:
+                        if lhs != paired:
                             rep.record(w, f"full-path factorization fails on {base.labels}")
                     elif cval == 1 and dval == 1 and w[v] == 0:
                         rep.cases += 1
-                        if lhs != 2 * inner * pair:
+                        if lhs != twice_paired:
                             rep.record(w, f"detached-path factorization fails on {base.labels}")
     rep.elapsed = time.perf_counter() - t0
     return rep

@@ -10,10 +10,11 @@ x1^(a+1) x2^b in f * (x1 - x2).
 
 from __future__ import annotations
 
-from math import factorial
+from bisect import bisect_right
+from math import factorial, prod
 from typing import Mapping, Sequence, Union
 
-from .graphs import Graph, NotAForestError, clan_adjacency
+from .graphs import Graph, NotAForestError, clan_offsets
 from .intpoly import IntPoly, indpoly_bruteforce, indpoly_tree
 
 
@@ -107,10 +108,7 @@ def sym_one() -> SymPoly2:
 
 def monomial_pair(p: int, q: int) -> SymPoly2:
     """x1^p x2^q + x1^q x2^p (collapsing to 2 x1^p x2^p when p == q)."""
-    out = {(p, q): 1}
-    key = (q, p)
-    out[key] = out.get(key, 0) + 1
-    return SymPoly2(out)
+    return SymPoly2({(p, q): 1, (q, p): 1} if p != q else {(p, p): 2})
 
 
 def schur_sym(a: int, b: int) -> SymPoly2:
@@ -192,41 +190,55 @@ def schur_expand(f: SymPoly2) -> TwoRowExpansion:
 # chromatic shadows
 
 
-def _coloring_shadow(adj: Sequence[Sequence[int]]) -> SymPoly2:
-    """Sum of x1^(size of class 1) x2^(size of class 2) over proper 2-colorings
-    of the graph with these neighbor lists, in one walk.
-
-    Each component is colored from its smallest vertex while both color
-    classes are counted; a bipartite component with classes (p, q)
-    contributes x1^p x2^q + x1^q x2^p, and the first edge inside one class
-    (an odd cycle) makes the whole product zero.
-    """
-    color = [-1] * len(adj)
-    terms = {(0, 0): 1}
-    for root in range(len(adj)):
-        if color[root] >= 0:
+def _clan_walk(g: Graph, weights: Sequence[int]) -> dict:
+    """Term dict of the sum of x1^(size of class 1) x2^(size of class 2) over
+    proper 2-colorings of the clan graph, walked in place: copy i of v is
+    clan vertex offsets[v] + i, adjacent to the other copies of v and to
+    every copy of each neighbor of v.  Each component is colored from its
+    smallest clan vertex while both color classes are counted; a bipartite
+    component with classes (p, q) contributes monomial_pair(p, q), and the
+    first edge inside one class (an odd cycle) makes the product zero ({})."""
+    offsets = clan_offsets(g, weights)
+    color = [-1] * offsets[-1]
+    terms = None
+    for owner in range(g.n):
+        root = offsets[owner]
+        if root == offsets[owner + 1] or color[root] >= 0:
             continue
         color[root] = 0
         sizes = [1, 0]
         stack = [root]
         while stack:
-            u = stack.pop()
-            other = 1 - color[u]
-            for w in adj[u]:
-                cw = color[w]
-                if cw < 0:
-                    color[w] = other
-                    sizes[other] += 1
-                    stack.append(w)
-                elif cw != other:
-                    return sym_zero()
-        terms = _mul_terms(terms, monomial_pair(*sizes).terms)
-    return SymPoly2(terms)
+            x = stack.pop()
+            v = bisect_right(offsets, x) - 1
+            other = 1 - color[x]
+            for y in range(offsets[v], offsets[v + 1]):
+                if y != x:
+                    cy = color[y]
+                    if cy < 0:
+                        color[y] = other
+                        sizes[other] += 1
+                        stack.append(y)
+                    elif cy != other:
+                        return {}
+            for u in g.adj[v]:
+                for y in range(offsets[u], offsets[u + 1]):
+                    cy = color[y]
+                    if cy < 0:
+                        color[y] = other
+                        sizes[other] += 1
+                        stack.append(y)
+                    elif cy != other:
+                        return {}
+        p, q = sizes
+        pair = {(p, q): 1, (q, p): 1} if p != q else {(p, p): 2}
+        terms = pair if terms is None else _mul_terms(terms, pair)
+    return {(0, 0): 1} if terms is None else terms
 
 
 def chromatic_2var(g: Graph) -> SymPoly2:
     """Sum of x1^(size of class 1) x2^(size of class 2) over proper 2-colorings."""
-    return _coloring_shadow(g.adj)
+    return SymPoly2(_clan_walk(g, (1,) * g.n))
 
 
 # The most vertices chromatic_2var_bruteforce enumerates the colorings of.
@@ -248,33 +260,20 @@ def chromatic_2var_bruteforce(g: Graph) -> SymPoly2:
     return SymPoly2(out)
 
 
-def weight_normalizer(weights: Sequence[int]) -> int:
-    out = 1
-    for a in weights:
-        out *= factorial(a)
-    return out
-
-
 def chromatic_multicolor_2var(g: Graph, weights: Sequence[int]) -> SymPoly2:
     """Normalized chromatic shadow of the clan graph: the clan's chromatic
     polynomial divided by the product of weight factorials.
 
     The division is exact by construction; a remainder signals a bug, so it
-    is checked rather than assumed.
-    """
-    raw = _coloring_shadow(clan_adjacency(g, weights))
-    d = weight_normalizer(weights)
-    if d == 1:
-        return raw
-    out = {}
-    for key, c in raw.terms.items():
-        q, r = divmod(c, d)
-        if r:
-            raise InexactDivisionError(
-                f"coefficient {c} at {key} not divisible by {d}"
-            )
-        out[key] = q
-    return SymPoly2(out)
+    is checked rather than assumed; a zero shadow needs no normalizer."""
+    raw = _clan_walk(g, weights)
+    if not raw:
+        return SymPoly2()
+    d = prod(map(factorial, weights))
+    for key, c in raw.items():
+        if c % d:
+            raise InexactDivisionError(f"coefficient {c} at {key} not divisible by {d}")
+    return SymPoly2({key: c // d for key, c in raw.items()})
 
 
 def f_p_2var(p: IntPoly) -> SymPoly2:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -759,15 +760,24 @@ def test_path_append_identities(monkeypatch):
     real = proofcheck.chromatic_multicolor_2var
 
     def counting(g, w):
-        calls.append(_path_append_shape(g, w))
+        shape = _path_append_shape(g, w)
+        calls.append(shape or g.labels)
         return real(g, w)
 
     monkeypatch.setattr(proofcheck, "chromatic_multicolor_2var", counting)
     rep = check_path_append_identities()
     assert rep.ok and rep.cases == sum(PATH_APPEND_SPLIT.values()) == 5039
-    # each shadow is computed once, and only where an identity reads it
-    assert len(calls) <= 9066
-    assert set(calls) == set(PATH_APPEND_SPLIT) | {None}
+    # each shadow is computed once, and only where an identity reads it: 282
+    # base maps, the pair, 3 d-vertex shadows and 8,780 left-hand sides (every
+    # weight-2 map is computed, the identity reads the nonzero ones)
+    counts = Counter(calls)
+    assert len(calls) == 9066
+    assert counts.pop(("c",)) == 1 and counts.pop(("d",)) == 3
+    lhs = {shape: counts.pop(shape) for shape in PATH_APPEND_SPLIT}
+    assert lhs == {**PATH_APPEND_SPLIT, "weight-2": 3951}
+    assert sum(lhs.values()) == 8780
+    # the four bases' 3 + 9 + 27 + 243 = 282 maps
+    assert sorted(counts.values()) == [3, 9, 27, 243]
 
 
 @pytest.mark.parametrize("shape", sorted(PATH_APPEND_SPLIT))

@@ -158,6 +158,22 @@ def test_chromatic_examples():
     assert chromatic_2var(Graph(0, [])) == sym_one()
 
 
+def random_cyclic_graph(rng, n):
+    """A random tree on n vertices plus one to three chords, vertices shuffled,
+    so every draw with n >= 3 has a cycle (odd or even), and a random edge
+    of the result dropped half the time so some draws are disconnected."""
+    t = random_tree(rng, n)
+    edges = set(t.edges())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(1, 3))))
+    edges = sorted(edges)
+    if edges and rng.random() < 0.5:
+        edges.remove(rng.choice(edges))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[i], perm[j]) for i, j in edges])
+
+
 def test_chromatic_against_bruteforce(rng):
     for _ in range(25):
         g = random_tree(rng, rng.randint(1, 9))
@@ -165,6 +181,13 @@ def test_chromatic_against_bruteforce(rng):
     assert chromatic_2var(complete_graph(3)) == chromatic_2var_bruteforce(complete_graph(3))
     cycle4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert chromatic_2var(cycle4) == chromatic_2var_bruteforce(cycle4)
+    odd = 0
+    for _ in range(40):
+        g = random_cyclic_graph(rng, rng.randint(1, 9))
+        walk = chromatic_2var(g)
+        assert walk == chromatic_2var_bruteforce(g)
+        odd += walk.is_zero
+    assert 5 <= odd <= 35
 
 
 def test_multicolor_basics(rng):
@@ -292,7 +315,7 @@ def test_factorization_when_no_cross_edges(rng):
 
 def test_multicolor_matches_coloring_enumeration(rng):
     # dual route: clan coloring enumeration, then the exact normalization
-    from math import factorial
+    from math import factorial, prod
 
     for _ in range(20):
         g = random_tree(rng, rng.randint(1, 5))
@@ -307,3 +330,30 @@ def test_multicolor_matches_coloring_enumeration(rng):
         expected = SymPoly2({k: c // d for k, c in raw.terms.items()})
         assert all(c % d == 0 for c in raw.terms.values())
         assert chromatic_multicolor_2var(g, w) == expected
+    # graphs with cycles and weights up to 3, against the literal clan graph
+    checked = nonzero = 0
+    while checked < 150:
+        g = random_cyclic_graph(rng, rng.randint(1, 7))
+        w = tuple(rng.randint(0, 3) for _ in range(g.n))
+        clan = clan_graph(g, w)
+        if clan.n > 12:
+            continue
+        raw = chromatic_2var_bruteforce(clan)
+        d = prod(factorial(a) for a in w)
+        assert all(c % d == 0 for c in raw.terms.values())
+        expected = SymPoly2({k: c // d for k, c in raw.terms.items()})
+        assert chromatic_multicolor_2var(g, w) == expected
+        checked += 1
+        nonzero += not expected.is_zero
+    assert nonzero >= 15
+
+
+def test_clan_walk_stops_at_first_conflict():
+    # one vertex of weight a is a clique of a clan vertices: the walk meets
+    # a triangle among the first three and stops, where building the clan's
+    # neighbor lists would take a^2 entries
+    import time
+
+    t0 = time.perf_counter()
+    assert chromatic_multicolor_2var(Graph(1, []), (10**6,)).is_zero
+    assert time.perf_counter() - t0 < 5
