@@ -14,7 +14,6 @@ from treepoly.alphamaps import (
     classify_spider,
     mark_legs,
     spider_suite,
-    spider_view,
     unmark_legs,
     vacated_signature,
 )
@@ -24,16 +23,15 @@ from treepoly.shadow import ForestShadow, add_expansions, min_coefficient
 n = 3
 g = spider2(n)
 ctx = ForestShadow(g)
-sp = spider_view(n)
 
 w = (1, 1, 1, 1, 0, 0, 0)  # center and all three heads weighted, feet empty
-print("anchored map:", w, " bare legs:", anchored_bare(w, sp))
+print("anchored map:", w, " bare legs:", anchored_bare(w))
 print("  shadow:", dict(ctx.expansion(w)), " (negative)")
 
-image = mark_legs(w, sp, (1,))
+image = mark_legs(w, (1,))
 print("\nafter marking position 1:", image)
-print("  vacated class:", vacated_signature(image, sp))
-print("  roundtrip restores the original:", unmark_legs(image, sp) == w)
+print("  vacated class:", vacated_signature(image))
+print("  roundtrip restores the original:", unmark_legs(image) == w)
 
 total = add_expansions(ctx.expansion(w), ctx.expansion(image))
 print("  pair sum:", total, " nonnegative:", min_coefficient(total) >= 0)

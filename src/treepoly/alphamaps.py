@@ -5,6 +5,12 @@ A weight map assigns a nonnegative integer to every vertex in canonical
 order; it is stored as a plain tuple.  "Admissible" maps are the ones whose
 clan shadow can be nonzero: values at most 2, any edge with two weighted
 ends carries 1 on both, weight-2 vertices have only weight-0 neighbors.
+
+The spider functions take a map on spider2(n) in spider order, the order
+spider2 numbers its vertices: the center, the n heads, the n feet, so n is
+(len(local) - 1) // 2.  spider_legs reads its (head, foot) pairs and
+spider_map builds one from a center value and legs.  A caller with a spider
+inside a larger graph reads the spider's map out and writes it back.
 """
 
 from __future__ import annotations
@@ -99,42 +105,48 @@ def admissible_maps(g: Graph, guard: int = ENUMERATION_GUARD) -> Iterator[Weight
 
 
 # ---------------------------------------------------------------------------
-# spider views and classes
+# spider maps and classes
 
 
-@dataclass(frozen=True)
-class SpiderView:
-    """Index view of a spider with legs of length two inside a larger map:
-    the center vertex plus (head, foot) index pairs in leg order."""
-
-    center: int
-    legs: tuple[tuple[int, int], ...]
+def spider_legs(local: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (head, foot) values of a spider map, leg by leg."""
+    n = (len(local) - 1) // 2
+    return tuple(zip(local[1 : n + 1], local[n + 1 :]))
 
 
-def spider_view(n: int) -> SpiderView:
-    """View matching the canonical order of spider2(n)."""
-    return SpiderView(0, tuple((j, n + j) for j in range(1, n + 1)))
+def spider_map(center: int, legs: Iterable[tuple[int, int]]) -> Weights:
+    """The spider map with this center value and these (head, foot) values."""
+    legs = tuple(legs)
+    return (center,) + tuple(h for h, _ in legs) + tuple(f for _, f in legs)
 
 
-def bare_leg_count(weights: Sequence[int], sp: SpiderView) -> int:
+def bare_leg_count(local: Sequence[int]) -> int:
     """Number of legs with head weight 1 and foot weight 0."""
-    return sum(1 for h, f in sp.legs if weights[h] == 1 and weights[f] == 0)
+    return spider_legs(local).count((1, 0))
 
 
-def anchored_bare(weights: Sequence[int], sp: SpiderView) -> Optional[int]:
+def anchored_bare(local: Sequence[int]) -> Optional[int]:
     """Bare leg count when the map is anchored (center weight 1, head weights
     at most 1, per-leg totals at most 2); None otherwise."""
-    if weights[sp.center] != 1:
+    bare = _anchored_bare_heads(local)
+    return None if bare is None else len(bare)
+
+
+def _anchored_bare_heads(local: Sequence[int]) -> Optional[list[int]]:
+    """Positions in local of the bare heads of an anchored map, in leg
+    order; None when the map is not anchored."""
+    if local[0] != 1:
         return None
-    for h, f in sp.legs:
-        if weights[h] > 1 or weights[h] + weights[f] > 2:
+    bare = []
+    for j, (h, f) in enumerate(spider_legs(local), 1):
+        if h > 1 or h + f > 2:
             return None
-    return bare_leg_count(weights, sp)
+        if h == 1 and f == 0:
+            bare.append(j)
+    return bare
 
 
-def vacated_signature(
-    weights: Sequence[int], sp: SpiderView
-) -> Optional[tuple[tuple[int, ...], int]]:
+def vacated_signature(local: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
     """For a vacated map (center weight 0, per-leg totals at most 2): the
     1-based positions, among legs with weighted head and bare foot, whose
     head carries weight 2, together with the count of such legs.
@@ -143,49 +155,43 @@ def vacated_signature(
     the unique class of the map, so class membership tests reduce to tuple
     comparison.
     """
-    if weights[sp.center] != 0:
+    if local[0] != 0:
         return None
     marks = []
     t = 0
-    for h, f in sp.legs:
-        if weights[h] + weights[f] > 2:
+    for h, f in spider_legs(local):
+        if h + f > 2:
             return None
-        if weights[h] >= 1 and weights[f] == 0:
+        if h >= 1 and f == 0:
             t += 1
-            if weights[h] == 2:
+            if h == 2:
                 marks.append(t)
     return tuple(marks), t
 
 
-def mark_legs(weights: Sequence[int], sp: SpiderView, marks: Iterable[int]) -> Weights:
+def mark_legs(local: Sequence[int], marks: Iterable[int]) -> Weights:
     """Vacate the center and put weight 2 on the chosen bare-leg heads.
 
     marks are 1-based positions into the ascending list of bare legs; the
     input must be anchored with enough bare legs.
     """
-    k = anchored_bare(weights, sp)
-    if k is None:
+    bare = _anchored_bare_heads(local)
+    if bare is None:
         raise ValueError("map is not anchored on this spider")
     marks = sorted(set(marks))
-    if marks and (marks[0] < 1 or marks[-1] > k):
-        raise ValueError(f"mark positions {marks} out of range for {k} bare legs")
-    bare = [h for h, f in sp.legs if weights[h] == 1 and weights[f] == 0]
-    out = list(weights)
-    out[sp.center] = 0
+    if marks and (marks[0] < 1 or marks[-1] > len(bare)):
+        raise ValueError(f"mark positions {marks} out of range for {len(bare)} bare legs")
+    out = list(local)
+    out[0] = 0
     for i in marks:
         out[bare[i - 1]] = 2
     return tuple(out)
 
 
-def unmark_legs(weights: Sequence[int], sp: SpiderView) -> Weights:
+def unmark_legs(local: Sequence[int]) -> Weights:
     """Inverse of mark_legs: restore the center to 1 and every weight-2 head
     to 1.  Independent of which marks were used."""
-    out = list(weights)
-    out[sp.center] = 1
-    for h, _ in sp.legs:
-        if out[h] == 2:
-            out[h] = 1
-    return tuple(out)
+    return spider_map(1, ((1 if h == 2 else h, f) for h, f in spider_legs(local)))
 
 
 def has_isolated_clan_vertex(g: Graph, weights: Sequence[int]) -> bool:
@@ -239,19 +245,17 @@ def classify_spider(local: Weights) -> SpiderClass:
     (center, heads, feet), so n is (len(local) - 1) // 2.  Cached for the
     process by the map alone, on which the class depends."""
     n = (len(local) - 1) // 2
-    sp = spider_view(n)
     shadow = _spider_shadow(n)
     positive = min_coefficient(shadow.expansion(local)) >= 0
-    heads = local[1 : n + 1]
     return SpiderClass(
         local=local,
-        k=bare_leg_count(local, sp),
+        k=bare_leg_count(local),
         positive=positive,
         settled=positive and not has_isolated_clan_vertex(shadow.graph, local),
-        vac=vacated_signature(local, sp),
+        vac=vacated_signature(local),
         total=sum(local),
-        heads=heads.count(1),
-        legs=tuple(zip(heads, local[n + 1 :])),
+        heads=local[1 : n + 1].count(1),
+        legs=spider_legs(local),
     )
 
 
@@ -261,7 +265,7 @@ def marked_slice(local: Weights, marks: tuple[int, ...]) -> Weights | str:
     message of its refusal.  Cached for the process by the map and the
     marks, as classify_spider is by the map."""
     try:
-        return mark_legs(local, spider_view((len(local) - 1) // 2), marks)
+        return mark_legs(local, marks)
     except ValueError as exc:
         return str(exc)
 
@@ -306,7 +310,7 @@ def _anchored_maps(n: int) -> Iterator[Weights]:
     """All maps on spider2(n) with center 1, head weights <= 1, leg totals <= 2."""
     leg_options = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
     for legs in iproduct(leg_options, repeat=n):
-        yield (1,) + tuple(h for h, _ in legs) + tuple(f for _, f in legs)
+        yield spider_map(1, legs)
 
 
 def _subsets(k: int) -> Iterator[tuple[int, ...]]:
@@ -319,16 +323,15 @@ def check_marking_bijection(n: int) -> CheckReport:
     a spider with n legs, exhaustively over all anchored maps and mark sets."""
     t0 = time.perf_counter()
     rep = CheckReport("marking-bijection", n=n)
-    sp = spider_view(n)
     images: dict[Weights, tuple[Weights, tuple[int, ...]]] = {}
     for w in _anchored_maps(n):
-        k = anchored_bare(w, sp)
+        k = anchored_bare(w)
         for marks in _subsets(k):
             rep.cases += 1
-            image = mark_legs(w, sp, marks)
-            if unmark_legs(image, sp) != w:
+            image = mark_legs(w, marks)
+            if unmark_legs(image) != w:
                 rep.record(w, f"roundtrip failed for marks {marks}")
-            if vacated_signature(image, sp) != (marks, k):
+            if vacated_signature(image) != (marks, k):
                 rep.record(w, f"image not in the vacated class {marks}, {k}")
             prev = images.get(image)
             if prev is not None and prev != (w, marks):
@@ -347,14 +350,13 @@ def check_spider_shadow_formula(n: int) -> CheckReport:
     rep = CheckReport("spider-shadow-formula", n=n)
     g = spider2(n)
     ctx = ForestShadow(g)
-    sp = spider_view(n)
     leg_options = ((0, 0), (1, 0), (1, 1))
     for legs in iproduct(leg_options, repeat=n):
-        k = sum(1 for h, f in legs if (h, f) == (1, 0))
-        r = sum(1 for h, f in legs if (h, f) == (1, 1))
+        k = legs.count((1, 0))
+        r = legs.count((1, 1))
         if k < 3:
             continue
-        w = (1,) + tuple(h for h, _ in legs) + tuple(f for _, f in legs)
+        w = spider_map(1, legs)
         rep.cases += 1
         expected = {(r + k, r + 1): 1, (r + k - 1, r + 2): -1}
         got = dict(ctx.expansion(w))
@@ -362,7 +364,7 @@ def check_spider_shadow_formula(n: int) -> CheckReport:
             rep.record(w, f"shadow {got} != {expected}")
         for j in range(1, k + 1):
             bound = add_expansions(
-                ctx.expansion(mark_legs(w, sp, (j,))),
+                ctx.expansion(mark_legs(w, (j,))),
                 {(r + k, r + 1): -1, (r + k - 1, r + 2): -1},
             )
             if min_coefficient(bound) < 0:
@@ -379,18 +381,17 @@ def check_negative_spider_pairing(n: int) -> CheckReport:
     rep = CheckReport("negative-spider-pairing", n=n)
     g = spider2(n)
     ctx = ForestShadow(g)
-    sp = spider_view(n)
     for w in admissible_maps(g):
         exp = ctx.expansion(w)
         if min_coefficient(exp) >= 0:
             continue
         rep.cases += 1
-        k = anchored_bare(w, sp)
+        k = anchored_bare(w)
         if k is None or k < 3:
             rep.record(w, f"negative map not anchored with >=3 bare legs (k={k})")
             continue
         for j in range(1, k + 1):
-            total = add_expansions(exp, ctx.expansion(mark_legs(w, sp, (j,))))
+            total = add_expansions(exp, ctx.expansion(mark_legs(w, (j,))))
             if min_coefficient(total) < 0:
                 rep.record(w, f"pair sum negative for mark {j}")
     rep.elapsed = time.perf_counter() - t0
@@ -400,23 +401,24 @@ def check_negative_spider_pairing(n: int) -> CheckReport:
 def check_leaf_spider_pairing(n: int) -> CheckReport:
     """Pairing bound on the spider with one extra pendant leg: marking any
     bare leg of the length-two part (keeping the pendant) gives a
-    nonnegative sum whenever the remainder map is anchored with k >= 2."""
+    nonnegative sum whenever the remainder map is anchored with k >= 2.
+
+    spider12(1, n) orders the center, the pendant, the heads, the feet, so
+    a map on it is a spider2(n) map with the pendant's value put second."""
     t0 = time.perf_counter()
     rep = CheckReport("leaf-spider-pairing", n=n)
-    g = spider12(1, n)
-    ctx = ForestShadow(g)
-    inner = SpiderView(0, tuple((1 + j, 1 + n + j) for j in range(1, n + 1)))
-    leg_options = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
+    ctx = ForestShadow(spider12(1, n))
     for leaf in (0, 1, 2):
-        for legs in iproduct(leg_options, repeat=n):
-            w = (1, leaf) + tuple(h for h, _ in legs) + tuple(f for _, f in legs)
-            k = anchored_bare(w, inner)
-            if k is None or k < 2:
+        for local in _anchored_maps(n):
+            k = anchored_bare(local)
+            if k < 2:
                 continue
+            w = local[:1] + (leaf,) + local[1:]
             exp_w = ctx.any_expansion(w)
             for j in range(1, k + 1):
                 rep.cases += 1
-                beta = mark_legs(w, inner, (j,))
+                beta = mark_legs(local, (j,))
+                beta = beta[:1] + (leaf,) + beta[1:]
                 total = add_expansions(exp_w, ctx.any_expansion(beta))
                 if min_coefficient(total) < 0:
                     rep.record(w, f"pair sum negative (leaf={leaf}, mark={j})")
@@ -430,20 +432,12 @@ _FOREST_LEGS = 3
 _FOREST_COMPONENTS = 3
 
 
-def _bare_spider_forest(components: int) -> tuple[ForestShadow, list[SpiderView], Weights]:
+def _bare_spider_forest(components: int) -> tuple[ForestShadow, Weights]:
     """The forest checks' input: the shadow of a disjoint union of spiders
-    with _FOREST_LEGS legs, one view per spider, and the anchored map with
-    every leg bare."""
-    legs = _FOREST_LEGS
-    size = 2 * legs + 1
-    views = [
-        SpiderView(
-            i * size, tuple((i * size + j, i * size + legs + j) for j in range(1, legs + 1))
-        )
-        for i in range(components)
-    ]
-    w = ((1,) + (1,) * legs + (0,) * legs) * components
-    return ForestShadow(disjoint_union([spider2(legs)] * components)), views, w
+    with _FOREST_LEGS legs, and the anchored spider map with every leg bare.
+    A map on the forest joins one spider map per component."""
+    bare = spider_map(1, [(1, 0)] * _FOREST_LEGS)
+    return ForestShadow(disjoint_union([spider2(_FOREST_LEGS)] * components)), bare
 
 
 def check_forest_pairing(components: int) -> CheckReport:
@@ -451,12 +445,11 @@ def check_forest_pairing(components: int) -> CheckReport:
     anchored map with all legs bare, marking one leg per component."""
     t0 = time.perf_counter()
     rep = CheckReport("forest-pairing", n=components)
-    ctx, views, w = _bare_spider_forest(components)
+    ctx, bare = _bare_spider_forest(components)
+    w = bare * components
     for picks in iproduct(range(1, _FOREST_LEGS + 1), repeat=components):
         rep.cases += 1
-        beta = w
-        for view, pick in zip(views, picks):
-            beta = mark_legs(beta, view, (pick,))
+        beta = sum((mark_legs(bare, (pick,)) for pick in picks), ())
         total = add_expansions(ctx.expansion(w), ctx.expansion(beta))
         if min_coefficient(total) < 0:
             rep.record(w, f"pair sum negative for picks {picks}")
@@ -469,14 +462,13 @@ def check_forest_multi_marking(components: int) -> CheckReport:
     total size equal to the component count."""
     t0 = time.perf_counter()
     rep = CheckReport("forest-multi-marking", n=components)
-    ctx, views, w = _bare_spider_forest(components)
+    ctx, bare = _bare_spider_forest(components)
+    w = bare * components
     for sets in iproduct(list(_subsets(_FOREST_LEGS)), repeat=components):
         if sum(len(s) for s in sets) != components:
             continue
         rep.cases += 1
-        gamma = w
-        for view, marks in zip(views, sets):
-            gamma = mark_legs(gamma, view, marks)
+        gamma = sum((mark_legs(bare, marks) for marks in sets), ())
         total = add_expansions(ctx.expansion(w), ctx.expansion(gamma))
         if min_coefficient(total) < 0:
             rep.record(w, f"pair sum negative for mark sets {sets}")

@@ -319,15 +319,17 @@ def cmd_verify(args) -> int:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.output:
         _write_output(text, args.output)
+    # with the JSON on stdout (-o -), the summary goes to stderr
+    summary = sys.stderr if args.output == "-" else sys.stdout
     for r in reports:
         mark = "ok  " if r.ok else "FAIL"
-        sys.stdout.write(
+        summary.write(
             f"{mark} {r.lemma:34s} cases={r.cases:9d} violations={r.violation_count}\n"
         )
         for v in r.violations[:5]:
-            sys.stdout.write(f"      {v.reason}: alpha={list(v.weights or ())}\n")
+            summary.write(f"      {v.reason}: alpha={list(v.weights or ())}\n")
     ok = all_ok(reports)
-    sys.stdout.write(("all checks passed\n" if ok else "violations found\n"))
+    summary.write(("all checks passed\n" if ok else "violations found\n"))
     return 0 if ok else 1
 
 

@@ -8,6 +8,7 @@ so the order is part of each builder's contract and never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 
@@ -373,40 +374,26 @@ def clan_offsets(g: Graph, weights: Sequence[int]) -> list[int]:
     return offsets
 
 
-def clan_adjacency(g: Graph, weights: Sequence[int]) -> list[list[int]]:
-    """Neighbor lists of the clan graph: each vertex v blown up into a clique
-    of size weights[v], the cliques of adjacent vertices joined completely.
-
-    Clan vertices are numbered by (owner vertex, copy index); each list comes
-    out sorted.
-    """
-    offsets = clan_offsets(g, weights)
-    adj: list[list[int]] = []
-    for v, nbrs in enumerate(g.adj):
-        lo, hi = offsets[v], offsets[v + 1]
-        if lo == hi:
-            continue
-        below: list[int] = []
-        above: list[int] = []
-        for u in nbrs:
-            (below if u < v else above).extend(range(offsets[u], offsets[u + 1]))
-        for i in range(lo, hi):
-            adj.append([*below, *range(lo, i), *range(i + 1, hi), *above])
-    return adj
-
-
 def clan_graph(g: Graph, weights: Sequence[int]) -> Graph:
-    """The clan graph of clan_adjacency as a labeled Graph.
+    """The clan graph: each vertex v blown up into a clique of size
+    weights[v], the cliques of adjacent vertices joined completely.  Copy i
+    of v is clan vertex clan_offsets(g, weights)[v] + i.
 
     Clan vertices are labeled "<owner label>^(i)" so ownership is
     recoverable from the label.
     """
-    adj = clan_adjacency(g, weights)
+    offsets = clan_offsets(g, weights)
+    edges: list[tuple[int, int]] = []
+    for v, nbrs in enumerate(g.adj):
+        copies = range(offsets[v], offsets[v + 1])
+        edges.extend(combinations(copies, 2))
+        for u in nbrs:
+            if u > v:
+                edges.extend(product(copies, range(offsets[u], offsets[u + 1])))
     labels = [
         f"{g.labels[v]}^({i + 1})" for v in range(g.n) for i in range(weights[v])
     ]
-    edges = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if i < j]
-    return Graph(len(adj), edges, labels)
+    return Graph(offsets[-1], edges, labels)
 
 
 def clan_owners(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:

@@ -1344,6 +1344,9 @@ def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport
     ctx = FamilyContext("t3mn_star", m, n)
     _check_negative_count(ctx)
     core_ctx = FamilyContext("t3mn", m, n)
+    # the core's pairing table is built here, so the star loop's time is
+    # star pairing alone
+    core_ctx.core_steps
     lay = ctx.layout
 
     def target(beta: Weights, cls: int) -> Optional[str]:

@@ -22,8 +22,9 @@ from treepoly.alphamaps import (
     mark_legs,
     marked_slice,
     mask_outside,
+    spider_legs,
+    spider_map,
     spider_suite,
-    spider_view,
     split_by_clan_component,
     unmark_legs,
     vacated_signature,
@@ -92,73 +93,70 @@ def test_weight_sum_matches_product(rng):
 
 
 def test_bare_and_anchored():
-    sp = spider_view(3)
     w = (1, 1, 1, 0, 0, 0, 2)
-    assert bare_leg_count(w, sp) == 2
-    assert anchored_bare(w, sp) == 2
-    assert anchored_bare((0,) * 7, sp) is None
-    assert anchored_bare((1, 2, 0, 0, 0, 0, 0), sp) is None
-    assert bare_leg_count((0,) * 7, sp) == 0
+    assert spider_legs(w) == ((1, 0), (1, 0), (0, 2))
+    assert spider_map(1, spider_legs(w)) == w
+    assert bare_leg_count(w) == 2
+    assert anchored_bare(w) == 2
+    assert anchored_bare((0,) * 7) is None
+    assert anchored_bare((1, 2, 0, 0, 0, 0, 0)) is None
+    assert bare_leg_count((0,) * 7) == 0
 
 
 def test_vacated_signature():
-    sp = spider_view(2)
-    assert vacated_signature((0, 2, 1, 0, 0), sp) == ((1,), 2)
+    assert vacated_signature((0, 2, 1, 0, 0)) == ((1,), 2)
     cls = classify_spider((0, 2, 1, 0, 0))
     assert cls.vac_is((1,), 2) and not cls.vac_is((1,), 1)
     assert cls.in_family((1,)) and not cls.in_family(())
-    assert vacated_signature((1, 1, 1, 0, 0), sp) is None
-    assert vacated_signature((0, 2, 1, 1, 0), sp) is None  # leg total above 2
-    assert vacated_signature((0, 0, 0, 0, 0), sp) == ((), 0)
+    assert vacated_signature((1, 1, 1, 0, 0)) is None
+    assert vacated_signature((0, 2, 1, 1, 0)) is None  # leg total above 2
+    assert vacated_signature((0, 0, 0, 0, 0)) == ((), 0)
 
 
 def test_mark_unmark_roundtrip_exhaustive():
     for n in range(1, 5):
-        sp = spider_view(n)
         leg_options = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
         for legs in itertools.product(leg_options, repeat=n):
-            w = (1,) + tuple(h for h, _ in legs) + tuple(f for _, f in legs)
-            k = anchored_bare(w, sp)
+            w = spider_map(1, legs)
+            k = anchored_bare(w)
             for size in range(k + 1):
                 for marks in itertools.combinations(range(1, k + 1), size):
-                    image = mark_legs(w, sp, marks)
-                    assert unmark_legs(image, sp) == w
-                    assert vacated_signature(image, sp) == (marks, k)
+                    image = mark_legs(w, marks)
+                    assert unmark_legs(image) == w
+                    assert vacated_signature(image) == (marks, k)
 
 
 def test_marked_slice_matches_mark_legs():
     # every map with values 0..2 on spider2(1..4), under every marks tuple
     # the pairing injections pass: the same image, or the same refusal text
     for n in range(1, 5):
-        sp = spider_view(n)
         for w in itertools.product((0, 1, 2), repeat=2 * n + 1):
             for marks in ((), (1,), (2,), (3,), (4,), (1, 2), (1, 2, 3)):
                 try:
-                    expected = mark_legs(w, sp, marks)
+                    expected = mark_legs(w, marks)
                 except ValueError as exc:
                     expected = str(exc)
                 assert marked_slice(w, marks) == expected
 
 
 def test_mark_rejects_bad_input():
-    sp = spider_view(2)
-    with pytest.raises(ValueError):
-        mark_legs((0, 1, 1, 0, 0), sp, (1,))  # not anchored
-    with pytest.raises(ValueError):
-        mark_legs((1, 1, 1, 0, 0), sp, (3,))  # not enough bare legs
+    # the refusal texts reach the verify JSON through PartnerError reasons
+    with pytest.raises(ValueError, match=r"^map is not anchored on this spider$"):
+        mark_legs((0, 1, 1, 0, 0), (1,))
+    with pytest.raises(ValueError, match=r"^mark positions \[3\] out of range for 2 bare legs$"):
+        mark_legs((1, 1, 1, 0, 0), (3,))
 
 
 def test_classify_spider():
     n = 3
     g = spider2(n)
-    sp = spider_view(n)
     negative = (1, 1, 1, 1, 0, 0, 0)
     cls = classify_spider(negative)
     assert cls.local == negative and cls.k == 3
     assert cls.total == 4 and cls.heads == 3 and cls.legs == ((1, 0),) * 3
     assert not cls.positive and not cls.settled
     assert cls.vac is None and cls.family_index is None
-    marked = mark_legs(negative, sp, (1,))
+    marked = mark_legs(negative, (1,))
     cls = classify_spider(marked)
     assert cls.local == marked and cls.k == 2
     assert cls.total == 4 and cls.heads == 2 and cls.legs == ((2, 0), (1, 0), (1, 0))
@@ -179,11 +177,10 @@ def test_classify_exclusive_families():
     # names, and a negative map has no vacated signature
     for n in range(1, 5):
         ctx = ForestShadow(spider2(n))
-        sp = spider_view(n)
         for w in admissible_maps(ctx.graph):
             cls = classify_spider(w)
-            assert cls.vac == vacated_signature(w, sp)
-            assert cls.k == bare_leg_count(w, sp)
+            assert cls.vac == vacated_signature(w)
+            assert cls.k == bare_leg_count(w)
             if not cls.positive:
                 assert cls.vac is None and cls.family_index is None
             singles = [j for j in range(1, n + 1) if cls.in_family((j,))]

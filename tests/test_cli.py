@@ -258,6 +258,15 @@ def test_verify_prop3(capsys, tmp_path):
     assert all(not r["violations"] for r in payload["reports"])
 
 
+def test_verify_json_to_stdout(capsys):
+    # -o - puts the JSON report alone on stdout and the summary on stderr
+    code, out, err = run_cli(capsys, "verify", "--suite", "prop3", "-n", "1", "-o", "-")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["suite"] == "prop3" and payload["n"] == 1
+    assert "all checks passed" in err
+
+
 def test_verify_section4(capsys, tmp_path):
     out_path = tmp_path / "s4.json"
     code, out, _ = run_cli(

@@ -694,6 +694,21 @@ def test_partner_star_refuses_a_negative_core_the_table_misses(monkeypatch):
         partner_star(ctx, core_ctx, w, 1)
 
 
+def test_core_steps_built_before_star_pairing(monkeypatch):
+    # verify_star builds the core's table before its pairing loop, so no
+    # partner_star call pays for the core enumeration
+    seen = []
+    real = proofcheck.partner_star
+
+    def checking(ctx, core_ctx, *args):
+        seen.append("core_steps" in vars(core_ctx))
+        return real(ctx, core_ctx, *args)
+
+    monkeypatch.setattr(proofcheck, "partner_star", checking)
+    verify_star(1, 1)
+    assert seen and all(seen)
+
+
 def test_slice_record_is_computed_once(monkeypatch):
     # classify_spider is cached by the slice map alone, so across both
     # batteries, their star and core contexts and their slices, no slice map
@@ -702,9 +717,9 @@ def test_slice_record_is_computed_once(monkeypatch):
     computed = []
     real = alphamaps.vacated_signature
 
-    def counting(weights, sp):
+    def counting(weights):
         computed.append(tuple(weights))
-        return real(weights, sp)
+        return real(weights)
 
     monkeypatch.setattr(alphamaps, "vacated_signature", counting)
     classify_spider.cache_clear()
@@ -720,9 +735,9 @@ def test_slice_marking_is_computed_once(monkeypatch):
     calls = []
     real = alphamaps.mark_legs
 
-    def counting(weights, sp, marks):
+    def counting(weights, marks):
         calls.append((tuple(weights), tuple(marks)))
-        return real(weights, sp, marks)
+        return real(weights, marks)
 
     monkeypatch.setattr(alphamaps, "mark_legs", counting)
     alphamaps.marked_slice.cache_clear()

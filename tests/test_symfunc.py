@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from treepoly.graphs import (
     Graph,
     bipartition_of,
-    clan_adjacency,
     clan_graph,
     complete_graph,
     connected_components,
@@ -246,7 +245,7 @@ def test_disjoint_union_multiplies(rng):
 def cycles_and_paths(draw):
     """A graph of up to three components, each a cycle (odd or even) or a
     path, plus up to two random chords, with the vertices shuffled (at most
-    15 vertices), and a weight map on it with values 0..2."""
+    15 vertices)."""
     parts = draw(
         st.lists(
             st.one_of(
@@ -268,15 +267,13 @@ def cycles_and_paths(draw):
         chords = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
         edges += [(i, j) for i, j in chords if i != j]
     perm = draw(st.permutations(range(n)))
-    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return Graph(n, [(perm[i], perm[j]) for i, j in edges]), tuple(weights)
+    return Graph(n, [(perm[i], perm[j]) for i, j in edges])
 
 
 @given(cycles_and_paths())
-@example((Graph(0, []), ()))
+@example(Graph(0, []))
 @settings(max_examples=120, deadline=None)
-def test_coloring_walk_matches_oracles(graph_and_weights):
-    g, w = graph_and_weights
+def test_coloring_walk_matches_oracles(g):
     walk = chromatic_2var(g)
     assert walk == chromatic_2var_bruteforce(g)
     per_component = sym_one()
@@ -285,10 +282,9 @@ def test_coloring_walk_matches_oracles(graph_and_weights):
         factor = sym_zero() if parts is None else monomial_pair(parts.p, parts.q)
         per_component = per_component * factor
     assert walk == per_component
-    assert clan_graph(g, w).adj == tuple(tuple(sorted(nbrs)) for nbrs in clan_adjacency(g, w))
 
 
-@pytest.mark.parametrize("build", [clan_adjacency, clan_graph, chromatic_multicolor_2var])
+@pytest.mark.parametrize("build", [clan_graph, chromatic_multicolor_2var])
 def test_clan_rejects_bad_weights(build):
     g = path_graph(3)
     with pytest.raises(ValueError, match="weight map length does not match vertex count"):
