@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product as iproduct
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .alphamaps import (
     EnumerationGuardError,
@@ -62,6 +63,11 @@ PATTERN_GUARD = 300_000
 MAX_NEGATIVES = 4_000_000
 
 
+# The expansion of every map with zero shadow, as pattern lookups give it: one
+# shared, read-only object, like the cached expansion of a signature.
+_ZERO_SHADOW: Mapping[tuple[int, int], int] = MappingProxyType({})
+
+
 class PartnerError(RuntimeError):
     """Raised when a pairing injection cannot be applied to a map; in a
     verification run this is falsification evidence, not a crash."""
@@ -72,36 +78,101 @@ class PartnerError(RuntimeError):
 
 
 class FamilyContext:
-    """Everything needed to analyze weight maps on one family member."""
+    """Everything needed to analyze weight maps on one family member.
+
+    The enumerator, the partner shadows, the pair sums and the base target
+    analysis all read the slice-pattern table: each map is the root value
+    and three slice patterns, joined by _join.  The family graph and its
+    ForestShadow are built only on first use; the coverage audit reads them
+    to confirm the table independently, and partner_star's refusal path
+    reads the core's shadow to tell why a core map is missing."""
 
     def __init__(self, family: str, m: int, n: int):
         self.layout = family_layout(family, m, n)
         self.family = family
         self.m = m
         self.n = n
-        self.graph = family_graph(family, m, n)
-        self.shadow = ForestShadow(self.graph)
-        self.slice_vertices = tuple(self.layout.slice_vertices(i) for i in (1, 2, 3))
+        lay = self.layout
+        self.slice_vertices = tuple(lay.slice_vertices(i) for i in (1, 2, 3))
         self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
+        # A slice map as the pattern table holds it: branch 1 of the star
+        # reads x, y after its core vertices.
+        tail = (lay.x, lay.y) if lay.star else ()
+        self.pattern_locals = (
+            _tuple_getter(self.slice_vertices[0] + tail),
+            *self.slice_locals[1:],
+        )
+        self._expansions: dict[tuple[int, int, int, int], Mapping[tuple[int, int], int]] = {}
 
-    @property
-    def slice_patterns(self) -> tuple[tuple[_SlicePattern, ...], ...]:
-        """The patterns of the branches 1, 2, 3, read from the process-wide
-        table by slice shape: the branch's leg count, and for branch 1 of
-        the star the path x, y below its third foot.  A slice past the
-        pattern guard is refused with the cell and the slice named."""
+    @cached_property
+    def graph(self) -> Graph:
+        return family_graph(self.family, self.m, self.n)
+
+    @cached_property
+    def shadow(self) -> ForestShadow:
+        return ForestShadow(self.graph)
+
+    def _per_slice(self, table) -> tuple:
+        """table(legs, tail) for the branches 1, 2, 3, by slice shape: the
+        branch's leg count, and for branch 1 of the star the path x, y below
+        its third foot.  A slice past the pattern guard is refused with the
+        cell and the slice named."""
         lay = self.layout
         out = []
         for i in (1, 2, 3):
             legs = lay.leg_count(i)
             try:
-                out.append(_slice_patterns(legs, lay.star and i == 1))
+                out.append(table(legs, lay.star and i == 1))
             except EnumerationGuardError:
                 raise EnumerationGuardError(
                     f"{self.family}({self.m},{self.n}): slice spider2({legs}) has more"
                     f" admissible maps than the pattern guard of {PATTERN_GUARD:,} maps"
                 ) from None
         return tuple(out)
+
+    @property
+    def slice_patterns(self) -> tuple[tuple[_SlicePattern, ...], ...]:
+        """The patterns of the branches 1, 2, 3, read from the process-wide
+        table by slice shape."""
+        return self._per_slice(_slice_patterns)
+
+    @cached_property
+    def pattern_index(self) -> tuple[dict[Weights, _SlicePattern], ...]:
+        """The patterns of the branches 1, 2, 3 by slice map."""
+        return self._per_slice(_pattern_index)
+
+    def pattern_expansion(
+        self, w: Weights
+    ) -> tuple[Mapping[tuple[int, int], int], Optional[tuple[_SlicePattern, ...]]]:
+        """The shadow expansion of w and its three slice patterns, looked up
+        in the pattern table, or an empty expansion and None when w has zero
+        shadow: a root value outside 0..2, a slice map that is not an
+        admissible map of its slice, or a positive root and branch center of
+        total 3 or more.  Those are the family tree's edges, so the
+        expansion is the family ForestShadow's any_expansion.  It is joined
+        once per root value and slice buckets, and it is the process-wide
+        cached object of its signature."""
+        v0 = w[0]
+        allowed = _TAU_ALLOWED.get(v0)
+        if allowed is None:
+            return _ZERO_SHADOW, None
+        index1, index2, index3 = self.pattern_index
+        read1, read2, read3 = self.pattern_locals
+        p1 = index1.get(read1(w))
+        p2 = index2.get(read2(w))
+        p3 = index3.get(read3(w))
+        if (
+            p1 is None or p2 is None or p3 is None
+            or p1.tau not in allowed or p2.tau not in allowed or p3.tau not in allowed
+        ):
+            return _ZERO_SHADOW, None
+        # a bucket number stands for its key within one slice shape
+        key = (v0, p1.bucket, p2.bucket, p3.bucket)
+        exp = self._expansions.get(key)
+        if exp is None:
+            acc = _join(v0, _join(v0, _join(v0, _ROOT_STATE[v0], p1), p2), p3)
+            exp = self._expansions[key] = expansion_from_signature(_close(acc))
+        return exp, (p1, p2, p3)
 
     @cached_property
     def signature_counts(self) -> dict[Signature, int]:
@@ -894,11 +965,12 @@ POSITIVE_CLASS_PREDICATES = _positive_class_predicates()
 class _SlicePattern:
     """One slice map, its bucket and the spider class of its core vertices
     (the slice without x, y): patterns with equal key (tau, comps, twos,
-    cc0, cc1) join every partial signature alike (see _join)."""
+    cc0, cc1) join every partial signature alike (see _join).  bucket
+    numbers the keys of one slice shape in order of first appearance."""
 
     __slots__ = (
-        "values", "record", "tau", "comps", "twos", "cc0", "cc1", "key", "d", "solo_bad",
-        "internal_bad",
+        "values", "record", "tau", "comps", "twos", "cc0", "cc1", "key", "bucket", "d",
+        "solo_bad", "internal_bad",
     )
 
     def __init__(self, values, record, tau, comps, twos, cc0, cc1):
@@ -926,9 +998,20 @@ def _slice_patterns(legs: int, tail: bool) -> tuple[_SlicePattern, ...]:
         x = g.n
         g = Graph(x + 2, [*g.edges(), (legs + 3, x), (x, x + 1)])
     shadow = ForestShadow(g)
-    return tuple(
+    patterns = tuple(
         _pattern(shadow, values, 2 * legs + 1) for values in admissible_maps(g, PATTERN_GUARD)
     )
+    buckets: dict[tuple, int] = {}
+    for p in patterns:
+        p.bucket = buckets.setdefault(p.key, len(buckets))
+    return patterns
+
+
+@cache
+def _pattern_index(legs: int, tail: bool) -> dict[Weights, _SlicePattern]:
+    """_slice_patterns(legs, tail) by slice map, built once per slice shape
+    for the process."""
+    return {p.values: p for p in _slice_patterns(legs, tail)}
 
 
 def _pattern(shadow: ForestShadow, values: Weights, core: int) -> _SlicePattern:
@@ -1111,7 +1194,12 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     negative shadow.  The bucket count gives the number of admissible maps,
     checked against count_admissible, and the number of negative ones; the
     enumerated maps must be distinct, each negative under the family's own
-    ForestShadow, and exactly that many."""
+    ForestShadow, and exactly that many.
+
+    This audit is the certificate's independent confirmation of the
+    pattern table: the enumerator, the partner shadows, the pair sums and
+    the base target analysis all join slice patterns with _join, and only
+    this report reads the literal family graph and its ForestShadow."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-coverage", ctx.m, ctx.n)
     rep.cases = sum(ctx.signature_counts.values())
@@ -1137,9 +1225,18 @@ def _pairing_reports(
     """The pairing argument of both families: classify(w, a) puts each
     negative map in a class, where a is the analysis negative_members yields
     with w, the final class may reach only the top diagonal, and every other
-    class is paired through pair(w, a, cls); target(beta, cls) says how a
-    partner misses its target class, or returns None.  Returns the six
-    reports and the enumerated maps for the coverage audit."""
+    class is paired through pair(w, a, cls); target(beta, cls, pats) says
+    how a partner misses its target class, or returns None, where pats are
+    the partner's slice patterns (None for a zero-shadow partner).  Returns
+    the six reports and the enumerated maps for the coverage audit.
+
+    A partner's shadow comes from the pattern table (see
+    FamilyContext.pattern_expansion), and whether the partner's shadow and
+    the pair sum have a negative coefficient is decided once per (negative
+    signature, partner signature) pair; for the base family the target
+    analysis joins the partner's pattern records.  All of these share _join
+    and the records with the enumerator, so they are not independent of
+    it: the coverage audit confirms the table against the family graph."""
     t0 = time.perf_counter()
     m, n = ctx.m, ctx.n
     lemmas = (
@@ -1150,6 +1247,11 @@ def _pairing_reports(
     rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject = reports
     images: dict[Weights, tuple[int, Weights]] = {}
     negatives: list[Weights] = []
+    # (id(exp), id(bexp)) -> (exp, bexp, whether the partner's expansion
+    # and the pair sum have a negative coefficient).  Both expansions are
+    # the cached objects of their signatures, and the entry holds them, so
+    # neither id can pass to another dict while the memo lives.
+    pair_signs: dict[tuple[int, int], tuple] = {}
     for w, exp, a in negative_members(ctx):
         negatives.append(w)
         matches = classify(w, a)
@@ -1170,11 +1272,20 @@ def _pairing_reports(
         except PartnerError as exc:
             rep_image.record(w, f"{label} {cls}: {exc}")
             continue
-        bexp = ctx.shadow.any_expansion(beta)
+        bexp, bpats = ctx.pattern_expansion(beta)
+        key = (id(exp), id(bexp))
+        signs = pair_signs.get(key)
+        if signs is None:
+            signs = pair_signs[key] = (
+                exp,
+                bexp,
+                min_coefficient(bexp) < 0,
+                min_coefficient(add_expansions(exp, bexp)) < 0,
+            )
         rep_image.cases += 1
-        if min_coefficient(bexp) < 0:
+        if signs[2]:
             rep_image.record(beta, f"{label} {cls}: partner shadow is negative")
-        miss = target(beta, cls)
+        miss = target(beta, cls, bpats)
         if miss is not None:
             rep_image.record(w, f"{label} {cls}: {miss}")
         # The target classes are audited on realized partners: two negative
@@ -1183,7 +1294,7 @@ def _pairing_reports(
         rep_disjoint.cases += 1
         rep_inject.cases += 1
         rep_pairing.cases += 1
-        if min_coefficient(add_expansions(exp, bexp)) < 0:
+        if signs[3]:
             rep_pairing.record(w, f"{label} {cls}: pair sum has a negative coefficient")
         prev = images.get(beta)
         if prev is not None and prev != (cls, w):
@@ -1215,8 +1326,12 @@ def verify_base(m: int, n: int) -> list[CheckReport]:
     ctx = FamilyContext("t3mn", m, n)
     _check_negative_count(ctx)
 
-    def target(beta: Weights, cls: int) -> Optional[str]:
-        if POSITIVE_CLASS_PREDICATES[cls - 1](analyze_map(ctx, beta)):
+    def target(beta: Weights, cls: int, pats) -> Optional[str]:
+        if pats is None:
+            a = analyze_map(ctx, beta)
+        else:
+            a = _join_analysis(beta, pats[0].record, pats[1].record, pats[2].record)
+        if POSITIVE_CLASS_PREDICATES[cls - 1](a):
             return None
         return "partner misses its target class"
 
@@ -1306,7 +1421,7 @@ def partner_star(
     negative one the core enumeration missed.
     """
     lay = ctx.layout
-    core_n = core_ctx.graph.n
+    core_n = core_ctx.layout.size
     if cls in (1, 2):
         gamma = tuple(w[:core_n])
     elif cls == 3:
@@ -1349,7 +1464,7 @@ def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport
     core_ctx.core_steps
     lay = ctx.layout
 
-    def target(beta: Weights, cls: int) -> Optional[str]:
+    def target(beta: Weights, cls: int, pats) -> Optional[str]:
         landed = 1 if beta[lay.x] != 1 else (2 if beta[lay.y] == 1 else 3)
         return None if landed == cls else f"partner lands in class {landed}"
 

@@ -5,11 +5,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treepoly import intpoly
+from treepoly.cli import MAX_FAMILY_VERTICES
 from treepoly.alphamaps import count_admissible
 from treepoly.graphs import (
     Graph,
     complete_graph,
     disjoint_union,
+    family_layout,
     induced_subgraph,
     is_forest,
     path_graph,
@@ -174,6 +176,52 @@ def test_family_poly_interns_the_graph_dp_shapes(family):
         assert family_poly(family, n + 1, m) == q
         assert len(intpoly._SHAPE_PAIRS) == size
     assert_shape_table_consistent()
+
+
+def _binomial_power(c: int, k: int) -> IntPoly:
+    """(1 + c x)^k from its binomial coefficients."""
+    coeffs = [1]
+    for i in range(k):
+        coeffs.append(coeffs[-1] * (k - i) * c // (i + 1))
+    return IntPoly(coeffs)
+
+
+def closed_form_family_poly(family: str, m: int, n: int) -> IntPoly:
+    """I(T_{3,m,n}) = B_3 B_m B_n + x (1+2x)^(3+m+n), with B_k = (1+2x)^k +
+    x (1+x)^k: a set avoids the root (one factor per branch, each branch
+    spider avoiding or holding its centre) or holds it (every centre out,
+    each leg a path of two with its head free).  In the star, branch 1's
+    third leg is a path of four, so its B_3 becomes (1+2x)^2 (1+4x+3x^2) +
+    x (1+x)^2 (1+3x+x^2), and the root term x (1+2x)^(2+m+n) (1+4x+3x^2).
+    Polynomial arithmetic only, with no shape table."""
+
+    def b(k: int) -> IntPoly:
+        return _binomial_power(2, k) + _binomial_power(1, k).shifted()
+
+    if family == "t3mn":
+        b1 = b(3)
+        root = _binomial_power(2, 3 + m + n).shifted()
+    else:
+        path4 = IntPoly([1, 4, 3])
+        b1 = _binomial_power(2, 2) * path4 + (_binomial_power(1, 2) * IntPoly([1, 3, 1])).shifted()
+        root = (_binomial_power(2, 2 + m + n) * path4).shifted()
+    return b1 * b(m) * b(n) + root
+
+
+@pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
+def test_family_poly_matches_the_closed_form(family):
+    # on the 30x30 scan grid, and on cells at the vertex limit of
+    # MAX_FAMILY_VERTICES (5,000): t3mn(2494, 1) and t3mn_star(2494, 0),
+    # which share their largest spider, and their mirror images
+    for m in range(1, 31):
+        for n in range(1, 31):
+            assert family_poly(family, m, n) == closed_form_family_poly(family, m, n)
+    m = 2494
+    n = 1 if family == "t3mn" else 0
+    assert family_layout(family, m, n).size == MAX_FAMILY_VERTICES
+    for cell in ((m, n), (n, m)):
+        p = family_poly(family, *cell)
+        assert p.degree == 2501 and p == closed_form_family_poly(family, *cell)
 
 
 @pytest.mark.parametrize("m,n", [(-1, 0), (2, -1), (-3, -3)])

@@ -190,12 +190,24 @@ def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
     monkeypatch.setattr(proofcheck, "admissible_maps", counting)
     verify_base(1, 1)
     # spider2(3) for branch 1, then spider2(1) once for branches 2 and 3,
-    # shared by the enumeration and the audit
+    # shared by the enumeration, the partner lookups and the audit; the
+    # index by slice map is built once per shape too
     assert calls == [7, 3]
+    assert proofcheck._pattern_index.cache_info().misses == 2
     verify_star(1, 1)
     assert calls == [7, 3, 9]  # only the star's branch 1, with x and y, is new
+    assert proofcheck._pattern_index.cache_info().misses == 3
     verify_star(2, 2, repair_corner=True)
     assert calls == [7, 3, 9, 5]  # only spider2(2) is new
+    assert proofcheck._pattern_index.cache_info().misses == 4
+    # the index holds the table's own patterns, and a bucket number stands
+    # for one key within a shape
+    ctx = FamilyContext("t3mn_star", 2, 2)
+    for index, patterns in zip(ctx.pattern_index, ctx.slice_patterns):
+        assert len(index) == len(patterns)
+        assert all(index[p.values] is p for p in patterns)
+        assert len({(p.key, p.bucket) for p in patterns}) == len({p.key for p in patterns})
+        assert len({p.bucket for p in patterns}) == len({p.key for p in patterns})
 
     def no_pattern(*args):
         raise AssertionError("pattern built before the guard check")
@@ -205,6 +217,147 @@ def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
     monkeypatch.setattr(proofcheck, "_pattern", no_pattern)
     with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
         FamilyContext("t3mn", 1, 1).slice_patterns
+    with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
+        FamilyContext("t3mn", 1, 1).pattern_index
+
+
+@pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
+def test_pattern_expansion_matches_the_family_shadow(family):
+    # On every admissible map at (1, 1), the expansion joined from the
+    # pattern table equals the family ForestShadow's: 121,165 base and
+    # 616,769 star maps.
+    ctx = FamilyContext(family, 1, 1)
+    seen = 0
+    for w in admissible_maps(ctx.graph):
+        exp, pats = ctx.pattern_expansion(w)
+        assert pats is not None and exp == ctx.shadow.any_expansion(w)
+        seen += 1
+    assert seen == count_admissible(ctx.graph)
+
+
+def _zero_shadow_maps():
+    """(name, family, map) of maps with zero shadow, one per way a map
+    leaves the pattern table, at (1, 1)."""
+    base = family_layout("t3mn", 1, 1)
+    star = family_layout("t3mn_star", 1, 1)
+
+    def at(lay, **values):
+        w = [0] * lay.size
+        for name, value in values.items():
+            w[{"v0": lay.v0, "v1": lay.branch(1), "v2": lay.branch(2), "v3": lay.branch(3),
+               "h11": lay.head(1, 1), "h21": lay.head(2, 1), "f13": lay.foot(1, 3),
+               "x": lay.x if lay.star else None}[name]] = value
+        return tuple(w)
+
+    return [
+        ("root value 3", "t3mn", at(base, v0=3)),
+        ("slice value 3", "t3mn", at(base, h21=3)),
+        ("slice map not admissible", "t3mn", at(base, v1=2, h11=1)),
+        ("root 2, centre 1", "t3mn", at(base, v0=2, v2=1)),
+        ("root 1, centre 2", "t3mn", at(base, v0=1, v3=2)),
+        ("star tail not admissible", "t3mn_star", at(star, f13=1, x=2)),
+    ]
+
+
+ZERO_SHADOW_MAPS = _zero_shadow_maps()
+
+
+@pytest.mark.parametrize("name,family,w", ZERO_SHADOW_MAPS, ids=[c[0] for c in ZERO_SHADOW_MAPS])
+def test_pattern_expansion_of_a_zero_shadow_map(name, family, w):
+    ctx = FamilyContext(family, 1, 1)
+    assert ctx.shadow.any_expansion(w) == {}
+    assert ctx.pattern_expansion(w) == ({}, None)
+    # the same map with the offending values at 1 or 0 is in the table
+    fixed = tuple(min(v, 1) for v in w)
+    exp, pats = ctx.pattern_expansion(fixed)
+    assert pats is not None and exp == ctx.shadow.any_expansion(fixed)
+
+
+def test_zero_shadow_partner_breaks_the_pair_sum(monkeypatch):
+    # A class-1 injection that puts 3 on the root: its partners leave the
+    # pattern table, so their shadow is zero, and every class-1 pair sum
+    # is the negative map's own expansion.
+    ctx = FamilyContext("t3mn", 1, 1)
+    class1 = sum(1 for _, _, a in negative_members(ctx) if negative_class_matches(a) == (1,))
+    assert class1 > 0
+    real_partner = proofcheck.partner
+
+    def faulty(c, a, cls):
+        beta = real_partner(c, a, cls)
+        return (3, *beta[1:]) if cls == 1 else beta
+
+    zero = []
+    real_lookup = FamilyContext.pattern_expansion
+
+    def lookup(c, w):
+        out = real_lookup(c, w)
+        if out[1] is None:
+            zero.append(w)
+        return out
+
+    monkeypatch.setattr(proofcheck, "partner", faulty)
+    monkeypatch.setattr(FamilyContext, "pattern_expansion", lookup)
+    reports = {r.lemma: r for r in verify_base(1, 1)}
+    rep = reports["pairing-positivity"]
+    assert len(zero) == rep.violation_count == class1
+    assert all(v.reason == "class 1: pair sum has a negative coefficient" for v in rep.violations)
+    # the target analysis falls back to analyze_map, and a root of 3 is in
+    # no target class
+    image = reports["image-in-target"]
+    assert image.violation_count == class1
+    assert all(v.reason == "class 1: partner misses its target class" for v in image.violations)
+
+
+@pytest.mark.parametrize(
+    "family,verify,partners,zero",
+    [("t3mn", verify_base, 15070, 0), ("t3mn_star", verify_star, 69270, 288)],
+    ids=["base", "star-published"],
+)
+def test_partner_lookups_match_the_family_shadow(monkeypatch, family, verify, partners, zero):
+    # Every realized partner at (2, 2), with the published injections, so
+    # the star's 288 inadmissible corner partners are among them: the looked
+    # up expansion is the family ForestShadow's, and the analysis joined
+    # from the looked-up records is analyze_map's.
+    seen = []
+    real = FamilyContext.pattern_expansion
+
+    def recording(ctx, w):
+        out = real(ctx, w)
+        seen.append((ctx, w, out))
+        return out
+
+    monkeypatch.setattr(FamilyContext, "pattern_expansion", recording)
+    verify(2, 2)
+    assert len(seen) == partners
+    assert sum(1 for _, _, (_, pats) in seen if pats is None) == zero
+    for ctx, beta, (exp, pats) in seen:
+        assert ctx.family == family
+        assert exp == ctx.shadow.any_expansion(beta)
+        if pats is not None:
+            joined = proofcheck._join_analysis(beta, *(p.record for p in pats))
+            assert joined == analyze_map(ctx, beta)
+
+
+def test_pair_sums_are_decided_once_per_signature_pair(monkeypatch):
+    # One add_expansions call per distinct (negative signature, partner
+    # signature) pair, counted here with the family ForestShadow: 275 at
+    # base (2, 2) for 15,070 partners.
+    calls = []
+    real = proofcheck.add_expansions
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(proofcheck, "add_expansions", counting)
+    assert all_ok(verify_base(2, 2))
+    ctx = FamilyContext("t3mn", 2, 2)
+    pairs = set()
+    for w, _, a in negative_members(ctx):
+        (cls,) = negative_class_matches(a)
+        if cls != 30:
+            pairs.add((ctx.shadow.signature(w), ctx.shadow.signature(partner(ctx, a, cls))))
+    assert len(calls) == len(pairs) == 275
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
@@ -713,7 +866,9 @@ def test_slice_record_is_computed_once(monkeypatch):
     # classify_spider is cached by the slice map alone, so across both
     # batteries, their star and core contexts and their slices, no slice map
     # is classified twice; the body's vacated_signature call counts the
-    # classifications the cache did not serve
+    # classifications the cache did not serve.  The pattern table is emptied
+    # too: its patterns carry their records, so a table built by an earlier
+    # test would leave nothing to classify.
     computed = []
     real = alphamaps.vacated_signature
 
@@ -723,6 +878,7 @@ def test_slice_record_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(alphamaps, "vacated_signature", counting)
     classify_spider.cache_clear()
+    clear_slice_patterns()
     verify_star(1, 1)
     verify_base(1, 1)
     assert computed and len(computed) == len(set(computed))
