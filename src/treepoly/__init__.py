@@ -2,12 +2,7 @@
 unimodality certificates for two families of trees."""
 
 from .graphs import (
-    Bipartition,
     Graph,
-    bipartition_of,
-    clan_graph,
-    connected_components,
-    induced_subgraph,
     is_forest,
     spider2,
     spider12,
@@ -27,22 +22,17 @@ from .symfunc import (
 )
 
 __all__ = [
-    "Bipartition",
     "Graph",
     "IntPoly",
     "SequenceReport",
     "SymPoly2",
     "TwoRowExpansion",
     "analyze",
-    "bipartition_of",
     "chromatic_2var",
     "chromatic_multicolor_2var",
-    "clan_graph",
-    "connected_components",
     "f_p_2var",
     "indpoly_bruteforce",
     "indpoly_tree",
-    "induced_subgraph",
     "is_forest",
     "schur_expand",
     "schur_sym",

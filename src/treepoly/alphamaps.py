@@ -1,5 +1,5 @@
-"""Weight maps on graphs: masking, admissible enumeration, and the spider
-classes behind the pairing arguments.
+"""Weight maps on graphs: admissible enumeration, and the spider classes
+behind the pairing arguments.
 
 A weight map assigns a nonnegative integer to every vertex in canonical
 order; it is stored as a plain tuple.  "Admissible" maps are the ones whose
@@ -21,7 +21,7 @@ from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, clan_owners, disjoint_union, rooted_forest, spider2, spider12
+from .graphs import Graph, disjoint_union, rooted_forest, spider2, spider12
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
@@ -37,16 +37,6 @@ ENUMERATION_GUARD = 2_000_000
 
 class EnumerationGuardError(RuntimeError):
     """Raised when an admissible enumeration would exceed the size guard."""
-
-
-# ---------------------------------------------------------------------------
-# masking
-
-
-def mask_outside(weights: Sequence[int], vertices: Iterable[int]) -> Weights:
-    """Keep values on the given vertices, zero everywhere else."""
-    keep = set(vertices)
-    return tuple(a if v in keep else 0 for v, a in enumerate(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +266,6 @@ def _spider_shadow(n: int) -> ForestShadow:
 
 
 # ---------------------------------------------------------------------------
-# core/rest split along a clan component
-
-
-@dataclass(frozen=True)
-class CoreSplit:
-    """Vertices whose clan copies lie inside one clan component (core) and
-    the complementary vertices (rest)."""
-
-    core: tuple[int, ...]
-    rest: tuple[int, ...]
-
-
-def split_by_clan_component(
-    g: Graph, weights: Sequence[int], component: Sequence[int]
-) -> CoreSplit:
-    owners = clan_owners(g, weights)
-    comp = set(component)
-    core = sorted({owners[cv] for cv in comp})
-    for v in core:
-        copies = [i for i, o in enumerate(owners) if o == v]
-        if not all(c in comp for c in copies):
-            raise ValueError("component splits the clan copies of a vertex")
-    rest = sorted(set(range(g.n)) - set(core))
-    return CoreSplit(tuple(core), tuple(rest))
-
-
-# ---------------------------------------------------------------------------
 # spider verification checks
 
 
@@ -414,12 +377,12 @@ def check_leaf_spider_pairing(n: int) -> CheckReport:
             if k < 2:
                 continue
             w = local[:1] + (leaf,) + local[1:]
-            exp_w = ctx.any_expansion(w)
+            exp_w = ctx.expansion(w)
             for j in range(1, k + 1):
                 rep.cases += 1
                 beta = mark_legs(local, (j,))
                 beta = beta[:1] + (leaf,) + beta[1:]
-                total = add_expansions(exp_w, ctx.any_expansion(beta))
+                total = add_expansions(exp_w, ctx.expansion(beta))
                 if min_coefficient(total) < 0:
                     rep.record(w, f"pair sum negative (leaf={leaf}, mark={j})")
     rep.elapsed = time.perf_counter() - t0

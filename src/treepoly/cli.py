@@ -361,11 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="print one independence polynomial row")
-    poly.add_argument(
-        "--family",
-        required=True,
-        choices=["t3mn", "t3mn-star", "t3mn_star", "spider2", "spider12"],
-    )
+    poly_families = [*FAMILY_ALIASES, *_POLY_FLAGS]
+    poly.add_argument("--family", required=True, choices=poly_families)
     poly.add_argument("-m", "--m", type=int, dest="m")
     poly.add_argument("-n", "--n", type=int, dest="n")
     poly.add_argument("-k", "--k", type=int, dest="k")
@@ -375,9 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.set_defaults(func=cmd_poly)
 
     scan = sub.add_parser("scan", help="scan an (m, n) grid or diagonal")
-    scan.add_argument(
-        "--family", choices=["t3mn", "t3mn-star", "t3mn_star", "both"], default="both"
-    )
+    scan.add_argument("--family", choices=[*FAMILY_ALIASES, "both"], default="both")
     scan.add_argument("-m", "--m", dest="m", help="range like 1..10")
     scan.add_argument("-n", "--n", dest="n", help="range like 1..10")
     scan.add_argument("--diag", help="diagonal spec like k,k+1")
@@ -411,11 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     plotdata = sub.add_parser("plotdata", help="emit coefficient and defect columns")
-    plotdata.add_argument(
-        "--family",
-        required=True,
-        choices=["t3mn", "t3mn-star", "t3mn_star", "spider2", "spider12"],
-    )
+    plotdata.add_argument("--family", required=True, choices=poly_families)
     plotdata.add_argument("-m", "--m", type=int, dest="m")
     plotdata.add_argument("-n", "--n", type=int, dest="n")
     plotdata.add_argument("-k", "--k", type=int, dest="k")

@@ -1,4 +1,6 @@
-"""Labeled graphs with a fixed vertex order: tree families, spiders, clan graphs.
+"""Labeled graphs with a fixed vertex order: tree families, spiders, the
+forest walk, and the clan offsets that number a clan's vertices (the clan
+graph itself is never built: symfunc walks it in place).
 
 Everything downstream (weight-map enumeration, serialization, the class
 partition audits) depends on the canonical vertex order of these builders,
@@ -8,7 +10,6 @@ so the order is part of each builder's contract and never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 
@@ -74,18 +75,6 @@ class Graph:
         return {"n": self.n, "labels": list(self.labels), "edges": [list(e) for e in self.edges()]}
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Color class sizes of a connected bipartite graph, ordered p >= q.
-
-    The result type of bipartition_of, the tests' per-component oracle for
-    the one coloring walk in symfunc.
-    """
-
-    p: int
-    q: int
-
-
 # ---------------------------------------------------------------------------
 # family builders
 
@@ -144,10 +133,6 @@ def spider12(k: int, r: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)], [f"p{i}" for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], [f"k{i}" for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -250,27 +235,6 @@ def family_graph(family: str, m: int, n: int) -> Graph:
 # structural operations
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    seen = bytearray(g.n)
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        stack = [start]
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-                    comp.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
-
-
 def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
     """The one walk every forest question folds over: all vertices with each
     parent before its children, and each vertex's parent.  parent[v] is -1
@@ -300,43 +264,6 @@ def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
                 elif w != pu:
                     raise NotAForestError("input graph contains a cycle")
     return order, parent
-
-
-def bipartition_of(g: Graph, component: Iterable[int]) -> Optional[Bipartition]:
-    """Bipartition sizes of one connected component, or None on an odd cycle.
-
-    The result is swap stable: it does not depend on which side the coloring
-    starts from.  Nothing in the package calls it: the tests keep it as the
-    per-component oracle for symfunc's coloring walk.
-    """
-    comp = sorted(component)
-    if not comp:
-        return None
-    color = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return None
-    if set(color) != set(comp):
-        raise ValueError("vertex set is not a connected component")
-    ones = sum(color[v] for v in comp)
-    zeros = len(comp) - ones
-    return Bipartition(max(zeros, ones), min(zeros, ones))
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph on the given vertices, order and labels inherited."""
-    verts = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (pos[u], pos[w]) for u in verts for w in g.adj[u] if u < w and w in pos
-    ]
-    return Graph(len(verts), edges, [g.labels[v] for v in verts])
 
 
 def is_forest(g: Graph) -> bool:
@@ -374,28 +301,3 @@ def clan_offsets(g: Graph, weights: Sequence[int]) -> list[int]:
     return offsets
 
 
-def clan_graph(g: Graph, weights: Sequence[int]) -> Graph:
-    """The clan graph: each vertex v blown up into a clique of size
-    weights[v], the cliques of adjacent vertices joined completely.  Copy i
-    of v is clan vertex clan_offsets(g, weights)[v] + i.
-
-    Clan vertices are labeled "<owner label>^(i)" so ownership is
-    recoverable from the label.
-    """
-    offsets = clan_offsets(g, weights)
-    edges: list[tuple[int, int]] = []
-    for v, nbrs in enumerate(g.adj):
-        copies = range(offsets[v], offsets[v + 1])
-        edges.extend(combinations(copies, 2))
-        for u in nbrs:
-            if u > v:
-                edges.extend(product(copies, range(offsets[u], offsets[u + 1])))
-    labels = [
-        f"{g.labels[v]}^({i + 1})" for v in range(g.n) for i in range(weights[v])
-    ]
-    return Graph(offsets[-1], edges, labels)
-
-
-def clan_owners(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
-    """Owner vertex of each clan vertex, in clan order."""
-    return tuple(v for v in range(g.n) for _ in range(weights[v]))

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product as iproduct
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .alphamaps import (
@@ -45,6 +44,7 @@ from .graphs import Graph, family_graph, family_layout, path_graph, spider2
 from .intpoly import analyze, family_poly
 from .reports import CheckReport
 from .shadow import (
+    ZERO_EXPANSION,
     ForestShadow,
     Signature,
     add_expansions,
@@ -63,11 +63,6 @@ PATTERN_GUARD = 300_000
 MAX_NEGATIVES = 4_000_000
 
 
-# The expansion of every map with zero shadow, as pattern lookups give it: one
-# shared, read-only object, like the cached expansion of a signature.
-_ZERO_SHADOW: Mapping[tuple[int, int], int] = MappingProxyType({})
-
-
 class PartnerError(RuntimeError):
     """Raised when a pairing injection cannot be applied to a map; in a
     verification run this is falsification evidence, not a crash."""
@@ -80,12 +75,12 @@ class PartnerError(RuntimeError):
 class FamilyContext:
     """Everything needed to analyze weight maps on one family member.
 
-    The enumerator, the partner shadows, the pair sums and the base target
-    analysis all read the slice-pattern table: each map is the root value
-    and three slice patterns, joined by _join.  The family graph and its
-    ForestShadow are built only on first use; the coverage audit reads them
-    to confirm the table independently, and partner_star's refusal path
-    reads the core's shadow to tell why a core map is missing."""
+    The enumerator, the partner shadows, the pair sums, the base target
+    analysis and partner_star's refusal path all read the slice-pattern
+    table: each map is the root value and three slice patterns, joined by
+    _join.  The family graph and its ForestShadow are built only on first
+    use, and only the coverage audit reads them, to confirm the table
+    independently."""
 
     def __init__(self, family: str, m: int, n: int):
         self.layout = family_layout(family, m, n)
@@ -149,13 +144,13 @@ class FamilyContext:
         shadow: a root value outside 0..2, a slice map that is not an
         admissible map of its slice, or a positive root and branch center of
         total 3 or more.  Those are the family tree's edges, so the
-        expansion is the family ForestShadow's any_expansion.  It is joined
+        expansion is the family ForestShadow's expansion.  It is joined
         once per root value and slice buckets, and it is the process-wide
         cached object of its signature."""
         v0 = w[0]
         allowed = _TAU_ALLOWED.get(v0)
         if allowed is None:
-            return _ZERO_SHADOW, None
+            return ZERO_EXPANSION, None
         index1, index2, index3 = self.pattern_index
         read1, read2, read3 = self.pattern_locals
         p1 = index1.get(read1(w))
@@ -165,7 +160,7 @@ class FamilyContext:
             p1 is None or p2 is None or p3 is None
             or p1.tau not in allowed or p2.tau not in allowed or p3.tau not in allowed
         ):
-            return _ZERO_SHADOW, None
+            return ZERO_EXPANSION, None
         # a bucket number stands for its key within one slice shape
         key = (v0, p1.bucket, p2.bucket, p3.bucket)
         exp = self._expansions.get(key)
@@ -1197,9 +1192,10 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     ForestShadow, and exactly that many.
 
     This audit is the certificate's independent confirmation of the
-    pattern table: the enumerator, the partner shadows, the pair sums and
-    the base target analysis all join slice patterns with _join, and only
-    this report reads the literal family graph and its ForestShadow."""
+    pattern table: the enumerator, the partner shadows, the pair sums, the
+    base target analysis and partner_star's refusal path all join slice
+    patterns with _join, and only this report reads the literal family
+    graph and its ForestShadow."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-coverage", ctx.m, ctx.n)
     rep.cases = sum(ctx.signature_counts.values())
@@ -1210,7 +1206,7 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     for w in negatives:
         if w in seen:
             rep.record(w, "map enumerated twice")
-        elif min_coefficient(ctx.shadow.any_expansion(w)) >= 0:
+        elif min_coefficient(ctx.shadow.expansion(w)) >= 0:
             rep.record(w, "enumerated map is not negative")
         seen.add(w)
     if len(seen) != ctx.negative_count:
@@ -1417,8 +1413,8 @@ def partner_star(
     verbatim, which leaves that corner's pairing bound falsifiable.
 
     The core step is read from core_ctx.core_steps.  A core map missing
-    there is refused; the shadow then tells a positive core map from a
-    negative one the core enumeration missed.
+    there is refused; its pattern-table shadow then tells a positive core
+    map from a negative one the core enumeration missed.
     """
     lay = ctx.layout
     core_n = core_ctx.layout.size
@@ -1432,7 +1428,7 @@ def partner_star(
         raise PartnerError(f"star class {cls} has no pairing injection")
     step = core_ctx.core_steps.get(bytes(gamma))
     if step is None:
-        if min_coefficient(core_ctx.shadow.expansion(gamma)) >= 0:
+        if min_coefficient(core_ctx.pattern_expansion(gamma)[0]) >= 0:
             raise PartnerError("core restriction is not negative")
         raise PartnerError("core restriction is negative but not enumerated")
     if isinstance(step, str):

@@ -7,57 +7,47 @@ x1^p x2^q + x1^q x2^p, and each weight-2 vertex contributes x1 x2 after the
 factorial normalization.  The multiset of part pairs plus the count of
 weight-2 vertices therefore determines the shadow, and expansions are cached
 by that signature, which is what makes exhaustive verification runs cheap.
+
+ForestShadow.expansion is the one shadow query for a map on a forest: it
+decides admissibility in the same fold that finds the signature, and every
+inadmissible map, whose clan shadow vanishes, gets ZERO_EXPANSION.  The
+two-variable term arithmetic (sums, products, pair terms) is symfunc's.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .graphs import Graph, rooted_forest
-from .symfunc import expand_terms
+from .symfunc import add_terms, expand_terms, mul_terms, pair_terms
 
 Signature = tuple[tuple[tuple[int, int], ...], int]
 
 _SIG_EXPANSION: dict[Signature, dict[tuple[int, int], int]] = {}
-_SIG_POLY: dict[Signature, dict[tuple[int, int], int]] = {}
+
+# The expansion of every map with zero shadow: one shared, read-only object,
+# like the cached expansion of a signature.
+ZERO_EXPANSION: Mapping[tuple[int, int], int] = MappingProxyType({})
+
+# Term-dict addition is symfunc's; the shadow layer names it for expansions.
+add_expansions = add_terms
 
 
 def _poly_from_components(comps: Sequence[tuple[int, int]], twos: int) -> dict:
+    """The shadow polynomial of a signature: one pair term per component,
+    times (x1 x2)^twos."""
     out: dict[tuple[int, int], int] = {(twos, twos): 1}
     for p, q in comps:
-        nxt: dict[tuple[int, int], int] = {}
-        for (d1, d2), c in out.items():
-            for e1, e2 in ((p, q), (q, p)):
-                key = (d1 + e1, d2 + e2)
-                val = nxt.get(key, 0) + c
-                if val:
-                    nxt[key] = val
-                elif key in nxt:
-                    del nxt[key]
-        out = nxt
+        out = mul_terms(out, pair_terms(p, q))
     return out
-
-
-def poly_from_signature(sig: Signature) -> Mapping[tuple[int, int], int]:
-    """Two-variable shadow for a component signature (cached; do not mutate)."""
-    cached = _SIG_POLY.get(sig)
-    if cached is None:
-        comps, twos = sig
-        cached = _poly_from_components(comps, twos)
-        _SIG_POLY[sig] = cached
-    return cached
 
 
 def expansion_from_signature(sig: Signature) -> Mapping[tuple[int, int], int]:
     """Two-row expansion for a component signature (cached; do not mutate)."""
     cached = _SIG_EXPANSION.get(sig)
     if cached is None:
-        comps, twos = sig
-        base = expand_terms(_poly_from_components(comps, 0))
-        if twos:
-            base = {(a + twos, b + twos): c for (a, b), c in base.items()}
-        cached = base
-        _SIG_EXPANSION[sig] = cached
+        cached = _SIG_EXPANSION[sig] = expand_terms(_poly_from_components(*sig))
     return cached
 
 
@@ -65,39 +55,9 @@ def min_coefficient(expansion: Mapping[tuple[int, int], int]) -> int:
     return min(expansion.values(), default=0)
 
 
-def add_expansions(
-    a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
-    out = dict(a)
-    for key, c in b.items():
-        val = out.get(key, 0) + c
-        if val:
-            out[key] = val
-        elif key in out:
-            del out[key]
-    return out
-
-
 def part_pairs(comps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Component (c0, c1) counts as sorted (larger, smaller) part pairs."""
     return tuple(sorted((c0, c1) if c0 >= c1 else (c1, c0) for c0, c1 in comps))
-
-
-def is_admissible(g: Graph, weights: Sequence[int]) -> bool:
-    """True when no value exceeds 2 and every edge with two positive ends
-    carries weight 1 on both; all other maps have zero shadow.  A walk over
-    the adjacency lists of any graph, kept as the reference for the forest
-    fold of ForestShadow."""
-    if any(a < 0 or a > 2 for a in weights):
-        return False
-    for v in range(g.n):
-        av = weights[v]
-        if av == 0:
-            continue
-        for w in g.adj[v]:
-            if weights[w] and av + weights[w] >= 3:
-                return False
-    return True
 
 
 class ForestShadow:
@@ -172,15 +132,10 @@ class ForestShadow:
         return part_pairs(counts), twos
 
     def expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
-        return expansion_from_signature(self.signature(weights))
-
-    def any_expansion(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
-        """Expansion of any weight map: the signature path is only sound on
-        admissible maps, and every other map has zero shadow."""
+        """Two-row expansion of any weight map: the signature's for an
+        admissible map, and ZERO_EXPANSION for any other, whose clan shadow
+        vanishes."""
         counts, twos, ok = self._fold(weights)
-        if ok:
-            return expansion_from_signature((part_pairs(counts), twos))
-        return {}
-
-    def poly(self, weights: Sequence[int]) -> Mapping[tuple[int, int], int]:
-        return poly_from_signature(self.signature(weights))
+        if not ok:
+            return ZERO_EXPANSION
+        return expansion_from_signature((part_pairs(counts), twos))

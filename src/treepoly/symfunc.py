@@ -26,7 +26,8 @@ class InexactDivisionError(ArithmeticError):
     """Raised when a normalization that must be exact leaves a remainder."""
 
 
-def _mul_terms(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> dict:
+def mul_terms(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> dict:
+    """The product a * b of two term dicts, without zero terms."""
     out: dict[tuple[int, int], int] = {}
     for (p, q), ca in a.items():
         for (r, s), cb in b.items():
@@ -39,7 +40,8 @@ def _mul_terms(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int
     return out
 
 
-def _add_terms(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int], sign: int = 1) -> dict:
+def add_terms(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int], sign: int = 1) -> dict:
+    """a + sign * b, term by term, as a new dict without zero terms."""
     out = dict(a)
     for key, c in b.items():
         val = out.get(key, 0) + sign * c
@@ -48,6 +50,12 @@ def _add_terms(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int
         elif key in out:
             del out[key]
     return out
+
+
+def pair_terms(p: int, q: int) -> dict[tuple[int, int], int]:
+    """x1^p x2^q + x1^q x2^p (collapsing to 2 x1^p x2^p when p == q): the
+    shadow factor of a bipartite component with classes of p and q."""
+    return {(p, q): 1, (q, p): 1} if p != q else {(p, p): 2}
 
 
 class SymPoly2:
@@ -71,14 +79,14 @@ class SymPoly2:
         return all(self.terms.get((q, p)) == c for (p, q), c in self.terms.items())
 
     def __add__(self, other: "SymPoly2") -> "SymPoly2":
-        return SymPoly2(_add_terms(self.terms, other.terms))
+        return SymPoly2(add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "SymPoly2") -> "SymPoly2":
-        return SymPoly2(_add_terms(self.terms, other.terms, -1))
+        return SymPoly2(add_terms(self.terms, other.terms, -1))
 
     def __mul__(self, other) -> "SymPoly2":
         if isinstance(other, SymPoly2):
-            return SymPoly2(_mul_terms(self.terms, other.terms))
+            return SymPoly2(mul_terms(self.terms, other.terms))
         if isinstance(other, int):
             return SymPoly2({k: other * v for k, v in self.terms.items()})
         return NotImplemented
@@ -96,19 +104,6 @@ class SymPoly2:
     def __repr__(self) -> str:
         items = sorted(self.terms.items(), reverse=True)
         return "SymPoly2({%s})" % ", ".join(f"({p},{q}): {c}" for (p, q), c in items)
-
-
-def sym_zero() -> SymPoly2:
-    return SymPoly2()
-
-
-def sym_one() -> SymPoly2:
-    return SymPoly2({(0, 0): 1})
-
-
-def monomial_pair(p: int, q: int) -> SymPoly2:
-    """x1^p x2^q + x1^q x2^p (collapsing to 2 x1^p x2^p when p == q)."""
-    return SymPoly2({(p, q): 1, (q, p): 1} if p != q else {(p, p): 2})
 
 
 def schur_sym(a: int, b: int) -> SymPoly2:
@@ -139,10 +134,10 @@ class TwoRowExpansion:
         return min(self.coeffs.values(), default=0)
 
     def __add__(self, other: "TwoRowExpansion") -> "TwoRowExpansion":
-        return TwoRowExpansion(_add_terms(self.coeffs, other.coeffs))
+        return TwoRowExpansion(add_terms(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TwoRowExpansion") -> "TwoRowExpansion":
-        return TwoRowExpansion(_add_terms(self.coeffs, other.coeffs, -1))
+        return TwoRowExpansion(add_terms(self.coeffs, other.coeffs, -1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TwoRowExpansion):
@@ -196,7 +191,7 @@ def _clan_walk(g: Graph, weights: Sequence[int]) -> dict:
     clan vertex offsets[v] + i, adjacent to the other copies of v and to
     every copy of each neighbor of v.  Each component is colored from its
     smallest clan vertex while both color classes are counted; a bipartite
-    component with classes (p, q) contributes monomial_pair(p, q), and the
+    component with classes (p, q) contributes pair_terms(p, q), and the
     first edge inside one class (an odd cycle) makes the product zero ({})."""
     offsets = clan_offsets(g, weights)
     color = [-1] * offsets[-1]
@@ -230,34 +225,14 @@ def _clan_walk(g: Graph, weights: Sequence[int]) -> dict:
                         stack.append(y)
                     elif cy != other:
                         return {}
-        p, q = sizes
-        pair = {(p, q): 1, (q, p): 1} if p != q else {(p, p): 2}
-        terms = pair if terms is None else _mul_terms(terms, pair)
+        pair = pair_terms(*sizes)
+        terms = pair if terms is None else mul_terms(terms, pair)
     return {(0, 0): 1} if terms is None else terms
 
 
 def chromatic_2var(g: Graph) -> SymPoly2:
     """Sum of x1^(size of class 1) x2^(size of class 2) over proper 2-colorings."""
     return SymPoly2(_clan_walk(g, (1,) * g.n))
-
-
-# The most vertices chromatic_2var_bruteforce enumerates the colorings of.
-COLORING_LIMIT = 16
-
-
-def chromatic_2var_bruteforce(g: Graph) -> SymPoly2:
-    """Direct enumeration over all 2-colorings; cross-check oracle only."""
-    if g.n > COLORING_LIMIT:
-        raise ValueError(f"coloring enumeration limited to {COLORING_LIMIT} vertices")
-    edges = g.edges()
-    out: dict[tuple[int, int], int] = {}
-    for mask in range(1 << g.n):
-        if any((mask >> i & 1) == (mask >> j & 1) for i, j in edges):
-            continue
-        ones = mask.bit_count()
-        key = (g.n - ones, ones)
-        out[key] = out.get(key, 0) + 1
-    return SymPoly2(out)
 
 
 def chromatic_multicolor_2var(g: Graph, weights: Sequence[int]) -> SymPoly2:

@@ -27,6 +27,7 @@ from treepoly.shadow import ForestShadow
 from treepoly.symfunc import SymPoly2, f_p_2var, schur_expand, y_g_2var
 
 from conftest import random_forest, random_tree
+from oracles import shadow_poly
 
 
 class Criterion:
@@ -139,7 +140,7 @@ def test_criterion_05_weight_sum_identity():
         ctx = ForestShadow(t)
         total: dict = {}
         for w in admissible_maps(t):
-            for key, c in ctx.poly(w).items():
+            for key, c in shadow_poly(ctx, w).items():
                 val = total.get(key, 0) + c
                 if val:
                     total[key] = val

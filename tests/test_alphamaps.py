@@ -21,19 +21,25 @@ from treepoly.alphamaps import (
     has_isolated_clan_vertex,
     mark_legs,
     marked_slice,
-    mask_outside,
     spider_legs,
     spider_map,
     spider_suite,
-    split_by_clan_component,
     unmark_legs,
     vacated_signature,
 )
-from treepoly.graphs import clan_graph, connected_components, path_graph, spider2
-from treepoly.shadow import ForestShadow, is_admissible
-from treepoly.symfunc import chromatic_multicolor_2var, y_g_2var
+from treepoly.graphs import path_graph, spider2
+from treepoly.shadow import ForestShadow, min_coefficient
+from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, y_g_2var
 
 from conftest import random_forest, random_tree
+from oracles import (
+    clan_graph,
+    clan_owners,
+    connected_components,
+    is_admissible,
+    mask_outside,
+    split_by_clan_component,
+)
 
 
 def test_restrict_extend_roundtrip():
@@ -189,6 +195,20 @@ def test_classify_exclusive_families():
                 assert cls.in_family(cls.vac[0]) and cls.vac_is(*cls.vac)
 
 
+def test_classify_spider_sign_is_the_literal_shadow_sign(rng):
+    # on any map, admissible or not: an inadmissible map's clan shadow
+    # vanishes, so its class is positive whatever its admissible part would
+    # score; the foot of 3 below three weight-1 heads is such a map
+    maps = [(1, 1, 1, 1, 3, 0, 0)]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        maps.append(tuple(rng.randint(0, 3) for _ in range(2 * n + 1)))
+    for local in maps:
+        n = (len(local) - 1) // 2
+        literal = schur_expand(chromatic_multicolor_2var(spider2(n), local)).coeffs
+        assert classify_spider(local).positive == (min_coefficient(literal) >= 0), local
+
+
 def test_isolated_clan_vertices():
     g = spider2(2)
     assert has_isolated_clan_vertex(g, (0, 1, 0, 0, 0))
@@ -240,8 +260,6 @@ def test_split_factorization_with_agreeing_rest(rng):
 
 def test_component_with_doubled_vertex_is_a_pair(rng):
     # a nonzero shadow forces every weight-2 vertex into its own pair block
-    from treepoly.graphs import clan_owners
-
     for _ in range(6):
         t = random_tree(rng, rng.randint(1, 8))
         for w in admissible_maps(t):

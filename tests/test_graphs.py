@@ -4,16 +4,9 @@ import json
 import pytest
 
 from treepoly.graphs import (
-    Bipartition,
     Graph,
-    bipartition_of,
-    clan_graph,
-    clan_owners,
-    complete_graph,
-    connected_components,
     disjoint_union,
     family_layout,
-    induced_subgraph,
     is_forest,
     path_graph,
     rooted_forest,
@@ -24,6 +17,15 @@ from treepoly.graphs import (
 )
 
 from conftest import random_tree, shuffled_forest
+from oracles import (
+    Bipartition,
+    bipartition_of,
+    clan_graph,
+    clan_owners,
+    complete_graph,
+    connected_components,
+    induced_subgraph,
+)
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

@@ -9,10 +9,8 @@ from treepoly.cli import MAX_FAMILY_VERTICES
 from treepoly.alphamaps import count_admissible
 from treepoly.graphs import (
     Graph,
-    complete_graph,
     disjoint_union,
     family_layout,
-    induced_subgraph,
     is_forest,
     path_graph,
     spider2,
@@ -36,6 +34,7 @@ from treepoly.intpoly import (
 from treepoly.shadow import ForestShadow
 
 from conftest import clear_shape_table, random_forest, random_tree
+from oracles import complete_graph, induced_subgraph
 
 
 def test_intpoly_basics():

@@ -14,7 +14,7 @@ from treepoly.alphamaps import (
     classify_spider,
     count_admissible,
 )
-from treepoly.graphs import connected_components, family_layout, induced_subgraph
+from treepoly.graphs import family_layout
 from treepoly.intpoly import analyze, family_graph, indpoly_tree
 from treepoly.proofcheck import (
     FamilyContext,
@@ -35,10 +35,11 @@ from treepoly.proofcheck import (
     verify_star,
 )
 from treepoly.reports import all_ok
-from treepoly.shadow import ForestShadow, expansion_from_signature, is_admissible, min_coefficient
-from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, sym_one
+from treepoly.shadow import ForestShadow, expansion_from_signature, min_coefficient
+from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
 from conftest import clear_slice_patterns
+from oracles import connected_components, induced_subgraph, is_admissible, sym_one
 
 
 def brute_negatives(ctx):
@@ -230,7 +231,7 @@ def test_pattern_expansion_matches_the_family_shadow(family):
     seen = 0
     for w in admissible_maps(ctx.graph):
         exp, pats = ctx.pattern_expansion(w)
-        assert pats is not None and exp == ctx.shadow.any_expansion(w)
+        assert pats is not None and exp == ctx.shadow.expansion(w)
         seen += 1
     assert seen == count_admissible(ctx.graph)
 
@@ -265,12 +266,12 @@ ZERO_SHADOW_MAPS = _zero_shadow_maps()
 @pytest.mark.parametrize("name,family,w", ZERO_SHADOW_MAPS, ids=[c[0] for c in ZERO_SHADOW_MAPS])
 def test_pattern_expansion_of_a_zero_shadow_map(name, family, w):
     ctx = FamilyContext(family, 1, 1)
-    assert ctx.shadow.any_expansion(w) == {}
+    assert ctx.shadow.expansion(w) == {}
     assert ctx.pattern_expansion(w) == ({}, None)
     # the same map with the offending values at 1 or 0 is in the table
     fixed = tuple(min(v, 1) for v in w)
     exp, pats = ctx.pattern_expansion(fixed)
-    assert pats is not None and exp == ctx.shadow.any_expansion(fixed)
+    assert pats is not None and exp == ctx.shadow.expansion(fixed)
 
 
 def test_zero_shadow_partner_breaks_the_pair_sum(monkeypatch):
@@ -332,7 +333,7 @@ def test_partner_lookups_match_the_family_shadow(monkeypatch, family, verify, pa
     assert sum(1 for _, _, (_, pats) in seen if pats is None) == zero
     for ctx, beta, (exp, pats) in seen:
         assert ctx.family == family
-        assert exp == ctx.shadow.any_expansion(beta)
+        assert exp == ctx.shadow.expansion(beta)
         if pats is not None:
             joined = proofcheck._join_analysis(beta, *(p.record for p in pats))
             assert joined == analyze_map(ctx, beta)
@@ -819,10 +820,12 @@ def test_core_step_table_matches_fresh_analysis(m, n):
 
 def test_partner_star_refuses_a_positive_core():
     ctx, core_ctx = FamilyContext("t3mn_star", 1, 1), FamilyContext("t3mn", 1, 1)
-    zero = (0,) * ctx.graph.n
+    zero = (0,) * ctx.layout.size
     for cls in (1, 2, 3):
         with pytest.raises(PartnerError, match="^core restriction is not negative$"):
             partner_star(ctx, core_ctx, zero, cls)
+    # the refusal reads the core map's shadow from the pattern table
+    assert "graph" not in vars(core_ctx) and "shadow" not in vars(core_ctx)
 
 
 def test_partner_star_refuses_a_negative_core_the_table_misses(monkeypatch):
@@ -842,9 +845,10 @@ def test_partner_star_refuses_a_negative_core_the_table_misses(monkeypatch):
     assert core_ctx.core_steps and len(dropped) == 1
     (gamma,) = dropped
     assert bytes(gamma) not in core_ctx.core_steps
-    w = gamma + (0,) * (ctx.graph.n - core_ctx.graph.n)  # x at 0: star class 1
+    w = gamma + (0,) * (ctx.layout.size - core_ctx.layout.size)  # x at 0: star class 1
     with pytest.raises(PartnerError, match="^core restriction is negative but not enumerated$"):
         partner_star(ctx, core_ctx, w, 1)
+    assert "graph" not in vars(core_ctx) and "shadow" not in vars(core_ctx)
 
 
 def test_core_steps_built_before_star_pairing(monkeypatch):

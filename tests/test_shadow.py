@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from treepoly.graphs import (
     Graph,
     NotAForestError,
-    complete_graph,
-    connected_components,
     spider2,
     t3mn,
     t3mn_star,
@@ -19,14 +17,19 @@ from treepoly.shadow import (
     ForestShadow,
     add_expansions,
     expansion_from_signature,
-    is_admissible,
     min_coefficient,
     part_pairs,
-    poly_from_signature,
 )
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
 from conftest import random_tree, shuffled_forest
+from oracles import (
+    complete_graph,
+    connected_components,
+    is_admissible,
+    poly_from_signature,
+    shadow_poly,
+)
 
 
 def test_engine_requires_bipartite():
@@ -69,17 +72,17 @@ def test_signature_matches_literal_shadow(rng):
         for w in admissible_maps(t):
             literal = schur_expand(chromatic_multicolor_2var(t, w)).coeffs
             assert dict(ctx.expansion(w)) == literal
-            assert dict(ctx.poly(w)) == chromatic_multicolor_2var(t, w).terms
+            assert dict(shadow_poly(ctx, w)) == chromatic_multicolor_2var(t, w).terms
 
 
-def test_any_expansion_matches_literal_shadow(rng):
+def test_expansion_of_any_map_matches_literal_shadow(rng):
     # every map, admissible or not, including values above 2
     for _ in range(4):
         t = random_tree(rng, rng.randint(1, 5))
         ctx = ForestShadow(t)
         for w in itertools.product((0, 1, 2, 3), repeat=t.n):
             literal = schur_expand(chromatic_multicolor_2var(t, w)).coeffs
-            assert dict(ctx.any_expansion(w)) == literal
+            assert dict(ctx.expansion(w)) == literal
 
 
 def walk_components(g, colors, weights):
@@ -107,7 +110,7 @@ def walk_components(g, colors, weights):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_one_pass_fold_matches_adjacency_walk(data):
-    # any_expansion decides admissibility and finds the components in one
+    # expansion decides admissibility and finds the components in one
     # pass over the rooted order; is_admissible and a separate walk are the
     # reference, on maps with values outside 0..2 too
     n = data.draw(st.integers(1, 12))
@@ -121,7 +124,7 @@ def test_one_pass_fold_matches_adjacency_walk(data):
     expected = {}
     if is_admissible(g, w):
         expected = expansion_from_signature((part_pairs(comps), w.count(2)))
-    assert dict(ctx.any_expansion(w)) == dict(expected)
+    assert dict(ctx.expansion(w)) == dict(expected)
 
 
 def test_signature_structure():

@@ -4,10 +4,6 @@ from hypothesis import strategies as st
 
 from treepoly.graphs import (
     Graph,
-    bipartition_of,
-    clan_graph,
-    complete_graph,
-    connected_components,
     disjoint_union,
     path_graph,
     spider12,
@@ -20,18 +16,24 @@ from treepoly.symfunc import (
     SymPoly2,
     TwoRowExpansion,
     chromatic_2var,
-    chromatic_2var_bruteforce,
     chromatic_multicolor_2var,
     f_p_2var,
-    monomial_pair,
     schur_expand,
     schur_sym,
-    sym_one,
-    sym_zero,
     y_g_2var,
 )
 
 from conftest import random_tree
+from oracles import (
+    bipartition_of,
+    chromatic_2var_bruteforce,
+    clan_graph,
+    complete_graph,
+    connected_components,
+    monomial_pair,
+    sym_one,
+    sym_zero,
+)
 
 
 def lr_coefficient(mu, nu, lam):
