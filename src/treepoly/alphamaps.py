@@ -311,8 +311,7 @@ def check_spider_shadow_formula(n: int) -> CheckReport:
     s(r+k, r+1) + s(r+k-1, r+2)."""
     t0 = time.perf_counter()
     rep = CheckReport("spider-shadow-formula", n=n)
-    g = spider2(n)
-    ctx = ForestShadow(g)
+    ctx = _spider_shadow(n)
     leg_options = ((0, 0), (1, 0), (1, 1))
     for legs in iproduct(leg_options, repeat=n):
         k = legs.count((1, 0))
@@ -342,9 +341,8 @@ def check_negative_spider_pairing(n: int) -> CheckReport:
     nonnegative."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-spider-pairing", n=n)
-    g = spider2(n)
-    ctx = ForestShadow(g)
-    for w in admissible_maps(g):
+    ctx = _spider_shadow(n)
+    for w in admissible_maps(ctx.graph):
         exp = ctx.expansion(w)
         if min_coefficient(exp) >= 0:
             continue
@@ -395,48 +393,41 @@ _FOREST_LEGS = 3
 _FOREST_COMPONENTS = 3
 
 
-def _bare_spider_forest(components: int) -> tuple[ForestShadow, Weights]:
-    """The forest checks' input: the shadow of a disjoint union of spiders
-    with _FOREST_LEGS legs, and the anchored spider map with every leg bare.
-    A map on the forest joins one spider map per component."""
+def _forest_pair_sums(lemma: str, components: int, cases: Iterable) -> CheckReport:
+    """The one driver of the forest checks: on a forest of `components`
+    spiders with _FOREST_LEGS legs, each carrying the anchored map with
+    every leg bare, each case is a label and one mark set per component.
+    The forest map joins one spider map per component, and the bare map's
+    shadow plus its marking's must be nonnegative."""
+    t0 = time.perf_counter()
+    rep = CheckReport(lemma, n=components)
+    ctx = ForestShadow(disjoint_union([spider2(_FOREST_LEGS)] * components))
     bare = spider_map(1, [(1, 0)] * _FOREST_LEGS)
-    return ForestShadow(disjoint_union([spider2(_FOREST_LEGS)] * components)), bare
+    w = bare * components
+    exp_w = ctx.expansion(w)
+    for label, sets in cases:
+        rep.cases += 1
+        marked = sum((mark_legs(bare, marks) for marks in sets), ())
+        if min_coefficient(add_expansions(exp_w, ctx.expansion(marked))) < 0:
+            rep.record(w, f"pair sum negative for {label}")
+    rep.elapsed = time.perf_counter() - t0
+    return rep
 
 
 def check_forest_pairing(components: int) -> CheckReport:
     """Pairing bound on a forest of three-leg spiders, each carrying an
     anchored map with all legs bare, marking one leg per component."""
-    t0 = time.perf_counter()
-    rep = CheckReport("forest-pairing", n=components)
-    ctx, bare = _bare_spider_forest(components)
-    w = bare * components
-    for picks in iproduct(range(1, _FOREST_LEGS + 1), repeat=components):
-        rep.cases += 1
-        beta = sum((mark_legs(bare, (pick,)) for pick in picks), ())
-        total = add_expansions(ctx.expansion(w), ctx.expansion(beta))
-        if min_coefficient(total) < 0:
-            rep.record(w, f"pair sum negative for picks {picks}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    picks = iproduct(range(1, _FOREST_LEGS + 1), repeat=components)
+    cases = ((f"picks {p}", tuple((j,) for j in p)) for p in picks)
+    return _forest_pair_sums("forest-pairing", components, cases)
 
 
 def check_forest_multi_marking(components: int) -> CheckReport:
     """Same forest as check_forest_pairing but marking arbitrary sets with
     total size equal to the component count."""
-    t0 = time.perf_counter()
-    rep = CheckReport("forest-multi-marking", n=components)
-    ctx, bare = _bare_spider_forest(components)
-    w = bare * components
-    for sets in iproduct(list(_subsets(_FOREST_LEGS)), repeat=components):
-        if sum(len(s) for s in sets) != components:
-            continue
-        rep.cases += 1
-        gamma = sum((mark_legs(bare, marks) for marks in sets), ())
-        total = add_expansions(ctx.expansion(w), ctx.expansion(gamma))
-        if min_coefficient(total) < 0:
-            rep.record(w, f"pair sum negative for mark sets {sets}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    choices = iproduct(list(_subsets(_FOREST_LEGS)), repeat=components)
+    cases = ((f"mark sets {s}", s) for s in choices if sum(map(len, s)) == components)
+    return _forest_pair_sums("forest-multi-marking", components, cases)
 
 
 def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3) -> CheckReport:
@@ -451,7 +442,7 @@ def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3
     rep = CheckReport("no-singleton-when-deficient", n=max_legs)
     pool = []
     for legs in range(1, max_legs + 1):
-        shadow = ForestShadow(spider2(legs))
+        shadow = _spider_shadow(legs)
         maps = [(w, *shadow.signature(w)) for w in admissible_maps(shadow.graph)]
         pool.append((shadow.n, maps))
     for count in range(1, max_components + 1):

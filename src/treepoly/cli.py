@@ -2,7 +2,8 @@
 plot data extraction.
 
 Exit codes: 0 success and all assertions hold, 1 an assertion or a
-verification check failed, 2 usage error.
+verification check failed, 2 usage error, 141 (128 + SIGPIPE) stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 import re
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .alphamaps import EnumerationGuardError, spider_suite
 from .graphs import family_layout, spider2, spider12
@@ -128,9 +129,9 @@ def _check_output_path(path: Optional[str]) -> None:
 _POLY_FLAGS = {"spider2": ("n",), "spider12": ("k", "r")}
 
 
-def _poly_for(args) -> tuple[str, Optional[int], Optional[int], Callable[[], IntPoly]]:
-    """The family name and size columns of a poly or plotdata row, and the
-    computation of its polynomial, for after the output path is checked."""
+def _poly_for(args) -> tuple[str, Optional[int], Optional[int], IntPoly]:
+    """The family name and size columns of a poly or plotdata row, and its
+    polynomial, computed once the cell and the output path are checked."""
     family = args.family
     takes = _POLY_FLAGS.get(family, ("m", "n"))
     flags = " and ".join("-" + f for f in takes)
@@ -141,15 +142,15 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], Callable[[], Int
         raise SystemExit2(f"{family} needs {flags}")
     if family == "spider2":
         _check_vertices(f"spider2({args.n})", 2 * args.n + 1)
-        g = spider2(args.n)
-        return "spider2", None, args.n, lambda: indpoly_tree(g)
-    if family == "spider12":
+        fam, m, n, g = "spider2", None, args.n, spider2(args.n)
+    elif family == "spider12":
         _check_vertices(f"spider12({args.k},{args.r})", args.k + 2 * args.r + 1)
-        g = spider12(args.k, args.r)
-        return "spider12", args.k, args.r, lambda: indpoly_tree(g)
-    fam = FAMILY_ALIASES[family]
-    _check_family_size(fam, args.m, args.n)
-    return fam, args.m, args.n, lambda: family_poly(fam, args.m, args.n)
+        fam, m, n, g = "spider12", args.k, args.r, spider12(args.k, args.r)
+    else:
+        fam, m, n, g = FAMILY_ALIASES[family], args.m, args.n, None
+        _check_family_size(fam, m, n)
+    _check_output_path(args.output)
+    return fam, m, n, family_poly(fam, m, n) if g is None else indpoly_tree(g)
 
 
 class SystemExit2(SystemExit):
@@ -159,9 +160,7 @@ class SystemExit2(SystemExit):
 
 
 def cmd_poly(args) -> int:
-    fam, m, n, compute = _poly_for(args)
-    _check_output_path(args.output)
-    poly = compute()
+    fam, m, n, poly = _poly_for(args)
     report = analyze(poly)
     row = ScanRow(fam, m, n, poly, report).to_json_dict()
     if args.format == "json":
@@ -334,9 +333,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    fam, m, n, compute = _poly_for(args)
-    _check_output_path(args.output)
-    poly = compute()
+    fam, m, n, poly = _poly_for(args)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "coefficient", "defect"])
@@ -350,6 +347,13 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+def _add_cell_arguments(parser: argparse.ArgumentParser) -> None:
+    """The cell of a poly or plotdata row: --family and its size flags."""
+    parser.add_argument("--family", required=True, choices=[*FAMILY_ALIASES, *_POLY_FLAGS])
+    for flag in "mnkr":
+        parser.add_argument(f"-{flag}", f"--{flag}", type=int, dest=flag)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treepoly",
@@ -361,12 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="print one independence polynomial row")
-    poly_families = [*FAMILY_ALIASES, *_POLY_FLAGS]
-    poly.add_argument("--family", required=True, choices=poly_families)
-    poly.add_argument("-m", "--m", type=int, dest="m")
-    poly.add_argument("-n", "--n", type=int, dest="n")
-    poly.add_argument("-k", "--k", type=int, dest="k")
-    poly.add_argument("-r", "--r", type=int, dest="r")
+    _add_cell_arguments(poly)
     poly.add_argument("--format", choices=["json", "csv", "table"], default="table")
     poly.add_argument("-o", "--output")
     poly.set_defaults(func=cmd_poly)
@@ -406,11 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     plotdata = sub.add_parser("plotdata", help="emit coefficient and defect columns")
-    plotdata.add_argument("--family", required=True, choices=poly_families)
-    plotdata.add_argument("-m", "--m", type=int, dest="m")
-    plotdata.add_argument("-n", "--n", type=int, dest="n")
-    plotdata.add_argument("-k", "--k", type=int, dest="k")
-    plotdata.add_argument("-r", "--r", type=int, dest="r")
+    _add_cell_arguments(plotdata)
     plotdata.add_argument("-o", "--output")
     plotdata.set_defaults(func=cmd_plotdata)
 
@@ -421,7 +416,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away: end quietly, as a command killed by SIGPIPE
+        # would, and let the interpreter's exit flush go to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except SystemExit2 as exc:
         return exc.code
     except (ValueError, KeyError, EnumerationGuardError, GuardLimitError) as exc:

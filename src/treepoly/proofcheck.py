@@ -91,12 +91,16 @@ class FamilyContext:
         self.slice_vertices = tuple(lay.slice_vertices(i) for i in (1, 2, 3))
         self.slice_locals = tuple(_tuple_getter(verts) for verts in self.slice_vertices)
         # A slice map as the pattern table holds it: branch 1 of the star
-        # reads x, y after its core vertices.
-        tail = (lay.x, lay.y) if lay.star else ()
-        self.pattern_locals = (
-            _tuple_getter(self.slice_vertices[0] + tail),
-            *self.slice_locals[1:],
-        )
+        # reads x, y after its core vertices.  place is the inverse: the
+        # family map from (v0, *p1.values, *p2.values, *p3.values).
+        s1, s2, s3 = self.slice_vertices
+        if lay.star:
+            s1 += (lay.x, lay.y)
+        self.pattern_locals = (_tuple_getter(s1), *self.slice_locals[1:])
+        spots = [0] * lay.size
+        for pos, v in enumerate((lay.v0, *s1, *s2, *s3)):
+            spots[v] = pos
+        self.place = itemgetter(*spots)
         self._expansions: dict[tuple[int, int, int, int], Mapping[tuple[int, int], int]] = {}
 
     @cached_property
@@ -1038,7 +1042,9 @@ def _join(v0val: int, acc: tuple, p: _SlicePattern) -> tuple:
     slice brings its own components and weight-2 vertices, and its center
     component merges into the root's when v0 is 1 and stands alone
     otherwise.  Patterns of one bucket (equal tau, comps, twos, cc0, cc1)
-    join alike."""
+    join alike.  The result is canonical, its comps sorted, so equal
+    partial signatures are equal tuples: the enumerator's memos and the
+    signature counts key on it as it is."""
     comps, twos, c0, c1 = acc
     comps += p.comps
     if p.tau == 1:
@@ -1047,7 +1053,7 @@ def _join(v0val: int, acc: tuple, p: _SlicePattern) -> tuple:
             c1 += p.cc1
         else:
             comps += ((p.cc0, p.cc1) if p.cc0 >= p.cc1 else (p.cc1, p.cc0),)
-    return comps, twos + p.twos, c0, c1
+    return tuple(sorted(comps)), twos + p.twos, c0, c1
 
 
 def _close(acc: tuple) -> Signature:
@@ -1074,8 +1080,7 @@ def _count_by_signature(slices: Sequence[Sequence[_SlicePattern]]) -> dict[Signa
             folded: dict[tuple, int] = {}
             for p, size in buckets.values():
                 for acc, c in states.items():
-                    comps, twos, c0, c1 = _join(v0val, acc, p)
-                    key = tuple(sorted(comps)), twos, c0, c1
+                    key = _join(v0val, acc, p)
                     folded[key] = folded.get(key, 0) + c * size
             states = folded
         for acc, c in states.items():
@@ -1094,17 +1099,8 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
     map's three slice patterns carry.
     """
     slices = ctx.slice_patterns
-    lay = ctx.layout
-    core_n = len(lay.core_vertices())
-    # The family map from (v0, *p1.values, *p2.values, *p3.values); in the
-    # star, x and y follow slice 1's core vertices.
-    tail = (lay.x, lay.y) if lay.star else ()
-    s1, s2, s3 = ctx.slice_vertices
-    order = (lay.v0, *s1, *tail, *s2, *s3)
-    spots = [0] * len(order)
-    for pos, v in enumerate(order):
-        spots[v] = pos
-    place = itemgetter(*spots)
+    core_n = len(ctx.layout.core_vertices())
+    place = ctx.place
 
     def emit(v0val: int, pools) -> Iterator[tuple[Weights, dict, FamilyAnalysis]]:
         """The negative maps among pools[0] x pools[1] x pools[2], in that
@@ -1121,14 +1117,12 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
         closing: dict[tuple, list[tuple[_SlicePattern, dict]]] = {}
         rows: dict[tuple, list[tuple[_SlicePattern, list]]] = {}
         for p1 in pools[0]:
-            comps, twos, c0, c1 = _join(v0val, root, p1)
-            acc1 = tuple(sorted(comps)), twos, c0, c1
+            acc1 = _join(v0val, root, p1)
             row = rows.get(acc1)
             if row is None:
                 row = rows[acc1] = []
                 for p2 in pools[1]:
-                    comps, twos, c0, c1 = _join(v0val, acc1, p2)
-                    acc2 = tuple(sorted(comps)), twos, c0, c1
+                    acc2 = _join(v0val, acc1, p2)
                     members = closing.get(acc2)
                     if members is None:
                         by_key: dict[tuple, dict] = {}

@@ -159,18 +159,12 @@ def expand_terms(terms: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], 
     """Raw bialternant expansion of a symmetric term dict (no wrapping)."""
     alt: dict[tuple[int, int], int] = {}
     for (p, q), c in terms.items():
-        key = (p + 1, q)
-        val = alt.get(key, 0) + c
-        if val:
-            alt[key] = val
-        elif key in alt:
-            del alt[key]
-        key = (p, q + 1)
-        val = alt.get(key, 0) - c
-        if val:
-            alt[key] = val
-        elif key in alt:
-            del alt[key]
+        for key, d in (((p + 1, q), c), ((p, q + 1), -c)):
+            val = alt.get(key, 0) + d
+            if val:
+                alt[key] = val
+            elif key in alt:
+                del alt[key]
     return {(p - 1, q): c for (p, q), c in alt.items() if p > q}
 
 
@@ -207,24 +201,16 @@ def _clan_walk(g: Graph, weights: Sequence[int]) -> dict:
             x = stack.pop()
             v = bisect_right(offsets, x) - 1
             other = 1 - color[x]
-            for y in range(offsets[v], offsets[v + 1]):
-                if y != x:
-                    cy = color[y]
-                    if cy < 0:
-                        color[y] = other
-                        sizes[other] += 1
-                        stack.append(y)
-                    elif cy != other:
-                        return {}
-            for u in g.adj[v]:
+            for u in (v,) + g.adj[v]:
                 for y in range(offsets[u], offsets[u + 1]):
-                    cy = color[y]
-                    if cy < 0:
-                        color[y] = other
-                        sizes[other] += 1
-                        stack.append(y)
-                    elif cy != other:
-                        return {}
+                    if y != x:
+                        cy = color[y]
+                        if cy < 0:
+                            color[y] = other
+                            sizes[other] += 1
+                            stack.append(y)
+                        elif cy != other:
+                            return {}
         pair = pair_terms(*sizes)
         terms = pair if terms is None else mul_terms(terms, pair)
     return {(0, 0): 1} if terms is None else terms

@@ -279,16 +279,42 @@ def test_benchmark_scan_check_passes_on_cold_and_warm_tables(capsys):
     assert 0 < shapes[0] == shapes[1]  # the warm run added no shape
 
 
-def test_python_dash_m_entry_point():
+def _child_env() -> dict:
+    """The environment of a `python -m treepoly` child: this package first."""
     src = str(Path(treepoly.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_dash_m_entry_point():
     done = subprocess.run(
         [sys.executable, "-m", "treepoly", "verify", "--suite", "prop3", "-n", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "all checks passed" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 140 KB, more than a pipe buffer holds
+        ("scan", "-m", "1..30", "-n", "1..30", "--format", "table"),
+        ("verify", "--suite", "section4", "-m", "1", "-n", "1", "-o", "-"),
+    ],
+    ids=["scan-table", "verify-json"],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the child writes, as with `| head -1`: the
+    # command ends with 128 + SIGPIPE and no traceback
+    child = subprocess.Popen(
+        [sys.executable, "-m", "treepoly", *argv],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 141, err
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_verify_prop3(capsys, tmp_path):

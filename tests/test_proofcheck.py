@@ -595,10 +595,12 @@ def test_leg_facts_match_a_layout_walk(family, m, n):
 # sha256 of the sequence negative_members yields: each map, its sorted
 # expansion and its analysis fields, in yield order.  The first two were
 # recorded before the enumerator visited only the members that close a
-# prefix negative, the last two (which cover the v0 = 1 spine groups and the
+# prefix negative, the next two (which cover the v0 = 1 spine groups and the
 # star's x, y tail) before it listed the closing pairs once per first-slice
-# signature; the sequence, order included, must not change with how it is
-# produced.
+# signature, and the last two (a one-vertex slice, read through
+# _tuple_getter's single-index path) before the partial signatures came
+# sorted out of _join and the slice placement moved into FamilyContext; the
+# sequence, order included, must not change with how it is produced.
 @pytest.mark.parametrize(
     "family,m,n,digest",
     [
@@ -606,6 +608,8 @@ def test_leg_facts_match_a_layout_walk(family, m, n):
         ("t3mn_star", 1, 2, "fd1e34013d2ac5b9b4b6637ae7bc074f31b27c4c1c59e15da4cb40f65d2d5db2"),
         ("t3mn", 2, 1, "ce4c227eb3be671aa94b35fb69f8fe60f34ca671639a3aa4b0a799319ba184d9"),
         ("t3mn_star", 1, 1, "20b7b934da04110aa3866a996d45c294bf48de29a7cc15fd00fd22cfa5dd449c"),
+        ("t3mn", 0, 2, "9db9448a401e3df4ec73de4904f96b81e7a20b9dec2403acfb8735cb2beb9587"),
+        ("t3mn_star", 2, 0, "f199ff1e46cf0fe3d862a68e222204ef319e9e330cfc6428e682cfa3efb60585"),
     ],
 )
 def test_negative_members_order_is_pinned(family, m, n, digest):
@@ -1033,7 +1037,9 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
 # base (2, 1) cell pins the pattern order on slices with two legs.  The
 # star (1, 2) cell was recorded before slice classifications and
 # partner_star's core steps were cached; star classes 1/2 and 3 read the
-# same core-step table.
+# same core-step table.  The base (0, 2) and star (2, 0) cells, whose
+# branch 2 or 3 is a slice of one vertex, were recorded before the partial
+# signatures came sorted out of _join.
 @pytest.mark.parametrize(
     "verify,m,n,kwargs,digest",
     [
@@ -1072,8 +1078,25 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
             dict(repair_corner=False),
             "91c6b3250030fde5e6a59cdc237b7fcd598ded9ab898e68f3d8209c9559eb55f",
         ),
+        (
+            verify_base,
+            0,
+            2,
+            {},
+            "3d82caf029155294efe37454d0b0410d5bb35200cf3c8bf4c153828d5ec0003b",
+        ),
+        (
+            verify_star,
+            2,
+            0,
+            dict(repair_corner=False),
+            "ab42bb739089c5ab5f0dbca0f7cb51a5c0fca68e24d45bf727cb8764532ce562",
+        ),
     ],
-    ids=["base", "base-2-1", "star-published", "star-repaired", "star-1-2-published"],
+    ids=[
+        "base", "base-2-1", "star-published", "star-repaired", "star-1-2-published",
+        "base-0-2", "star-2-0-published",
+    ],
 )
 def test_report_bytes_are_pinned(verify, m, n, kwargs, digest):
     reports = verify(m, n, **kwargs)
