@@ -62,16 +62,19 @@ def count_admissible(g: Graph) -> int:
     return total
 
 
+def _check_guard(g: Graph, guard: int) -> None:
+    """Refuse to enumerate more than guard admissible maps of g, by count."""
+    if count_admissible(g) > guard:
+        raise EnumerationGuardError(f"admissible enumeration exceeds guard of {guard} maps")
+
+
 def admissible_maps(g: Graph, guard: int = ENUMERATION_GUARD) -> Iterator[Weights]:
     """All admissible maps, depth first over the canonical vertex order with
     values tried in order 0, 1, 2."""
     if g.n == 0:
         yield ()
         return
-    if count_admissible(g) > guard:
-        raise EnumerationGuardError(
-            f"admissible enumeration exceeds guard of {guard} maps"
-        )
+    _check_guard(g, guard)
     earlier = [tuple(w for w in g.adj[v] if w < v) for v in range(g.n)]
     values = [0] * g.n
 
@@ -473,10 +476,7 @@ def spider_suite(max_legs: int = 4) -> list[CheckReport]:
     # check_negative_spider_pairing(max_legs) enumerates the largest spider's
     # admissible maps; apply its guard before the mark-case walks, which grow
     # as fast and have no guard of their own.
-    if count_admissible(spider2(max_legs)) > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"admissible enumeration exceeds guard of {ENUMERATION_GUARD} maps"
-        )
+    _check_guard(spider2(max_legs), ENUMERATION_GUARD)
     reports = []
     for n in range(1, max_legs + 1):
         reports.append(check_marking_bijection(n))

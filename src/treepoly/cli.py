@@ -9,6 +9,7 @@ before the output was written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from .alphamaps import EnumerationGuardError, spider_suite
 from .graphs import family_layout, spider2, spider12
-from .intpoly import GuardLimitError, IntPoly, ScanRow, analyze, family_poly, indpoly_tree, scan_row
+from .intpoly import IntPoly, ScanRow, analyze, family_poly, indpoly_tree, scan_row
 from .proofcheck import verify_base, verify_star
 from .reports import all_ok
 
@@ -30,7 +31,12 @@ FAMILY_ALIASES = {
     "t3mn_star": "t3mn_star",
 }
 
-ASSERT_CHOICES = ("unimodal", "log-concave", "non-log-concave")
+# Each --assert choice and the test every scanned row's report must pass.
+ASSERTIONS = {
+    "unimodal": lambda report: report.unimodal,
+    "log-concave": lambda report: report.log_concave,
+    "non-log-concave": lambda report: not report.log_concave,
+}
 
 
 # The most (m, n) cells one scan takes, so that an oversized range is a usage
@@ -48,13 +54,20 @@ MAX_SCAN_CELLS = 10_000
 MAX_FAMILY_VERTICES = 5_000
 
 
+class UsageError(ValueError):
+    """A command line the command cannot run; main reports it and exits 2."""
+
+
 def _parse_range(text: str) -> range:
     """Accept "4" or "1..10" (inclusive)."""
     lo, dots, hi = text.partition("..")
-    lo = int(lo)
-    hi = int(hi) if dots else lo
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise UsageError(f"bad range {text!r}: expected N or LO..HI") from None
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise UsageError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -62,7 +75,7 @@ def _check_vertices(cell: str, size: int) -> None:
     """Usage error when the graph named cell has more than
     MAX_FAMILY_VERTICES vertices, decided from its size before it is built."""
     if size > MAX_FAMILY_VERTICES:
-        raise SystemExit2(
+        raise UsageError(
             f"{cell} has {size} vertices, more than the limit of {MAX_FAMILY_VERTICES}"
         )
 
@@ -76,7 +89,7 @@ def _check_scan_size(*ranges: range) -> None:
     decided from their bounds before any cell is listed."""
     cells = math.prod(r.stop - r.start for r in ranges)
     if cells > MAX_SCAN_CELLS:
-        raise SystemExit2(f"scan of {cells} cells exceeds the limit of {MAX_SCAN_CELLS}")
+        raise UsageError(f"scan of {cells} cells exceeds the limit of {MAX_SCAN_CELLS}")
 
 
 _DIAG_TERM = re.compile(r"^k([+-]\d+)?$")
@@ -86,14 +99,24 @@ def _parse_diag(text: str) -> tuple[int, int]:
     """Accept "k,k+1" style diagonal specs, returning the two offsets."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"diagonal spec {text!r} needs two terms")
+        raise UsageError(f"diagonal spec {text!r} needs two terms")
     offsets = []
     for part in parts:
         m = _DIAG_TERM.match(part.strip())
         if not m:
-            raise ValueError(f"bad diagonal term {part!r}")
+            raise UsageError(f"bad diagonal term {part!r}")
         offsets.append(int(m.group(1) or 0))
     return offsets[0], offsets[1]
+
+
+@contextlib.contextmanager
+def _open_output(path: str, mode: str):
+    """open(path, mode), with an OSError while it is open as a usage error."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -102,11 +125,16 @@ def _write_output(text: str, path: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}") from exc
+        with _open_output(path, "w") as fh:
+            fh.write(text)
+
+
+def _write_csv(header: list[str], rows, path: Optional[str]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_output(buf.getvalue(), path)
 
 
 def _check_output_path(path: Optional[str]) -> None:
@@ -115,11 +143,8 @@ def _check_output_path(path: Optional[str]) -> None:
     if path is None or path == "-":
         return
     existed = os.path.lexists(path)
-    try:
-        with open(path, "a"):
-            pass
-    except OSError as exc:
-        raise SystemExit2(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with _open_output(path, "a"):
+        pass
     if not existed:
         os.remove(path)
 
@@ -137,9 +162,9 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], IntPoly]:
     flags = " and ".join("-" + f for f in takes)
     ignored = [f for f in "mnkr" if f not in takes and getattr(args, f) is not None]
     if ignored:
-        raise SystemExit2(f"{family} takes {flags}, not {'/'.join('-' + f for f in ignored)}")
+        raise UsageError(f"{family} takes {flags}, not {'/'.join('-' + f for f in ignored)}")
     if any(getattr(args, f) is None for f in takes):
-        raise SystemExit2(f"{family} needs {flags}")
+        raise UsageError(f"{family} needs {flags}")
     if family == "spider2":
         _check_vertices(f"spider2({args.n})", 2 * args.n + 1)
         fam, m, n, g = "spider2", None, args.n, spider2(args.n)
@@ -153,12 +178,6 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], IntPoly]:
     return fam, m, n, family_poly(fam, m, n) if g is None else indpoly_tree(g)
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        sys.stderr.write(f"error: {message}\n")
-        super().__init__(2)
-
-
 def cmd_poly(args) -> int:
     fam, m, n, poly = _poly_for(args)
     report = analyze(poly)
@@ -166,11 +185,8 @@ def cmd_poly(args) -> int:
     if args.format == "json":
         _write_output(json.dumps(row, sort_keys=True), args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "m", "n", "coeffs", "unimodal", "log_concave", "breaks", "tail_ok"])
-        writer.writerow(_row_csv_fields(row))
-        _write_output(buf.getvalue(), args.output)
+        header = ["family", "m", "n", "coeffs", "unimodal", "log_concave", "breaks", "tail_ok"]
+        _write_csv(header, [_row_csv_fields(row)], args.output)
     else:
         lines = [f"family {fam}  m={m} n={n}  degree {poly.degree}"]
         for k, c in enumerate(poly.coeffs):
@@ -199,17 +215,17 @@ def _row_csv_fields(row: dict) -> list:
 def _scan_cells(args) -> list[tuple[int, int]]:
     if args.diag is not None:
         if args.k is None:
-            raise SystemExit2("--diag needs -k RANGE")
+            raise UsageError("--diag needs -k RANGE")
         if args.m is not None or args.n is not None:
-            raise SystemExit2("--diag takes -k RANGE, not -m/-n")
+            raise UsageError("--diag takes -k RANGE, not -m/-n")
         off_m, off_n = _parse_diag(args.diag)
         ks = _parse_range(args.k)
         _check_scan_size(ks)
         return [(k + off_m, k + off_n) for k in ks]
     if args.m is None or args.n is None:
-        raise SystemExit2("scan needs -m and -n ranges (or --diag with -k)")
+        raise UsageError("scan needs -m and -n ranges (or --diag with -k)")
     if args.k is not None:
-        raise SystemExit2("-k sets the --diag parameter; without --diag use -m/-n")
+        raise UsageError("-k sets the --diag parameter; without --diag use -m/-n")
     ms, ns = _parse_range(args.m), _parse_range(args.n)
     _check_scan_size(ms, ns)
     return [(m, n) for m in ms for n in ns]
@@ -227,7 +243,7 @@ def cmd_scan(args) -> int:
         _check_family_size(fam, top_m, top_n)
     work = [(fam, m, n) for fam in families for m, n in cells]
     if args.jobs < 0:
-        raise SystemExit2("--jobs must be 0 or more")
+        raise UsageError("--jobs must be 0 or more")
     _check_output_path(args.output)
     jobs = min(args.jobs, len(work), os.cpu_count() or 1)
     if jobs > 1:
@@ -237,15 +253,8 @@ def cmd_scan(args) -> int:
             rows = pool.starmap(scan_row, work)
     else:
         rows = [scan_row(*item) for item in work]
-    failures = []
-    if args.assert_prop:
-        for r in rows:
-            if args.assert_prop == "unimodal" and not r.report.unimodal:
-                failures.append(r)
-            elif args.assert_prop == "log-concave" and not r.report.log_concave:
-                failures.append(r)
-            elif args.assert_prop == "non-log-concave" and r.report.log_concave:
-                failures.append(r)
+    holds = ASSERTIONS.get(args.assert_prop)
+    failures = [r for r in rows if holds and not holds(r.report)]
     if args.format == "json":
         _write_output(
             json.dumps([r.to_json_dict() for r in rows], sort_keys=True), args.output
@@ -259,22 +268,13 @@ def cmd_scan(args) -> int:
         ]
         _write_output("\n".join(lines), args.output)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "m", "n", "unimodal", "log_concave", "breaks", "tail_ok"])
+        header = ["family", "m", "n", "unimodal", "log_concave", "breaks", "tail_ok"]
+        body = []
         for r in rows:
-            writer.writerow(
-                [
-                    r.family,
-                    r.m,
-                    r.n,
-                    r.report.unimodal,
-                    r.report.log_concave,
-                    ";".join(str(b) for b in r.report.breaks),
-                    r.report.tail_ok,
-                ]
-            )
-        _write_output(buf.getvalue(), args.output)
+            rep = r.report
+            breaks = ";".join(str(b) for b in rep.breaks)
+            body.append([r.family, r.m, r.n, rep.unimodal, rep.log_concave, breaks, rep.tail_ok])
+        _write_csv(header, body, args.output)
     if failures:
         for r in failures:
             sys.stderr.write(
@@ -286,16 +286,16 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.repair_corner and args.suite != "section5":
-        raise SystemExit2("--repair-corner applies to the section5 suite only")
+        raise UsageError("--repair-corner applies to the section5 suite only")
     if args.suite == "prop3":
         if args.m is not None:
-            raise SystemExit2("prop3 takes -n (the leg count), not -m")
+            raise UsageError("prop3 takes -n (the leg count), not -m")
         legs = 4 if args.n is None else args.n
         if legs < 1:
-            raise SystemExit2("prop3 needs -n of at least 1")
+            raise UsageError("prop3 needs -n of at least 1")
         _check_vertices(f"spider2({legs})", 2 * legs + 1)
     elif args.m is None or args.n is None:
-        raise SystemExit2(f"{args.suite} needs -m and -n")
+        raise UsageError(f"{args.suite} needs -m and -n")
     else:
         _check_family_size("t3mn" if args.suite == "section4" else "t3mn_star", args.m, args.n)
     _check_output_path(args.output)
@@ -334,16 +334,14 @@ def cmd_verify(args) -> int:
 
 def cmd_plotdata(args) -> int:
     fam, m, n, poly = _poly_for(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "coefficient", "defect"])
+    rows = []
     for k, c in enumerate(poly.coeffs):
         if 1 <= k <= poly.degree - 1:
             defect = poly[k] * poly[k] - poly[k - 1] * poly[k + 1]
         else:
             defect = ""
-        writer.writerow([k, c, defect])
-    _write_output(buf.getvalue(), args.output)
+        rows.append([k, c, defect])
+    _write_csv(["k", "coefficient", "defect"], rows, args.output)
     return 0
 
 
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--assert",
         dest="assert_prop",
-        choices=list(ASSERT_CHOICES),
+        choices=list(ASSERTIONS),
         help="exit 1 unless every row satisfies the property",
     )
     scan.add_argument("--format", choices=["csv", "json", "table"], default="csv")
@@ -426,9 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except SystemExit2 as exc:
-        return exc.code
-    except (ValueError, KeyError, EnumerationGuardError, GuardLimitError) as exc:
+    except (ValueError, EnumerationGuardError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -111,34 +111,25 @@ class FamilyContext:
     def shadow(self) -> ForestShadow:
         return ForestShadow(self.graph)
 
-    def _per_slice(self, table) -> tuple:
-        """table(legs, tail) for the branches 1, 2, 3, by slice shape: the
-        branch's leg count, and for branch 1 of the star the path x, y below
-        its third foot.  A slice past the pattern guard is refused with the
-        cell and the slice named."""
+    @cached_property
+    def slice_patterns(self) -> tuple[dict[Weights, _SlicePattern], ...]:
+        """The patterns of the branches 1, 2, 3 by slice map, read from the
+        process-wide table by slice shape: the branch's leg count, and for
+        branch 1 of the star the path x, y below its third foot.  A slice
+        past the pattern guard is refused with the cell and the slice
+        named."""
         lay = self.layout
         out = []
         for i in (1, 2, 3):
             legs = lay.leg_count(i)
             try:
-                out.append(table(legs, lay.star and i == 1))
+                out.append(_slice_patterns(legs, lay.star and i == 1))
             except EnumerationGuardError:
                 raise EnumerationGuardError(
                     f"{self.family}({self.m},{self.n}): slice spider2({legs}) has more"
                     f" admissible maps than the pattern guard of {PATTERN_GUARD:,} maps"
                 ) from None
         return tuple(out)
-
-    @property
-    def slice_patterns(self) -> tuple[tuple[_SlicePattern, ...], ...]:
-        """The patterns of the branches 1, 2, 3, read from the process-wide
-        table by slice shape."""
-        return self._per_slice(_slice_patterns)
-
-    @cached_property
-    def pattern_index(self) -> tuple[dict[Weights, _SlicePattern], ...]:
-        """The patterns of the branches 1, 2, 3 by slice map."""
-        return self._per_slice(_pattern_index)
 
     def pattern_expansion(
         self, w: Weights
@@ -155,7 +146,7 @@ class FamilyContext:
         allowed = _TAU_ALLOWED.get(v0)
         if allowed is None:
             return ZERO_EXPANSION, None
-        index1, index2, index3 = self.pattern_index
+        index1, index2, index3 = self.slice_patterns
         read1, read2, read3 = self.pattern_locals
         p1 = index1.get(read1(w))
         p2 = index2.get(read2(w))
@@ -204,9 +195,9 @@ class FamilyContext:
             if cls == 30:
                 steps[bytes(w)] = "core restriction falls in the final class"
                 continue
-            published = repaired = _partner_or_refusal(partner, self, a, cls)
+            published = repaired = _partner_or_refusal(self, a, cls)
             if cls == 19 and marks_head_13(a):
-                repaired = _partner_or_refusal(_partner_19_low_mark, self, a)
+                repaired = _partner_or_refusal(self, a, cls, low_mark=True)
             corner = cls == 28 and only_gap_at_leg_13(a)
             steps[bytes(w)] = CoreStep(cls, corner, published, repaired)
         return steps
@@ -225,9 +216,11 @@ class CoreStep(NamedTuple):
     repaired: bytes | str
 
 
-def _partner_or_refusal(injection, *args) -> bytes | str:
+def _partner_or_refusal(
+    ctx: FamilyContext, a: FamilyAnalysis, cls: int, low_mark: bool = False
+) -> bytes | str:
     try:
-        return bytes(injection(*args))
+        return bytes(partner(ctx, a, cls, low_mark))
     except PartnerError as exc:
         return str(exc)
 
@@ -565,8 +558,12 @@ def _family_index_or_fail(a: FamilyAnalysis, i: int) -> int:
     return idx
 
 
-def partner(ctx: FamilyContext, a: FamilyAnalysis, cls: int) -> Weights:
-    """The explicit positive partner of a negative map in classes 1..29."""
+def partner(ctx: FamilyContext, a: FamilyAnalysis, cls: int, low_mark: bool = False) -> Weights:
+    """The explicit positive partner of a negative map in classes 1..29.
+
+    With low_mark, class 19 marks the position-1 bare leg of branch 1
+    instead of position 2: the repair of the corner where the published
+    marking hits the third head (see marks_head_13)."""
     lay = ctx.layout
     w = list(a.w)
     if cls == 1:
@@ -630,7 +627,7 @@ def partner(ctx: FamilyContext, a: FamilyAnalysis, cls: int) -> Weights:
         w[lay.head(1, 3)] = 0
     elif cls == 19:
         w[lay.v0] = 2
-        _apply_marks(ctx, w, 1, (2,))
+        _apply_marks(ctx, w, 1, (1,) if low_mark else (2,))
         _apply_marks(ctx, w, 3, ())
     elif cls == 20:
         w[lay.v0] = 2
@@ -987,9 +984,9 @@ class _SlicePattern:
 
 
 @cache
-def _slice_patterns(legs: int, tail: bool) -> tuple[_SlicePattern, ...]:
-    """The pattern of every admissible map of one branch slice, in
-    admissible_maps order, built once per slice shape for the process and
+def _slice_patterns(legs: int, tail: bool) -> dict[Weights, _SlicePattern]:
+    """The pattern of every admissible map of one branch slice, by slice map
+    in admissible_maps order, built once per slice shape for the process and
     shared by every context: spider2(legs), and with tail the path x, y
     below its third foot, in that vertex order (branch 1 of the star)."""
     g = spider2(legs)
@@ -997,20 +994,12 @@ def _slice_patterns(legs: int, tail: bool) -> tuple[_SlicePattern, ...]:
         x = g.n
         g = Graph(x + 2, [*g.edges(), (legs + 3, x), (x, x + 1)])
     shadow = ForestShadow(g)
-    patterns = tuple(
-        _pattern(shadow, values, 2 * legs + 1) for values in admissible_maps(g, PATTERN_GUARD)
-    )
+    patterns: dict[Weights, _SlicePattern] = {}
     buckets: dict[tuple, int] = {}
-    for p in patterns:
+    for values in admissible_maps(g, PATTERN_GUARD):
+        p = patterns[values] = _pattern(shadow, values, 2 * legs + 1)
         p.bucket = buckets.setdefault(p.key, len(buckets))
     return patterns
-
-
-@cache
-def _pattern_index(legs: int, tail: bool) -> dict[Weights, _SlicePattern]:
-    """_slice_patterns(legs, tail) by slice map, built once per slice shape
-    for the process."""
-    return {p.values: p for p in _slice_patterns(legs, tail)}
 
 
 def _pattern(shadow: ForestShadow, values: Weights, core: int) -> _SlicePattern:
@@ -1064,7 +1053,7 @@ def _close(acc: tuple) -> Signature:
     return tuple(sorted(comps)), twos
 
 
-def _count_by_signature(slices: Sequence[Sequence[_SlicePattern]]) -> dict[Signature, int]:
+def _count_by_signature(slices: Sequence[Mapping[Weights, _SlicePattern]]) -> dict[Signature, int]:
     """Number of admissible maps per shadow signature, folded over v0 and
     the slice-pattern buckets of every slice.  Every combination is counted,
     not only the unbalanced ones negative_members prunes to, so the count
@@ -1074,7 +1063,7 @@ def _count_by_signature(slices: Sequence[Sequence[_SlicePattern]]) -> dict[Signa
         states = {_ROOT_STATE[v0val]: 1}
         for patterns in slices:
             buckets: dict[tuple, list] = {}
-            for p in patterns:
+            for p in patterns.values():
                 if p.tau in _TAU_ALLOWED[v0val]:
                     buckets.setdefault(p.key, [p, 0])[1] += 1
             folded: dict[tuple, int] = {}
@@ -1146,7 +1135,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
 
     for v0val in (0, 1, 2):
         allowed = [
-            [p for p in patterns if p.tau in _TAU_ALLOWED[v0val]] for patterns in slices
+            [p for p in patterns.values() if p.tau in _TAU_ALLOWED[v0val]] for patterns in slices
         ]
         # A root component is unbalanced on its own only when v0 is not 1;
         # with v0 at 1 it joins the spine, handled by the d grouping below.
@@ -1229,6 +1218,7 @@ def _pairing_reports(
     it: the coverage audit confirms the table against the family graph."""
     t0 = time.perf_counter()
     m, n = ctx.m, ctx.n
+    bound = _diagonal_bound(m, n)
     lemmas = (
         "class-partition", "final-class-vanishing", "image-in-target",
         "target-disjointness", "pairing-positivity", "pair-injectivity",
@@ -1252,9 +1242,8 @@ def _pairing_reports(
         cls = matches[0]
         if cls == final:
             rep_vanish.cases += 1
-            # every diagonal below the top index, as in _diagonal_report
             for (x, y), c in exp.items():
-                if c and x == y <= m + n + 4:
+                if c and x == y < bound:
                     rep_vanish.record(w, f"diagonal coefficient at {x} is nonzero")
             continue
         try:
@@ -1337,14 +1326,32 @@ def verify_base(m: int, n: int) -> list[CheckReport]:
     ]
 
 
+def _diagonal_bound(m: int, n: int) -> int:
+    """The first diagonal index the certificates leave unchecked, for both
+    families: the diagonal Schur coefficients 1 .. m + n + 4 must be
+    nonnegative, and a final-class map may have no diagonal term below
+    m + n + 5.
+
+    Those coefficients are the log-concavity defects at 1 .. m + n + 4, so
+    i_0 .. i_(m+n+5) is unimodal, and it overlaps the weakly decreasing
+    tail from intpoly.tail_start(degree) on.  The base family has degree
+    m + n + 6, its tail starting at most at m + n + 4; the star has degree
+    m + n + 7, its tail starting at ceil((2m + 2n + 13)/3), at most
+    m + n + 5.  So the star's bound is not one below its top diagonal
+    m + n + 6: its class-4 maps reach the diagonals m + n + 5 and m + n + 6
+    with negative terms, and a bound taken from its degree would record
+    the ones at m + n + 5 as violations."""
+    return m + n + 5
+
+
 def _diagonal_report(ctx: FamilyContext) -> CheckReport:
     """Diagonal Schur coefficients of the weight-map generating function are
-    nonnegative strictly below the top index."""
+    nonnegative below _diagonal_bound."""
     t0 = time.perf_counter()
     rep = CheckReport("y-diagonal-nonnegative", ctx.m, ctx.n)
     poly = family_poly(ctx.family, ctx.m, ctx.n)
     exp = schur_expand(f_p_2var(poly))
-    for k in range(1, ctx.m + ctx.n + 5):
+    for k in range(1, _diagonal_bound(ctx.m, ctx.n)):
         rep.cases += 1
         if exp.diagonal(k) < 0:
             rep.record(None, f"diagonal coefficient at {k} is negative")
@@ -1374,18 +1381,6 @@ def star_class_matches(ctx: FamilyContext, w: Sequence[int], core: FamilyAnalysi
     if last or (wx == 1 and wy == 0 and core_total >= limit + 1):
         matches.append(4)
     return tuple(matches)
-
-
-def _partner_19_low_mark(core_ctx: FamilyContext, a: FamilyAnalysis) -> Weights:
-    """Class-19 injection variant marking the position-1 bare leg of branch 1
-    instead of position 2; used to repair the corner where the published map
-    hits the third head."""
-    lay = core_ctx.layout
-    w = list(a.w)
-    w[lay.v0] = 2
-    _apply_marks(core_ctx, w, 1, (1,))
-    _apply_marks(core_ctx, w, 3, ())
-    return tuple(w)
 
 
 def partner_star(
@@ -1473,7 +1468,7 @@ def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport
 
 
 def _repair_locality_reports(
-    core_ctx: FamilyContext, repair_corner: bool = False
+    core_ctx: FamilyContext, repair_corner: bool
 ) -> tuple[CheckReport, CheckReport]:
     """Two locality properties of the core pairing map used by the extended
     argument: the third foot of branch 1 is always preserved, and the third

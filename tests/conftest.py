@@ -59,11 +59,9 @@ def clear_shape_table() -> None:
 
 
 def clear_slice_patterns() -> None:
-    """Empty proofcheck's process-wide slice-pattern table and its index by
-    slice map, so the next context walks the admissible maps of every slice
-    shape afresh."""
+    """Empty proofcheck's process-wide slice-pattern table, so the next
+    context walks the admissible maps of every slice shape afresh."""
     proofcheck._slice_patterns.cache_clear()
-    proofcheck._pattern_index.cache_clear()
 
 
 @pytest.fixture

@@ -191,6 +191,30 @@ def test_scan_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("-m", "a", "-n", "1"), "a"),
+        (("-m", "1", "-n", "1..x"), "1..x"),
+        (("--diag", "k,k", "-k", "2.."), "2.."),
+    ],
+)
+def test_scan_range_that_is_not_an_integer_is_usage_error(capsys, argv, text):
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad range {text!r}: expected N or LO..HI\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # only usage errors become exit 2; a KeyError is a programming error
+    def broken(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "scan_row", broken)
+    with pytest.raises(KeyError, match="boom"):
+        main(["scan", "-m", "1", "-n", "1"])
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (("--suite", "prop3", "-m", "2", "-n", "1"), "error: prop3 takes -n"),

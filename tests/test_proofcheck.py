@@ -191,22 +191,21 @@ def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
     monkeypatch.setattr(proofcheck, "admissible_maps", counting)
     verify_base(1, 1)
     # spider2(3) for branch 1, then spider2(1) once for branches 2 and 3,
-    # shared by the enumeration, the partner lookups and the audit; the
-    # index by slice map is built once per shape too
+    # shared by the enumeration, the partner lookups and the audit
     assert calls == [7, 3]
-    assert proofcheck._pattern_index.cache_info().misses == 2
+    assert proofcheck._slice_patterns.cache_info().misses == 2
     verify_star(1, 1)
     assert calls == [7, 3, 9]  # only the star's branch 1, with x and y, is new
-    assert proofcheck._pattern_index.cache_info().misses == 3
+    assert proofcheck._slice_patterns.cache_info().misses == 3
     verify_star(2, 2, repair_corner=True)
     assert calls == [7, 3, 9, 5]  # only spider2(2) is new
-    assert proofcheck._pattern_index.cache_info().misses == 4
-    # the index holds the table's own patterns, and a bucket number stands
-    # for one key within a shape
+    assert proofcheck._slice_patterns.cache_info().misses == 4
+    # each slice map keys its own pattern, and a bucket number stands for
+    # one key within a shape
     ctx = FamilyContext("t3mn_star", 2, 2)
-    for index, patterns in zip(ctx.pattern_index, ctx.slice_patterns):
-        assert len(index) == len(patterns)
-        assert all(index[p.values] is p for p in patterns)
+    for table in ctx.slice_patterns:
+        patterns = list(table.values())
+        assert all(table[p.values] is p for p in patterns)
         assert len({(p.key, p.bucket) for p in patterns}) == len({p.key for p in patterns})
         assert len({p.bucket for p in patterns}) == len({p.key for p in patterns})
 
@@ -218,8 +217,6 @@ def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
     monkeypatch.setattr(proofcheck, "_pattern", no_pattern)
     with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
         FamilyContext("t3mn", 1, 1).slice_patterns
-    with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
-        FamilyContext("t3mn", 1, 1).pattern_index
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
@@ -382,7 +379,7 @@ def test_slice_patterns_match_the_family_graph_slices(family):
                     local = dict(zip(verts, values))
                     record = classify_spider(tuple(local[v] for v in core))
                     derived.append((values, proofcheck._pattern(shadow, values, 1).key, record))
-                assert [(p.values, p.key, p.record) for p in table] == derived
+                assert [(p.values, p.key, p.record) for p in table.values()] == derived
 
 
 def test_signatures_are_counted_once_per_context(monkeypatch):
@@ -749,7 +746,7 @@ def _direct_partner_star(ctx, core_ctx, w, cls, repair_corner):
         return "core restriction falls in the excluded corner case"
     try:
         if repair_corner and cls == 3 and core_cls == 19 and marks_head_13(a):
-            mu = proofcheck._partner_19_low_mark(core_ctx, a)
+            mu = partner(core_ctx, a, core_cls, low_mark=True)
         else:
             mu = partner(core_ctx, a, core_cls)
     except PartnerError as exc:
@@ -792,9 +789,9 @@ def test_core_step_table_matches_fresh_analysis(m, n):
     fresh = FamilyContext("t3mn", m, n)
     assert list(table) == [bytes(w) for w, _, _ in negative_members(fresh)]
 
-    def attempt(injection, *args):
+    def attempt(*args, **kwargs):
         try:
-            return bytes(injection(*args))
+            return bytes(partner(*args, **kwargs))
         except PartnerError as exc:
             return str(exc)
 
@@ -810,9 +807,9 @@ def test_core_step_table_matches_fresh_analysis(m, n):
             assert step == "core restriction falls in the final class"
             kinds.add("final")
             continue
-        published = attempt(partner, fresh, a, cls)
+        published = attempt(fresh, a, cls)
         corner19 = cls == 19 and marks_head_13(a)
-        repaired = attempt(proofcheck._partner_19_low_mark, fresh, a) if corner19 else published
+        repaired = attempt(fresh, a, cls, low_mark=True) if corner19 else published
         corner28 = cls == 28 and only_gap_at_leg_13(a)
         assert step == (cls, corner28, published, repaired)
         if not corner19:
@@ -1025,6 +1022,24 @@ def test_final_class_stray_diagonal_is_recorded(monkeypatch, family, verify, fin
     rep = {r.lemma: r for r in reports}[prefix + "final-class-vanishing"]
     assert rep.cases == 1
     assert [v.reason for v in rep.violations] == ["diagonal coefficient at 1 is nonzero"]
+
+
+def test_star_final_class_diagonals_start_at_the_bound():
+    # Each class-4 map of star (1, 2) has one diagonal term, and every one
+    # is negative: 96 at m + n + 5 = 8 and 95 at m + n + 6 = 9.  The bound
+    # leaves both unchecked; one taken from the star's degree, m + n + 7,
+    # would check diagonal 8 and record 96 violations.
+    ctx = FamilyContext("t3mn_star", 1, 2)
+    split = Counter()
+    for w, exp, core in negative_members(ctx):
+        if star_class_matches(ctx, w, core) == (4,):
+            (term,) = [(x, c < 0) for (x, y), c in exp.items() if c and x == y]
+            split[term] += 1
+    assert split == {(8, True): 96, (9, True): 95}
+    reports = {r.lemma: r for r in verify_star(1, 2)}
+    vanish = reports["star-final-class-vanishing"]
+    assert (vanish.cases, vanish.violation_count) == (191, 0)
+    assert reports["y-diagonal-nonnegative"].cases == 7
 
 
 # sha256 of the sorted-key JSON of each battery's reports.  For fixed inputs
