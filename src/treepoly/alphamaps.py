@@ -15,6 +15,7 @@ inside a larger graph reads the spider's map out and writes it back.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -25,6 +26,7 @@ from .graphs import Graph, disjoint_union, rooted_forest, spider2, spider12
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
+    Signature,
     add_expansions,
     expansion_from_signature,
     min_coefficient,
@@ -440,33 +442,38 @@ def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3
 
     The forests are disjoint unions of up to max_components spiders with 1 to
     max_legs legs, at most 15 vertices.  A union's admissible maps are the
-    products of its parts' maps, and its signature joins their signatures."""
+    products of its parts' maps, and its signature joins their signatures,
+    so the walk is over products of signatures, each spider's maps grouped
+    by signature: a qualifying product counts the product of its group
+    sizes as cases, and only a failing one is expanded back into its maps."""
     t0 = time.perf_counter()
     rep = CheckReport("no-singleton-when-deficient", n=max_legs)
     pool = []
     for legs in range(1, max_legs + 1):
         shadow = _spider_shadow(legs)
-        maps = [(w, *shadow.signature(w)) for w in admissible_maps(shadow.graph)]
-        pool.append((shadow.n, maps))
+        groups: dict[Signature, list[Weights]] = {}
+        for w in admissible_maps(shadow.graph):
+            groups.setdefault(shadow.signature(w), []).append(w)
+        pool.append((shadow.n, list(groups.items())))
     for count in range(1, max_components + 1):
         for shape in combinations_with_replacement(pool, count):
             if sum(size for size, _ in shape) > 15:
                 continue
-            for picks in iproduct(*(maps for _, maps in shape)):
-                comps = tuple(sorted(c for _, part, _ in picks for c in part))
+            for picks in iproduct(*(groups for _, groups in shape)):
+                comps = tuple(sorted(c for (part, _), _ in picks for c in part))
                 unbalanced = [c for c in comps if c[0] - c[1] >= 2]
                 if len(unbalanced) != 1:
                     continue
                 p, q = unbalanced[0]
                 if p != q + 2 or q < 1:
                     continue
-                twos = sum(t for _, _, t in picks)
+                twos = sum(t for (_, t), _ in picks)
                 if min_coefficient(expansion_from_signature((comps, twos))) >= 0:
                     continue
-                rep.cases += 1
+                rep.cases += math.prod(len(maps) for _, maps in picks)
                 if (1, 0) in comps:
-                    w = sum((part_w for part_w, _, _ in picks), ())
-                    rep.record(w, "deficient map left an isolated clan vertex")
+                    for parts in iproduct(*(maps for _, maps in picks)):
+                        rep.record(sum(parts, ()), "deficient map left an isolated clan vertex")
     rep.elapsed = time.perf_counter() - t0
     return rep
 

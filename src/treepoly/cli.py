@@ -46,11 +46,11 @@ MAX_SCAN_CELLS = 10_000
 
 # The most vertices of one family tree or spider that poly, plotdata, scan and
 # verify take, so that a huge cell is a usage error instead of an unbounded
-# polynomial power or graph.  The largest cells it admits, t3mn(1245,1245)
-# and t3mn_star(1244,1244), take about 12 s and 30 MB each on a 2-CPU Xeon
-# host; one of 8,012 vertices takes about a minute.  Of the spiders,
-# spider2(2499) and spider12(1,2499) take about 6 s and spider12(4999,0)
-# about 22 s.  A 100x100 grid's largest tree has 412.
+# polynomial product or graph.  The largest cells it admits, t3mn(1245,1245)
+# and t3mn_star(1244,1244), take about 4-5 s and 30 MB each as `poly` on a
+# 2-CPU Xeon host; the family polynomial of one of 8,012 vertices takes
+# about 20 s.  Of the spiders, spider2(2499) and spider12(1,2499) take about
+# 6 s and spider12(4999,0) about 22 s.  A 100x100 grid's largest tree has 412.
 MAX_FAMILY_VERTICES = 5_000
 
 
@@ -80,7 +80,15 @@ def _check_vertices(cell: str, size: int) -> None:
         )
 
 
+def _check_nonnegative(sizes: str, *values: int) -> None:
+    """Usage error when one of the sizes is negative, with the text the
+    graph builders give."""
+    if min(values) < 0:
+        raise UsageError(f"{sizes} must be nonnegative")
+
+
 def _check_family_size(family: str, m: int, n: int) -> None:
+    _check_nonnegative("m and n", m, n)
     _check_vertices(f"{family}({m},{n})", family_layout(family, m, n).size)
 
 
@@ -166,9 +174,11 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], IntPoly]:
     if any(getattr(args, f) is None for f in takes):
         raise UsageError(f"{family} needs {flags}")
     if family == "spider2":
+        _check_nonnegative("leg count", args.n)
         _check_vertices(f"spider2({args.n})", 2 * args.n + 1)
         fam, m, n, g = "spider2", None, args.n, spider2(args.n)
     elif family == "spider12":
+        _check_nonnegative("leg counts", args.k, args.r)
         _check_vertices(f"spider12({args.k},{args.r})", args.k + 2 * args.r + 1)
         fam, m, n, g = "spider12", args.k, args.r, spider12(args.k, args.r)
     else:
@@ -238,6 +248,7 @@ def cmd_scan(args) -> int:
         else [FAMILY_ALIASES[args.family]]
     )
     cells = _scan_cells(args)
+    _check_nonnegative("m and n", min(map(min, cells)))
     top_m, top_n = max(m for m, _ in cells), max(n for _, n in cells)
     for fam in families:
         _check_family_size(fam, top_m, top_n)
@@ -424,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, EnumerationGuardError) as exc:
+    except (UsageError, EnumerationGuardError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

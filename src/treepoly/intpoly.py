@@ -7,6 +7,7 @@ never overflow silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Optional
 
@@ -129,55 +130,38 @@ def indpoly_bruteforce(g: Graph) -> IntPoly:
     return IntPoly(counts)
 
 
-# The shape intern table of _shape_id, kept for the process and shared by
-# indpoly_tree and family_poly.  A shape id names one isomorphism class of
-# rooted subtree, the same in every graph, so a pair computed for one tree
-# holds for every later one.  The table grows by one pair per distinct shape
-# seen; an id is recorded only after its pair, so an exception mid-DP never
-# leaves an id without a pair.
-_SHAPE_IDS: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
-_SHAPE_PAIRS: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
-
-
-def _shape_id(key: tuple[int, ...]) -> int:
-    """The id of the rooted shape whose children have the sorted shape ids
-    key, interned with its (excl, excl + incl) pair on first sight.
-
-    excl counts the sets avoiding the root, incl those containing it; a run
-    of k children of one shape enters as a k-th power.
-    """
-    sid = _SHAPE_IDS.get(key)
-    if sid is None:
-        pairs = _SHAPE_PAIRS
-        excl = incl = ONE
-        for child, run in groupby(key):
-            k = sum(1 for _ in run)
-            e, total = pairs[child]
-            excl = excl * total**k
-            incl = incl * e**k
-        sid = len(pairs)
-        pairs.append((excl, excl + incl.shifted(1)))
-        _SHAPE_IDS[key] = sid
-    return sid
-
-
 def indpoly_tree(g: Graph) -> IntPoly:
     """Independence polynomial of a forest by rooted dynamic programming,
     done once per shape of rooted subtree.
 
-    A vertex's shape is the sorted tuple of its children's shape ids,
-    interned by _shape_id in the process-wide table above, so isomorphic
-    rooted subtrees share one pair within a call and across calls.
+    A vertex's shape is the sorted tuple of its children's shape ids, so
+    isomorphic rooted subtrees share one (excl, excl + incl) pair: excl
+    counts the sets avoiding the root, incl those containing it, and a run
+    of k children of one shape enters as a k-th power.  The ids and pairs
+    live for one call.
     """
     order, parent = rooted_forest(g)
     adj = g.adj
+    ids: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
+    pairs: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
     shape = [0] * g.n
     result = ONE
     for u in reversed(order):
         pu = parent[u]
-        sid = shape[u] = _shape_id(tuple(sorted([shape[w] for w in adj[u] if w != pu])))
+        key = tuple(sorted([shape[w] for w in adj[u] if w != pu]))
+        sid = ids.get(key)
+        if sid is None:
+            excl = incl = ONE
+            for child, run in groupby(key):
+                k = sum(1 for _ in run)
+                e, total = pairs[child]
+                excl = excl * total**k
+                incl = incl * e**k
+            sid = ids[key] = len(pairs)
+            pairs.append((excl, excl + incl.shifted(1)))
+        shape[u] = sid
         if pu == -1:
-            result = result * _SHAPE_PAIRS[sid][1]
+            result = result * pairs[sid][1]
     return result
 
 
@@ -240,25 +224,54 @@ def analyze(p: IntPoly) -> SequenceReport:
 # family scans
 
 
-def family_poly(family: str, m: int, n: int) -> IntPoly:
-    """indpoly_tree(family_graph(family, m, n)), read from the family
-    layout's rooted shapes instead of a built graph.
+def _binomial_row(c: int, k: int) -> IntPoly:
+    """(1 + c x)^k, by c_(i+1) = c_i (k - i) c / (i + 1), which is exact."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) * c // (i + 1))
+    return IntPoly(row)
 
-    Rooted at v0, the tree is the root over three branches, each branch a
-    spider over its legs, each leg a path of two rooted at its head; in the
-    star the leg (1,3) is the path head, foot, x, y.  Those are the keys
-    indpoly_tree interns for the same tree, so both share the shape ids.
+
+def family_poly(family: str, m: int, n: int) -> IntPoly:
+    """The independence polynomial of family_graph(family, m, n), from its
+    closed form.
+
+    Rooted at v0, the tree is the root over three branches, branch i a
+    spider over its legs (3, m and n of them), each leg a path of two
+    rooted at its head.  A set either avoids the root, and then takes one
+    factor per branch, B_k = (1+2x)^k + x (1+x)^k for a spider of k legs
+    (centre out, or centre in with every head out); or it holds the root,
+    and then every centre is out and each leg is a free path of two:
+
+        I(T_{3,m,n}) = B_3 B_m B_n + x (1+2x)^(3+m+n).
+
+    In the star, leg (1,3) is the path head, foot, x, y, a path of four:
+    I(P4) = 1 + 4x + 3x^2, and 1 + 3x + x^2 without its head.  So branch 1
+    gives (1+2x)^2 (1+4x+3x^2) + x (1+x)^2 (1+3x+x^2) in place of B_3, and
+    the root term is x (1+2x)^(2+m+n) (1+4x+3x^2).
+
+    Branches 2 and 3 are alike, so (m, n) and (n, m) are one tree and one
+    entry of the cell cache.
     """
     lay = family_layout(family, m, n)
-    point = _shape_id(())
-    leg = _shape_id((point,))
-    branches = []
-    for i in (1, 2, 3):
-        legs = [leg] * lay.leg_count(i)
-        if i == 1 and lay.star:
-            legs[2] = _shape_id((_shape_id((leg,)),))
-        branches.append(_shape_id(tuple(sorted(legs))))
-    return _SHAPE_PAIRS[_shape_id(tuple(sorted(branches)))][1]
+    return _cell_poly(lay.star, min(m, n), max(m, n))
+
+
+@lru_cache(maxsize=None)
+def _cell_poly(star: bool, m: int, n: int) -> IntPoly:
+    """family_poly of the cell (m, n), m <= n, of the base or star family."""
+
+    def spider(k: int) -> IntPoly:
+        return _binomial_row(2, k) + _binomial_row(1, k).shifted()
+
+    if star:
+        path4, headless = IntPoly((1, 4, 3)), IntPoly((1, 3, 1))
+        branch1 = _binomial_row(2, 2) * path4 + (_binomial_row(1, 2) * headless).shifted()
+        root = (_binomial_row(2, 2 + m + n) * path4).shifted()
+    else:
+        branch1 = spider(3)
+        root = _binomial_row(2, 3 + m + n).shifted()
+    return branch1 * spider(m) * spider(n) + root
 
 
 @dataclass(frozen=True)

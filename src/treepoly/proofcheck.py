@@ -1200,14 +1200,15 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
 
 def _pairing_reports(
     ctx: FamilyContext, prefix: str, label: str, final: int, classify, pair, target
-) -> tuple[list[CheckReport], list[Weights]]:
+) -> list[CheckReport]:
     """The pairing argument of both families: classify(w, a) puts each
     negative map in a class, where a is the analysis negative_members yields
     with w, the final class may reach only the top diagonal, and every other
     class is paired through pair(w, a, cls); target(beta, cls, pats) says
     how a partner misses its target class, or returns None, where pats are
     the partner's slice patterns (None for a zero-shadow partner).  Returns
-    the six reports and the enumerated maps for the coverage audit.
+    the six pairing reports, then the diagonal report and the coverage
+    audit of the enumerated maps.
 
     A partner's shadow comes from the pattern table (see
     FamilyContext.pattern_expansion), and whether the partner's shadow and
@@ -1287,7 +1288,7 @@ def _pairing_reports(
     spent = time.perf_counter() - t0
     for rep in reports:
         rep.elapsed = spent
-    return reports, negatives
+    return reports + [_diagonal_report(ctx), _coverage_report(ctx, negatives)]
 
 
 def _check_negative_count(ctx: FamilyContext) -> None:
@@ -1314,16 +1315,12 @@ def verify_base(m: int, n: int) -> list[CheckReport]:
             return None
         return "partner misses its target class"
 
-    reports, negatives = _pairing_reports(
+    return _pairing_reports(
         ctx, "", "class", 30,
         classify=lambda w, a: negative_class_matches(a),
         pair=lambda w, a, cls: partner(ctx, a, cls),
         target=target,
     )
-    return reports + [
-        _diagonal_report(ctx),
-        _coverage_report(ctx, negatives),
-    ]
 
 
 def _diagonal_bound(m: int, n: int) -> int:
@@ -1453,15 +1450,13 @@ def verify_star(m: int, n: int, repair_corner: bool = False) -> list[CheckReport
         landed = 1 if beta[lay.x] != 1 else (2 if beta[lay.y] == 1 else 3)
         return None if landed == cls else f"partner lands in class {landed}"
 
-    reports, negatives = _pairing_reports(
+    reports = _pairing_reports(
         ctx, "star-", "star class", 4,
         classify=lambda w, core: star_class_matches(ctx, w, core),
         pair=lambda w, core, cls: partner_star(ctx, core_ctx, w, cls, repair_corner),
         target=target,
     )
     return reports + [
-        _diagonal_report(ctx),
-        _coverage_report(ctx, negatives),
         *_repair_locality_reports(core_ctx, repair_corner),
         check_path_append_identities(),
     ]
@@ -1567,9 +1562,10 @@ def check_path_append_identities() -> CheckReport:
 
 @dataclass(frozen=True)
 class ChainSummary:
-    """The complete unimodality chain for one family member: nonnegative
-    diagonal coefficients below the top (log-concavity of the coefficient
-    prefix), the decreasing tail bound, and the directly computed verdicts."""
+    """The complete unimodality chain for one family member: the
+    certificate's diagonal report (coefficients 1 .. m + n + 4 nonnegative,
+    so the coefficient prefix is log-concave), the decreasing tail bound,
+    and the directly computed verdicts."""
 
     family: str
     m: int
@@ -1589,15 +1585,12 @@ class ChainSummary:
 
 
 def verify_chain(m: int, n: int, family: str = "t3mn") -> ChainSummary:
-    poly = family_poly(family, m, n)
-    report = analyze(poly)
-    exp = schur_expand(f_p_2var(poly))
-    prefix_lc = all(exp.diagonal(k) >= 0 for k in range(1, poly.degree - 1))
+    report = analyze(family_poly(family, m, n))
     return ChainSummary(
         family=family,
         m=m,
         n=n,
-        prefix_log_concave=prefix_lc,
+        prefix_log_concave=_diagonal_report(FamilyContext(family, m, n)).ok,
         tail_ok=report.tail_ok,
         direct_unimodal=report.unimodal,
         direct_log_concave=report.log_concave,

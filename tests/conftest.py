@@ -51,11 +51,10 @@ def shuffled_forest(rng: random.Random, n: int) -> Graph:
     return Graph(n, [(perm[i], perm[j]) for i, j in f.edges()])
 
 
-def clear_shape_table() -> None:
-    """Empty indpoly_tree's process-wide shape table, ids before pairs, so
-    the next call computes every shape afresh."""
-    intpoly._SHAPE_IDS.clear()
-    intpoly._SHAPE_PAIRS.clear()
+def clear_cell_cache() -> None:
+    """Empty family_poly's cell cache, so the next call of every cell
+    computes its closed form afresh."""
+    intpoly._cell_poly.cache_clear()
 
 
 def clear_slice_patterns() -> None:

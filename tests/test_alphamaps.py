@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treepoly import alphamaps
 from treepoly.alphamaps import (
     EnumerationGuardError,
     admissible_maps,
@@ -296,3 +297,25 @@ def test_check_cases_nonempty():
     # spiders with at most two legs can never go negative
     assert check_no_singleton_when_deficient(max_legs=2, max_components=2).cases == 0
     assert check_no_singleton_when_deficient(max_legs=3, max_components=2).cases > 0
+
+
+def test_no_singleton_check_counts_maps(monkeypatch):
+    # with every shadow made negative, the signature walk must count the
+    # cases and violations a walk over the forests' maps counts, and report
+    # maps as its examples
+    monkeypatch.setattr(alphamaps, "expansion_from_signature", lambda sig: {(0, 0): -1})
+    rep = check_no_singleton_when_deficient(max_legs=3, max_components=2)
+    cases, violations = 0, []
+    shadows = [ForestShadow(spider2(legs)) for legs in (1, 2, 3)]
+    for count in (1, 2):
+        for parts in itertools.combinations_with_replacement(shadows, count):
+            for ws in itertools.product(*(list(admissible_maps(s.graph)) for s in parts)):
+                comps = sorted(c for s, w in zip(parts, ws) for c in s.signature(w)[0])
+                unbalanced = [(p, q) for p, q in comps if p - q >= 2]
+                if len(unbalanced) == 1 and unbalanced[0][1] >= 1 and unbalanced[0][0] == unbalanced[0][1] + 2:
+                    cases += 1
+                    if (1, 0) in comps:
+                        violations.append(sum(ws, ()))
+    assert rep.cases == cases
+    assert rep.violation_count == len(violations) > 0
+    assert {v.weights for v in rep.violations} <= set(violations)

@@ -17,7 +17,7 @@ import treepoly
 from treepoly import cli, intpoly, proofcheck
 from treepoly.cli import main
 
-from conftest import clear_shape_table, clear_slice_patterns
+from conftest import clear_cell_cache, clear_slice_patterns
 
 
 def run_cli(capsys, *argv):
@@ -286,21 +286,21 @@ def test_benchmark_traced_names_resolve():
 
 
 def test_benchmark_scan_check_passes_on_cold_and_warm_tables(capsys):
-    # the benchmark's own scan-grid check, run in process on an emptied shape
-    # table and again on the table the first run filled
+    # the benchmark's own scan-grid check, run in process on an emptied cell
+    # cache and again on the cache the first run filled
     bench = _benchmark_module()
     argv = bench["WORKLOADS"]["scan-grid"].argv(1, "unused")
     expected = bench["load_expected"]()["scan-grid"]
-    clear_shape_table()
-    outputs, shapes = [], []
-    for table in ("cold", "warm"):
+    clear_cell_cache()
+    outputs, cells = [], []
+    for cache in ("cold", "warm"):
         code, out, _ = run_cli(capsys, *argv)
         outcome = bench["check_scan"](expected, code, out)
-        assert outcome.failed == 0, (table, outcome.problems)
+        assert outcome.failed == 0, (cache, outcome.problems)
         outputs.append(out)
-        shapes.append(len(intpoly._SHAPE_PAIRS))
+        cells.append(intpoly._cell_poly.cache_info().currsize)
     assert outputs[0] == outputs[1]
-    assert 0 < shapes[0] == shapes[1]  # the warm run added no shape
+    assert 0 < cells[0] == cells[1]  # the warm run added no entry
 
 
 def _child_env() -> dict:
@@ -684,6 +684,49 @@ def test_oversized_family_cell_is_usage_error(capsys, monkeypatch, argv, message
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}, more than the limit of {cli.MAX_FAMILY_VERTICES}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("poly", "--family", "t3mn", "-m", "-1", "-n", "0"), "m and n must be nonnegative"),
+        (("plotdata", "--family", "t3mn-star", "-m", "-2", "-n", "-2"), "m and n must be nonnegative"),
+        (("poly", "--family", "spider2", "-n", "-1"), "leg count must be nonnegative"),
+        (("plotdata", "--family", "spider12", "-k", "1", "-r", "-1"), "leg counts must be nonnegative"),
+        (("scan", "--family", "t3mn", "-m=-1..2", "-n", "1"), "m and n must be nonnegative"),
+        (("scan", "--family", "both", "-m", "1", "-n=-3..-1"), "m and n must be nonnegative"),
+        (("scan", "--family", "t3mn", "--diag", "k-1,k", "-k", "0..2"), "m and n must be nonnegative"),
+        (("verify", "--suite", "section4", "-m", "-1", "-n", "0"), "m and n must be nonnegative"),
+        (("verify", "--suite", "section5", "-m", "1", "-n", "-2"), "m and n must be nonnegative"),
+        (("verify", "--suite", "prop3", "-n", "-1"), "prop3 needs -n of at least 1"),
+    ],
+)
+def test_negative_size_is_usage_error(capsys, monkeypatch, argv, message):
+    no_polynomial(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_negative_scan_cell_is_refused_before_the_output_path(capsys, monkeypatch, tmp_path):
+    # no cell is computed, and the negative size is named before the
+    # unwritable output
+    no_polynomial(monkeypatch)
+    unwritable = str(tmp_path / "missing" / "scan.json")
+    code, out, err = run_cli(capsys, "scan", "--family", "t3mn", "-m=-1..2", "-n", "1", "-o", unwritable)
+    assert code == 2 and out == ""
+    assert err == "error: m and n must be nonnegative\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only UsageError and EnumerationGuardError exit 2; any other error is
+    # a fault of the program and propagates
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "scan_row", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["scan", "--family", "t3mn", "-m", "1", "-n", "1"])
 
 
 def test_family_vertex_limit_admits_its_own_size(capsys, monkeypatch):

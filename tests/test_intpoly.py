@@ -33,7 +33,7 @@ from treepoly.intpoly import (
 )
 from treepoly.shadow import ForestShadow
 
-from conftest import clear_shape_table, random_forest, random_tree
+from conftest import clear_cell_cache, random_forest, random_tree
 from oracles import complete_graph, induced_subgraph
 
 
@@ -111,12 +111,6 @@ def test_shared_shape_dp_matches_bruteforce(forest):
     assert indpoly_tree(forest) == indpoly_bruteforce(forest)
 
 
-def assert_shape_table_consistent():
-    ids, pairs = intpoly._SHAPE_IDS, intpoly._SHAPE_PAIRS
-    assert sorted(ids.values()) == list(range(len(ids)))
-    assert len(ids) <= len(pairs)
-
-
 FAMILY_CELLS = st.builds(
     lambda family, m, n: family(m, n),
     st.sampled_from([t3mn, t3mn_star]),
@@ -127,54 +121,58 @@ FAMILY_CELLS = st.builds(
 
 @given(st.lists(st.one_of(forests(), FAMILY_CELLS), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
-def test_shape_table_shared_across_calls_is_exact(graphs):
-    # the table stays warm from call to call (and from earlier tests); every
-    # result must equal the oracle (all graphs drawn have at most 24
-    # vertices) and a computation on an emptied table
-    warm = [indpoly_tree(g) for g in graphs]
-    assert_shape_table_consistent()
-    for g, p in zip(graphs, warm):
+def test_tree_dp_repeated_calls_are_exact(graphs):
+    # every result must equal the oracle (all graphs drawn have at most 24
+    # vertices) and a second call on the same graph
+    first = [indpoly_tree(g) for g in graphs]
+    for g, p in zip(graphs, first):
         assert p == indpoly_bruteforce(g)
-        clear_shape_table()
         assert indpoly_tree(g) == p
 
 
 @pytest.mark.parametrize("family", [t3mn, t3mn_star])
 def test_mirrored_cell_adds_no_shape(family):
-    clear_shape_table()
+    # the cell cache is keyed by the tree's shape, and (n, m) is the tree of
+    # (m, n) with branches 2 and 3 swapped
+    clear_cell_cache()
     for m, n in [(0, 3), (2, 5), (7, 4), (1, 12)]:
-        before = len(intpoly._SHAPE_PAIRS)
-        p = indpoly_tree(family(m, n))
-        size = len(intpoly._SHAPE_PAIRS)
-        assert size > before  # a new root shape at least
+        before = intpoly._cell_poly.cache_info().currsize
+        p = family_poly(family.__name__, m, n)
+        size = intpoly._cell_poly.cache_info().currsize
+        assert size == before + 1
+        assert family_poly(family.__name__, n, m) is p
+        assert intpoly._cell_poly.cache_info().currsize == size
         assert indpoly_tree(family(n, m)) == p
-        assert len(intpoly._SHAPE_PAIRS) == size
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
 def test_family_poly_matches_the_graph_dp(family):
     for m in range(13):
         for n in range(13):
-            clear_shape_table()
             assert family_poly(family, m, n) == indpoly_tree(family_graph(family, m, n))
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
-def test_family_poly_interns_the_graph_dp_shapes(family):
-    # both paths intern the same keys, so either one finds every shape the
-    # other added
-    clear_shape_table()
-    for m, n in [(0, 0), (3, 1), (2, 5), (12, 7)]:
-        p = family_poly(family, m, n)
-        size = len(intpoly._SHAPE_PAIRS)
-        assert indpoly_tree(family_graph(family, m, n)) == p
-        assert len(intpoly._SHAPE_PAIRS) == size
-        g = family_graph(family, n + 1, m)
-        q = indpoly_tree(g)
-        size = len(intpoly._SHAPE_PAIRS)
-        assert family_poly(family, n + 1, m) == q
-        assert len(intpoly._SHAPE_PAIRS) == size
-    assert_shape_table_consistent()
+@pytest.mark.parametrize("m,n", [(40, 25), (25, 40), (60, 7), (0, 90)])
+def test_family_poly_matches_the_graph_dp_past_the_grid(family, m, n):
+    assert family_poly(family, m, n) == indpoly_tree(family_graph(family, m, n))
+
+
+@pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
+def test_family_poly_reaches_no_dp_code(monkeypatch, family):
+    # the closed form is built from binomial rows: no power of a polynomial
+    # (the DP's runs of like children) and no forest walk
+    def refuse(*args):
+        raise AssertionError("family_poly reached the tree DP")
+
+    cells = [(0, 0), (3, 1), (2, 5), (12, 7), (101, 103)]
+    clear_cell_cache()
+    with monkeypatch.context() as patched:
+        patched.setattr(IntPoly, "__pow__", refuse)
+        patched.setattr(intpoly, "rooted_forest", refuse)
+        patched.setattr(intpoly, "indpoly_tree", refuse)
+        polys = [family_poly(family, m, n) for m, n in cells]
+    assert polys == [indpoly_tree(family_graph(family, m, n)) for m, n in cells]
 
 
 def _binomial_power(c: int, k: int) -> IntPoly:
@@ -234,7 +232,9 @@ def test_family_poly_rejects_negative_counts(m, n):
 
 @pytest.mark.parametrize("op", ["__mul__", "__add__"])
 def test_dp_raising_mid_run_leaves_a_usable_table(monkeypatch, op):
-    # make IntPoly's op raise at each call of one cold DP run in turn
+    # make IntPoly's op raise at each call of one DP run, then of one
+    # uncached family_poly cell, in turn: later calls stay exact, and the
+    # cell cache keeps no entry for the failed cell
     victim = t3mn_star(3, 2)
     later = [t3mn(2, 3), t3mn_star(1, 2), binary_tree(3), spider12(3, 2), victim]
     real = getattr(IntPoly, op)
@@ -247,22 +247,32 @@ def test_dp_raising_mid_run_leaves_a_usable_table(monkeypatch, op):
             raise RuntimeError("arithmetic failed")
         return real(a, b)
 
-    budget = math.inf
-    clear_shape_table()
-    monkeypatch.setattr(IntPoly, op, failing)
-    indpoly_tree(victim)
-    total = calls
-    assert total > 0
-    for budget in range(total):
-        clear_shape_table()
+    def victim_dp():
+        indpoly_tree(victim)
+
+    def victim_cell():
+        clear_cell_cache()
+        family_poly("t3mn_star", 3, 2)
+
+    for run in (victim_dp, victim_cell):
+        budget = math.inf
         calls = 0
         monkeypatch.setattr(IntPoly, op, failing)
-        with pytest.raises(RuntimeError, match="arithmetic failed"):
-            indpoly_tree(victim)
+        run()
         monkeypatch.setattr(IntPoly, op, real)
-        assert_shape_table_consistent()
-        for g in later:
-            assert indpoly_tree(g) == indpoly_bruteforce(g)
+        total = calls
+        assert total > 0
+        for budget in range(total):
+            calls = 0
+            monkeypatch.setattr(IntPoly, op, failing)
+            with pytest.raises(RuntimeError, match="arithmetic failed"):
+                run()
+            monkeypatch.setattr(IntPoly, op, real)
+            if run is victim_cell:
+                assert intpoly._cell_poly.cache_info().currsize == 0
+            for g in later:
+                assert indpoly_tree(g) == indpoly_bruteforce(g)
+            assert family_poly("t3mn_star", 3, 2) == indpoly_bruteforce(victim)
 
 
 def test_shared_shape_dp_on_wide_spiders():

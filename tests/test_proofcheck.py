@@ -34,7 +34,7 @@ from treepoly.proofcheck import (
     verify_chain,
     verify_star,
 )
-from treepoly.reports import all_ok
+from treepoly.reports import CheckReport, all_ok
 from treepoly.shadow import ForestShadow, expansion_from_signature, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
@@ -984,6 +984,21 @@ def test_verify_chain():
             assert summary.direct_log_concave == direct.log_concave
     assert not verify_chain(4, 4, "t3mn").direct_log_concave
     assert verify_chain(1, 1, "t3mn").direct_log_concave
+
+
+def test_verify_chain_prefix_is_the_diagonal_report(monkeypatch):
+    # the chain's prefix verdict is the certificate's diagonal report, not
+    # a second expansion over a range of its own
+    def failing(ctx):
+        rep = CheckReport("y-diagonal-nonnegative", ctx.m, ctx.n)
+        rep.record(None, "diagonal coefficient at 1 is negative")
+        return rep
+
+    monkeypatch.setattr(proofcheck, "_diagonal_report", failing)
+    for family in ("t3mn", "t3mn_star"):
+        summary = verify_chain(2, 3, family)
+        assert not summary.prefix_log_concave
+        assert summary.tail_ok and summary.direct_unimodal
 
 
 def test_reports_serialize_deterministically():
