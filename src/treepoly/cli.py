@@ -20,8 +20,8 @@ import sys
 from typing import Optional, Sequence
 
 from .alphamaps import EnumerationGuardError, spider_suite
-from .graphs import family_layout, spider2, spider12
-from .intpoly import IntPoly, ScanRow, analyze, family_poly, indpoly_tree, scan_row
+from .graphs import family_layout
+from .intpoly import IntPoly, ScanRow, analyze, family_poly, scan_row, spider_poly
 from .proofcheck import verify_base, verify_star
 from .reports import all_ok
 
@@ -46,11 +46,11 @@ MAX_SCAN_CELLS = 10_000
 
 # The most vertices of one family tree or spider that poly, plotdata, scan and
 # verify take, so that a huge cell is a usage error instead of an unbounded
-# polynomial product or graph.  The largest cells it admits, t3mn(1245,1245)
-# and t3mn_star(1244,1244), take about 4-5 s and 30 MB each as `poly` on a
-# 2-CPU Xeon host; the family polynomial of one of 8,012 vertices takes
-# about 20 s.  Of the spiders, spider2(2499) and spider12(1,2499) take about
-# 6 s and spider12(4999,0) about 22 s.  A 100x100 grid's largest tree has 412.
+# polynomial or graph.  Each printed polynomial is a few rows of the recurrence
+# in intpoly._row: as `poly` (in process, 2-CPU Xeon host) t3mn(1245,1245),
+# t3mn_star(1244,1244) and the largest spiders take 0.13-0.35 s and 24-34 MB,
+# most of it printing, and a tree of 8,012 vertices 0.5 s.  A 100x100 grid's
+# largest tree has 412.
 MAX_FAMILY_VERTICES = 5_000
 
 
@@ -176,16 +176,16 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], IntPoly]:
     if family == "spider2":
         _check_nonnegative("leg count", args.n)
         _check_vertices(f"spider2({args.n})", 2 * args.n + 1)
-        fam, m, n, g = "spider2", None, args.n, spider2(args.n)
+        fam, m, n, legs = "spider2", None, args.n, (0, args.n)
     elif family == "spider12":
         _check_nonnegative("leg counts", args.k, args.r)
         _check_vertices(f"spider12({args.k},{args.r})", args.k + 2 * args.r + 1)
-        fam, m, n, g = "spider12", args.k, args.r, spider12(args.k, args.r)
+        fam, m, n, legs = "spider12", args.k, args.r, (args.k, args.r)
     else:
-        fam, m, n, g = FAMILY_ALIASES[family], args.m, args.n, None
+        fam, m, n, legs = FAMILY_ALIASES[family], args.m, args.n, None
         _check_family_size(fam, m, n)
     _check_output_path(args.output)
-    return fam, m, n, family_poly(fam, m, n) if g is None else indpoly_tree(g)
+    return fam, m, n, family_poly(fam, m, n) if legs is None else spider_poly(*legs)
 
 
 def cmd_poly(args) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Iterable, Optional
 
 from .graphs import NotAForestError  # noqa: F401  (re-exported: raised by indpoly_tree)
@@ -78,19 +77,6 @@ class IntPoly:
                     out[i + j] += ca * cb
         return IntPoly(out)
 
-    def __pow__(self, k: int) -> "IntPoly":
-        """self**k by repeated squaring; k must be a nonnegative integer."""
-        if k < 0:
-            raise ValueError(f"negative exponent {k}")
-        result, base = ONE, self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def shifted(self, k: int = 1) -> "IntPoly":
         """Multiply by t**k."""
         return IntPoly((0,) * k + self.coeffs)
@@ -131,37 +117,22 @@ def indpoly_bruteforce(g: Graph) -> IntPoly:
 
 
 def indpoly_tree(g: Graph) -> IntPoly:
-    """Independence polynomial of a forest by rooted dynamic programming,
-    done once per shape of rooted subtree.
-
-    A vertex's shape is the sorted tuple of its children's shape ids, so
-    isomorphic rooted subtrees share one (excl, excl + incl) pair: excl
-    counts the sets avoiding the root, incl those containing it, and a run
-    of k children of one shape enters as a k-th power.  The ids and pairs
-    live for one call.
-    """
+    """Independence polynomial of a forest by rooted dynamic programming:
+    excl[u] counts the sets of u's subtree that avoid u, the product of its
+    children's totals, and x held[u] those that hold u, held[u] the product
+    of its children's excl."""
     order, parent = rooted_forest(g)
-    adj = g.adj
-    ids: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
-    pairs: list[tuple[IntPoly, IntPoly]] = []  # (excl, excl + incl) per shape id
-    shape = [0] * g.n
+    excl = [ONE] * g.n
+    held = [ONE] * g.n
     result = ONE
     for u in reversed(order):
         pu = parent[u]
-        key = tuple(sorted([shape[w] for w in adj[u] if w != pu]))
-        sid = ids.get(key)
-        if sid is None:
-            excl = incl = ONE
-            for child, run in groupby(key):
-                k = sum(1 for _ in run)
-                e, total = pairs[child]
-                excl = excl * total**k
-                incl = incl * e**k
-            sid = ids[key] = len(pairs)
-            pairs.append((excl, excl + incl.shifted(1)))
-        shape[u] = sid
+        total = excl[u] + held[u].shifted(1)
         if pu == -1:
-            result = result * pairs[sid][1]
+            result = result * total
+        else:
+            excl[pu] = excl[pu] * total
+            held[pu] = held[pu] * excl[u]
     return result
 
 
@@ -224,12 +195,35 @@ def analyze(p: IntPoly) -> SequenceReport:
 # family scans
 
 
-def _binomial_row(c: int, k: int) -> IntPoly:
-    """(1 + c x)^k, by c_(i+1) = c_i (k - i) c / (i + 1), which is exact."""
-    row = [1]
-    for i in range(k):
-        row.append(row[-1] * (k - i) * c // (i + 1))
+def _row(a: int, b: int) -> IntPoly:
+    """P(a, b) = (1+x)^a (1+2x)^b, the one source of the printed
+    coefficients.  From (1+x)(1+2x) P' = (a + 2b + 2(a+b) x) P, read at x^k:
+
+        (k+1) p_(k+1) = (a+2b-3k) p_k + 2(a+b-k+1) p_(k-1),
+
+    and each division is exact."""
+    row, prev = [1], 0
+    for k in range(a + b):
+        row.append(((a + 2 * b - 3 * k) * row[k] + 2 * (a + b - k + 1) * prev) // (k + 1))
+        prev = row[k]
     return IntPoly(row)
+
+
+def spider_poly(k: int, r: int) -> IntPoly:
+    """The independence polynomial of spider12(k, r), k legs of length one
+    and r of length two.
+
+    A set either avoids the centre, and then each pendant is free and each
+    leg is a free path of two, or holds it, and then the pendants and the
+    heads are out and each foot is free:
+
+        I(spider12(k, r)) = P(k, r) + x P(r, 0).
+
+    spider2(n) is spider12(0, n), so its polynomial is spider_poly(0, n).
+    """
+    if k < 0 or r < 0:
+        raise ValueError("leg counts must be nonnegative")
+    return _row(k, r) + _row(r, 0).shifted()
 
 
 def family_poly(family: str, m: int, n: int) -> IntPoly:
@@ -239,9 +233,10 @@ def family_poly(family: str, m: int, n: int) -> IntPoly:
     Rooted at v0, the tree is the root over three branches, branch i a
     spider over its legs (3, m and n of them), each leg a path of two
     rooted at its head.  A set either avoids the root, and then takes one
-    factor per branch, B_k = (1+2x)^k + x (1+x)^k for a spider of k legs
-    (centre out, or centre in with every head out); or it holds the root,
-    and then every centre is out and each leg is a free path of two:
+    factor per branch, B_k = (1+2x)^k + x (1+x)^k = spider_poly(0, k) for a
+    spider of k legs (centre out, or centre in with every head out); or it
+    holds the root, and then every centre is out and each leg is a free
+    path of two:
 
         I(T_{3,m,n}) = B_3 B_m B_n + x (1+2x)^(3+m+n).
 
@@ -250,8 +245,13 @@ def family_poly(family: str, m: int, n: int) -> IntPoly:
     gives (1+2x)^2 (1+4x+3x^2) + x (1+x)^2 (1+3x+x^2) in place of B_3, and
     the root term is x (1+2x)^(2+m+n) (1+4x+3x^2).
 
-    Branches 2 and 3 are alike, so (m, n) and (n, m) are one tree and one
-    entry of the cell cache.
+    With P(a, b) = (1+x)^a (1+2x)^b, the long product expands as
+
+        B_m B_n = P(0, m+n) + x [P(m, n) + P(n, m)] + x^2 P(m+n, 0),
+
+    so every product is a factor of degree at most 5 times one long sum of
+    rows.  Branches 2 and 3 are alike, so (m, n) and (n, m) are one tree
+    and one entry of the cell cache.
     """
     lay = family_layout(family, m, n)
     return _cell_poly(lay.star, min(m, n), max(m, n))
@@ -260,18 +260,15 @@ def family_poly(family: str, m: int, n: int) -> IntPoly:
 @lru_cache(maxsize=None)
 def _cell_poly(star: bool, m: int, n: int) -> IntPoly:
     """family_poly of the cell (m, n), m <= n, of the base or star family."""
-
-    def spider(k: int) -> IntPoly:
-        return _binomial_row(2, k) + _binomial_row(1, k).shifted()
-
     if star:
         path4, headless = IntPoly((1, 4, 3)), IntPoly((1, 3, 1))
-        branch1 = _binomial_row(2, 2) * path4 + (_binomial_row(1, 2) * headless).shifted()
-        root = (_binomial_row(2, 2 + m + n) * path4).shifted()
+        branch1 = _row(0, 2) * path4 + (_row(2, 0) * headless).shifted()
+        root = (path4 * _row(0, 2 + m + n)).shifted()
     else:
-        branch1 = spider(3)
-        root = _binomial_row(2, 3 + m + n).shifted()
-    return branch1 * spider(m) * spider(n) + root
+        branch1 = spider_poly(0, 3)
+        root = _row(0, 3 + m + n).shifted()
+    pair = _row(0, m + n) + (_row(m, n) + _row(n, m)).shifted() + _row(m + n, 0).shifted(2)
+    return branch1 * pair + root
 
 
 @dataclass(frozen=True)

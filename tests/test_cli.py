@@ -463,7 +463,7 @@ def test_unwritable_output_fails_before_the_polynomials(capsys, monkeypatch, tmp
     def no_run(*args, **kwargs):
         raise AssertionError("polynomials computed before the output path was checked")
 
-    for name in ("scan_row", "indpoly_tree", "family_poly"):
+    for name in ("scan_row", "spider_poly", "family_poly"):
         monkeypatch.setattr(cli, name, no_run)
     path = str(tmp_path / "missing" / "s.json")
     code, out, err = run_cli(capsys, *argv, "-o", path)
@@ -636,15 +636,74 @@ def test_scan_bytes_are_pinned(capsys):
     assert digest == "3a8158c58c91dddfdc6999ce6b35c4d0a079fb474c89480fb0918d27450e6990"
 
 
+# Recorded at the commit before the coefficient recurrence, when spiders went
+# through the tree DP and family cells through binomial-row products.
+_PINNED_AT_THE_VERTEX_LIMIT = {
+    ("poly", "--family", "t3mn", "-m", "1247", "-n", "1248", "--format", "json"):
+        "9e7d41e90cc36b3e205423f203520495d35ca6d50e9d5bf8792f2560cc37e27d",
+    ("poly", "--family", "t3mn_star", "-m", "1244", "-n", "1244", "--format", "json"):
+        "2cca4eed675a80dd8a46470605875b86c3c4f7bee691f164df354d7a11da01ea",
+    ("poly", "--family", "spider2", "-n", "2499", "--format", "json"):
+        "2bbc2392ffffb88acfaea65f27dfccf4e936e45ee0aabf93733849b826279015",
+    ("poly", "--family", "spider12", "-k", "1", "-r", "2499", "--format", "json"):
+        "904c5cda4f9ffa86c2ce15dcb4d40f400f7b4be575ef30542cb2435efeec06e3",
+    ("poly", "--family", "spider12", "-k", "4999", "-r", "0", "--format", "json"):
+        "3743368a242950c7720b41521ebc28b56328e024baa5ac8fa183266ccfd492e5",
+    ("plotdata", "--family", "t3mn", "-m", "2494", "-n", "1"):
+        "43185d85f233caf11cb56f47d3605c2fffe5267f6fffc8403d37c1b344bfe54b",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_AT_THE_VERTEX_LIMIT))
+def test_vertex_limit_bytes_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_AT_THE_VERTEX_LIMIT[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poly", "--family", "spider2", "-n", "5", "--format", "json"),
+        ("poly", "--family", "spider12", "-k", "3", "-r", "2", "--format", "csv"),
+        ("plotdata", "--family", "spider12", "-k", "0", "-r", "4"),
+        ("poly", "--family", "t3mn-star", "-m", "2", "-n", "3"),
+        ("plotdata", "--family", "t3mn", "-m", "3", "-n", "1"),
+        ("scan", "--family", "both", "-m", "0..4", "-n", "0..4", "--format", "json"),
+    ],
+)
+def test_commands_build_no_graph_and_reach_no_tree_dp(capsys, monkeypatch, argv):
+    # the printed polynomials come from the closed forms alone: with the
+    # spider builders, the forest walk and the tree DP made to fail, every
+    # command prints what it prints without them
+    clear_cell_cache()
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a command built a graph or reached the tree DP")
+
+    names = ("spider2", "spider12", "rooted_forest", "indpoly_tree", "family_graph")
+    assert not any(hasattr(cli, name) for name in names)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("treepoly."):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    clear_cell_cache()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
 def no_polynomial(monkeypatch):
-    """Make every way to a family polynomial, every spider builder and every
-    verify driver fail if it is reached."""
+    """Make every way to a family or spider polynomial and every verify
+    driver fail if it is reached."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("cell built despite its size")
 
     for name in (
-        "scan_row", "family_poly", "indpoly_tree", "spider2", "spider12",
+        "scan_row", "family_poly", "spider_poly",
         "verify_base", "verify_star", "spider_suite",
     ):
         monkeypatch.setattr(cli, name, no_run)
@@ -740,9 +799,7 @@ def test_family_vertex_limit_admits_its_own_size(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "family_poly", record)
     monkeypatch.setattr(cli, "scan_row", lambda family, m, n: record("scan", m, n))
-    monkeypatch.setattr(cli, "spider2", lambda n: record("spider2", None, n))
-    monkeypatch.setattr(cli, "spider12", lambda k, r: record("spider12", k, r))
-    monkeypatch.setattr(cli, "indpoly_tree", lambda g: g)
+    monkeypatch.setattr(cli, "spider_poly", lambda k, r: record("spider_poly", k, r))
     for argv in (
         ("poly", "--family", "t3mn", "-m", "2495", "-n", "0"),
         ("plotdata", "--family", "t3mn_star", "-m", "1247", "-n", "1247"),
@@ -755,7 +812,7 @@ def test_family_vertex_limit_admits_its_own_size(capsys, monkeypatch):
         assert code == 0, err
     assert cells[:5] == [
         ("t3mn", 2495, 0), ("t3mn_star", 1247, 1247),
-        ("spider2", None, 2499), ("spider12", 1, 2499), ("spider12", 4999, 0),
+        ("spider_poly", 0, 2499), ("spider_poly", 1, 2499), ("spider_poly", 4999, 0),
     ]
     assert len(cells) == 5 + 2 * 100 * 100
 

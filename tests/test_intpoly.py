@@ -19,7 +19,6 @@ from treepoly.graphs import (
     t3mn_star,
 )
 from treepoly.intpoly import (
-    ONE,
     GuardLimitError,
     IntPoly,
     NotAForestError,
@@ -29,6 +28,7 @@ from treepoly.intpoly import (
     indpoly_bruteforce,
     indpoly_tree,
     scan_row,
+    spider_poly,
     tail_start,
 )
 from treepoly.shadow import ForestShadow
@@ -160,19 +160,55 @@ def test_family_poly_matches_the_graph_dp_past_the_grid(family, m, n):
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
 def test_family_poly_reaches_no_dp_code(monkeypatch, family):
-    # the closed form is built from binomial rows: no power of a polynomial
-    # (the DP's runs of like children) and no forest walk
+    # the closed forms are built from coefficient rows: no forest walk and
+    # no tree DP, for the family cells and for the spiders
     def refuse(*args):
-        raise AssertionError("family_poly reached the tree DP")
+        raise AssertionError("a closed form reached the tree DP")
 
     cells = [(0, 0), (3, 1), (2, 5), (12, 7), (101, 103)]
+    spiders = [(0, 0), (3, 0), (0, 4), (5, 7), (40, 31)]
     clear_cell_cache()
     with monkeypatch.context() as patched:
-        patched.setattr(IntPoly, "__pow__", refuse)
         patched.setattr(intpoly, "rooted_forest", refuse)
         patched.setattr(intpoly, "indpoly_tree", refuse)
         polys = [family_poly(family, m, n) for m, n in cells]
+        spider_polys = [spider_poly(k, r) for k, r in spiders]
     assert polys == [indpoly_tree(family_graph(family, m, n)) for m, n in cells]
+    assert spider_polys == [indpoly_tree(spider12(k, r)) for k, r in spiders]
+
+
+def test_spider_poly_matches_bruteforce():
+    for k in range(20):
+        for r in range((20 - k - 1) // 2 + 1):
+            assert spider_poly(k, r) == indpoly_bruteforce(spider12(k, r)), (k, r)
+
+
+def test_spider_poly_matches_the_graph_dp_on_long_spiders():
+    assert spider_poly(0, 300) == indpoly_tree(spider2(300))
+    assert spider_poly(600, 0) == indpoly_tree(spider12(600, 0))
+
+
+def test_closed_forms_multiply_no_two_long_polynomials(monkeypatch):
+    # every product of the closed forms is a factor of at most 6
+    # coefficients times a long row, at the vertex limit of
+    # MAX_FAMILY_VERTICES as at every other size
+    real = IntPoly.__mul__
+
+    def short_factor(a, b):
+        if len(a) > 6 and len(b) > 6:
+            raise AssertionError(f"product of {len(a)} by {len(b)} coefficients")
+        return real(a, b)
+
+    cells = [("t3mn", 1247, 1248), ("t3mn_star", 1247, 1247), ("t3mn", 2494, 1), ("t3mn_star", 2494, 0)]
+    for family, m, n in cells:
+        assert family_layout(family, m, n).size == MAX_FAMILY_VERTICES
+    clear_cell_cache()
+    monkeypatch.setattr(IntPoly, "__mul__", short_factor)
+    for family, m, n in cells:
+        assert family_poly(family, m, n).degree == m + n + (7 if family == "t3mn_star" else 6)
+    assert spider_poly(4999, 0).degree == 4999
+    with pytest.raises(AssertionError, match="product of"):
+        IntPoly([1] * 7) * IntPoly([1] * 7)
 
 
 def _binomial_power(c: int, k: int) -> IntPoly:
@@ -207,12 +243,14 @@ def closed_form_family_poly(family: str, m: int, n: int) -> IntPoly:
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
 def test_family_poly_matches_the_closed_form(family):
-    # on the 30x30 scan grid, and on cells at the vertex limit of
+    # on the 30x30 scan grid, on the balanced cell (600, 600), where the
+    # oracle's B_m B_n is a long product, and on cells at the vertex limit of
     # MAX_FAMILY_VERTICES (5,000): t3mn(2494, 1) and t3mn_star(2494, 0),
     # which share their largest spider, and their mirror images
     for m in range(1, 31):
         for n in range(1, 31):
             assert family_poly(family, m, n) == closed_form_family_poly(family, m, n)
+    assert family_poly(family, 600, 600) == closed_form_family_poly(family, 600, 600)
     m = 2494
     n = 1 if family == "t3mn" else 0
     assert family_layout(family, m, n).size == MAX_FAMILY_VERTICES
@@ -228,6 +266,8 @@ def test_family_poly_rejects_negative_counts(m, n):
             family_poly(family, m, n)
     with pytest.raises(ValueError, match="unknown family"):
         family_poly("t4mn", 1, 1)
+    with pytest.raises(ValueError, match="leg counts must be nonnegative"):
+        spider_poly(m, n)
 
 
 @pytest.mark.parametrize("op", ["__mul__", "__add__"])
@@ -300,17 +340,6 @@ def test_tree_dp_rejects_any_cycle(g):
     for forest_only in (indpoly_tree, count_admissible, ForestShadow):
         with pytest.raises(NotAForestError, match="contains a cycle"):
             forest_only(g)
-
-
-def test_intpoly_power():
-    for p in (IntPoly([1, 2]), IntPoly([0, 1]), IntPoly([3, 0, -1, 5]), ONE, IntPoly([])):
-        assert p**0 == ONE
-        acc = ONE
-        for k in range(1, 10):
-            acc = acc * p
-            assert p**k == acc
-    with pytest.raises(ValueError):
-        IntPoly([1, 1]) ** -1
 
 
 def test_oracle_equivalence(rng):
