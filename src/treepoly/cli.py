@@ -395,6 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("-o", "--output")
     scan.add_argument("--jobs", type=int, default=0, help="parallel grid workers")
     scan.set_defaults(func=cmd_scan)
+    # argparse reads a token that starts with "-" as an option unless its
+    # _negative_number_matcher calls it a number, so "-m -1..2" would end in
+    # "expected one argument".  In scan a dash and a digit is a range, and a
+    # negative range reaches the size check.
+    scan._negative_number_matcher = re.compile(r"^-\d")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=["section4", "section5", "prop3"])

@@ -57,9 +57,13 @@ from .symfunc import chromatic_multicolor_2var, f_p_2var, schur_expand
 PATTERN_GUARD = 300_000
 
 # The most negative maps a verify battery realizes.  The battery keeps every
-# negative map and its partner, about 630 B each, so star (3,3) at 3,178,818
-# negatives peaks near 2.1 GB; base (4,4), at 33,044,455, would need some
-# 20 GB and is refused from the exact count before any enumeration.
+# negative map and its partner packed as bytes: in process (2-CPU Xeon host)
+# base (3,3), with 644,015 negatives, peaks at 230 MB and star (3,3), with
+# 3,178,818, at 1,181 MB, about 375-390 B per negative.  One battery at the
+# limit then needs some 1.6 GB, so two side by side fit a 7 GB host with
+# room to spare, and the limit is kept at 4,000,000.  Star (3,4), at
+# 23,760,992, would need about 9 GB and base (4,4), at 33,044,455, about
+# 13 GB; both are refused from the exact count before any enumeration.
 MAX_NEGATIVES = 4_000_000
 
 
@@ -1167,12 +1171,13 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
 # verification drivers
 
 
-def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckReport:
+def _coverage_report(ctx: FamilyContext, negatives: list[bytes]) -> CheckReport:
     """Confirm that the enumerated maps are exactly the admissible maps with
     negative shadow.  The bucket count gives the number of admissible maps,
     checked against count_admissible, and the number of negative ones; the
     enumerated maps must be distinct, each negative under the family's own
-    ForestShadow, and exactly that many.
+    ForestShadow, and exactly that many.  The maps come packed, as
+    bytes(map), and the set of seen maps holds those same objects.
 
     This audit is the certificate's independent confirmation of the
     pattern table: the enumerator, the partner shadows, the pair sums, the
@@ -1185,7 +1190,7 @@ def _coverage_report(ctx: FamilyContext, negatives: list[Weights]) -> CheckRepor
     admissible = count_admissible(ctx.graph)
     if rep.cases != admissible:
         rep.record(None, f"buckets count {rep.cases} admissible maps, count_admissible {admissible}")
-    seen: set[Weights] = set()
+    seen: set[bytes] = set()
     for w in negatives:
         if w in seen:
             rep.record(w, "map enumerated twice")
@@ -1210,6 +1215,12 @@ def _pairing_reports(
     the six pairing reports, then the diagonal report and the coverage
     audit of the enumerated maps.
 
+    Every map kept past its own iteration, each negative map and each
+    realized partner with the map it came from, is stored packed as
+    bytes(map), about a quarter of a tuple's size.  A violation is recorded
+    from the tuple, or unpacked by CheckReport.record, so the reports are
+    the same.
+
     A partner's shadow comes from the pattern table (see
     FamilyContext.pattern_expansion), and whether the partner's shadow and
     the pair sum have a negative coefficient is decided once per (negative
@@ -1226,15 +1237,16 @@ def _pairing_reports(
     )
     reports = [CheckReport(prefix + lemma, m, n) for lemma in lemmas]
     rep_partition, rep_vanish, rep_image, rep_disjoint, rep_pairing, rep_inject = reports
-    images: dict[Weights, tuple[int, Weights]] = {}
-    negatives: list[Weights] = []
+    images: dict[bytes, tuple[int, bytes]] = {}
+    negatives: list[bytes] = []
     # (id(exp), id(bexp)) -> (exp, bexp, whether the partner's expansion
     # and the pair sum have a negative coefficient).  Both expansions are
     # the cached objects of their signatures, and the entry holds them, so
     # neither id can pass to another dict while the memo lives.
     pair_signs: dict[tuple[int, int], tuple] = {}
     for w, exp, a in negative_members(ctx):
-        negatives.append(w)
+        packed = bytes(w)
+        negatives.append(packed)
         matches = classify(w, a)
         rep_partition.cases += 1
         if len(matches) != 1:
@@ -1276,15 +1288,16 @@ def _pairing_reports(
         rep_pairing.cases += 1
         if signs[3]:
             rep_pairing.record(w, f"{label} {cls}: pair sum has a negative coefficient")
-        prev = images.get(beta)
-        if prev is not None and prev != (cls, w):
+        packed_beta = bytes(beta)
+        prev = images.get(packed_beta)
+        if prev is not None and prev != (cls, packed):
             if prev[0] != cls:
                 rep_disjoint.record(
                     beta, f"partner realized from classes {prev[0]} and {cls}"
                 )
             else:
                 rep_inject.record(beta, f"two class-{cls} maps share a partner")
-        images[beta] = (cls, w)
+        images[packed_beta] = (cls, packed)
     spent = time.perf_counter() - t0
     for rep in reports:
         rep.elapsed = spent

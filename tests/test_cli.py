@@ -758,6 +758,14 @@ def test_oversized_family_cell_is_usage_error(capsys, monkeypatch, argv, message
         (("verify", "--suite", "section4", "-m", "-1", "-n", "0"), "m and n must be nonnegative"),
         (("verify", "--suite", "section5", "-m", "1", "-n", "-2"), "m and n must be nonnegative"),
         (("verify", "--suite", "prop3", "-n", "-1"), "prop3 needs -n of at least 1"),
+        (("scan", "--family", "t3mn", "-m", "-1..2", "-n", "1"), "m and n must be nonnegative"),
+        (("scan", "--family", "t3mn", "--m", "-1..2", "-n", "1"), "m and n must be nonnegative"),
+        (("scan", "--family", "t3mn", "--m=-1..2", "-n", "1"), "m and n must be nonnegative"),
+        (("scan", "--family", "both", "-m", "1", "-n", "-3..-1"), "m and n must be nonnegative"),
+        (("scan", "--family", "both", "-m", "1", "--n", "-3..2"), "m and n must be nonnegative"),
+        (("scan", "--family", "t3mn", "-m", "-1", "-n", "1"), "m and n must be nonnegative"),
+        (("scan", "--family", "t3mn", "--diag", "k,k+1", "-k", "-1..2"), "m and n must be nonnegative"),
+        (("scan", "--family", "t3mn", "--diag", "k,k+1", "--k", "-2..0"), "m and n must be nonnegative"),
     ],
 )
 def test_negative_size_is_usage_error(capsys, monkeypatch, argv, message):

@@ -446,6 +446,67 @@ def test_coverage_audit_catches_a_faulty_enumeration(monkeypatch, fault):
     assert expected in reasons
 
 
+@pytest.mark.parametrize("verify,m,n", [(verify_base, 2, 2), (verify_star, 1, 2)])
+def test_pairing_stores_negative_maps_packed(monkeypatch, verify, m, n):
+    # the battery keeps each negative map as bytes(map), and the coverage
+    # audit receives that list itself
+    real = proofcheck._coverage_report
+    received = []
+
+    def spy(ctx, negatives):
+        received.append((ctx, negatives))
+        return real(ctx, negatives)
+
+    monkeypatch.setattr(proofcheck, "_coverage_report", spy)
+    verify(m, n)
+    ((ctx, negatives),) = received
+    assert all(type(w) is bytes and len(w) == ctx.layout.size for w in negatives)
+    assert len(negatives) == ctx.negative_count
+    # a packed map the audit records serializes as a list of ints
+    (v,) = real(ctx, [*negatives, negatives[0]]).violations
+    assert v.reason == "map enumerated twice"
+    assert v.to_json_dict()["alpha"] == list(negatives[0])
+
+
+def test_a_repeated_map_meets_its_own_stored_partner(monkeypatch):
+    # every map enumerated twice: the second pass finds each partner stored
+    # with the same class and map, so only the coverage audit records the
+    # repeats, not injectivity or disjointness
+    real = proofcheck.negative_members
+    monkeypatch.setattr(proofcheck, "negative_members", lambda ctx: [*real(ctx), *real(ctx)])
+    by_name = {r.lemma: r for r in verify_base(1, 1)}
+    assert by_name["class-partition"].cases == 2 * 596
+    assert by_name["negative-coverage"].violation_count == 596
+    assert by_name["pair-injectivity"].cases > 0
+    for lemma in ("pair-injectivity", "target-disjointness"):
+        assert by_name[lemma].violation_count == 0
+
+
+def test_recorded_violations_serialize_maps_as_lists_of_ints():
+    # the published class-19 corner at star (1,1): six negative maps whose
+    # pair sum has a negative coefficient
+    rep = {r.lemma: r for r in verify_star(1, 1)}["star-pairing-positivity"]
+    assert rep.violation_count == len(rep.violations) == 6
+    size = family_layout("t3mn_star", 1, 1).size
+    for v in rep.violations:
+        alpha = v.to_json_dict()["alpha"]
+        assert type(alpha) is list and len(alpha) == size
+        assert all(type(x) is int for x in alpha)
+
+
+# Both (3,3) certificates, deselected by default: `python -m pytest -m slow`.
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "verify,kwargs,prefix,negatives",
+    [(verify_base, {}, "", 644_015), (verify_star, dict(repair_corner=True), "star-", 3_178_818)],
+    ids=["base", "star-repaired"],
+)
+def test_3_3_certificate_holds(verify, kwargs, prefix, negatives):
+    reports = verify(3, 3, **kwargs)
+    assert [r.lemma for r in reports if r.violation_count] == []
+    assert {r.lemma: r for r in reports}[prefix + "class-partition"].cases == negatives
+
+
 def test_star_partition_covers_xy_patterns():
     ctx = FamilyContext("t3mn_star", 1, 1)
     for w, _, core in negative_members(ctx):
