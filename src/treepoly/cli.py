@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -40,8 +39,8 @@ ASSERTIONS = {
 
 
 # The most (m, n) cells one scan takes, so that an oversized range is a usage
-# error instead of a run that exhausts memory; each family scanned adds a row
-# per cell.  A 100x100 grid fits.
+# error instead of an unbounded run.  Rows are written as they are computed; at
+# the limit (100x100, both families) what stays is the cell cache, 86 MB peak.
 MAX_SCAN_CELLS = 10_000
 
 # The most vertices of one family tree or spider that poly, plotdata, scan and
@@ -117,9 +116,26 @@ def _parse_diag(text: str) -> tuple[int, int]:
     return offsets[0], offsets[1]
 
 
+class _Stdout:
+    """sys.stdout, keeping the last nonempty piece of text written to it."""
+
+    last = ""
+
+    def write(self, text: str) -> None:
+        sys.stdout.write(text)
+        self.last = text or self.last
+
+
 @contextlib.contextmanager
-def _open_output(path: str, mode: str):
-    """open(path, mode), with an OSError while it is open as a usage error."""
+def _output(path: Optional[str], mode: str = "w"):
+    """The stream a command writes its text to, piece by piece: stdout for
+    None or "-", with a final newline unless the text ends in one, or else
+    open(path, mode), exactly the text, an OSError as a usage error."""
+    if path is None or path == "-":
+        yield (out := _Stdout())
+        if not out.last.endswith("\n"):
+            sys.stdout.write("\n")
+        return
     try:
         with open(path, mode) as fh:
             yield fh
@@ -127,31 +143,13 @@ def _open_output(path: str, mode: str):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with _open_output(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_csv(header: list[str], rows, path: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_output(buf.getvalue(), path)
-
-
 def _check_output_path(path: Optional[str]) -> None:
-    """Fail with the same error _write_output gives, before a long run: open
+    """Fail with the same error _output gives, before a long run: open
     the file for appending, and remove it again if it did not exist."""
     if path is None or path == "-":
         return
     existed = os.path.lexists(path)
-    with _open_output(path, "a"):
+    with _output(path, "a"):
         pass
     if not existed:
         os.remove(path)
@@ -190,36 +188,25 @@ def _poly_for(args) -> tuple[str, Optional[int], Optional[int], IntPoly]:
 
 def cmd_poly(args) -> int:
     fam, m, n, poly = _poly_for(args)
-    report = analyze(poly)
-    row = ScanRow(fam, m, n, poly, report).to_json_dict()
-    if args.format == "json":
-        _write_output(json.dumps(row, sort_keys=True), args.output)
-    elif args.format == "csv":
-        header = ["family", "m", "n", "coeffs", "unimodal", "log_concave", "breaks", "tail_ok"]
-        _write_csv(header, [_row_csv_fields(row)], args.output)
-    else:
-        lines = [f"family {fam}  m={m} n={n}  degree {poly.degree}"]
-        for k, c in enumerate(poly.coeffs):
-            lines.append(f"  {k:3d}  {c}")
-        lines.append(
-            f"unimodal={report.unimodal} log_concave={report.log_concave} "
-            f"breaks={list(report.breaks)} tail_ok={report.tail_ok}"
-        )
-        _write_output("\n".join(lines), args.output)
+    row = ScanRow(fam, m, n, poly, analyze(poly))
+    with _output(args.output) as out:
+        if args.format == "json":
+            out.write(json.dumps(row.to_json_dict(), sort_keys=True))
+        elif args.format == "csv":
+            header = ["family", "m", "n", "coeffs", "unimodal", "log_concave", "breaks", "tail_ok"]
+            csv.writer(out).writerows([header, _csv_fields(row, ";".join(map(str, poly.coeffs)))])
+        else:
+            out.write(f"family {fam}  m={m} n={n}  degree {poly.degree}")
+            out.write("".join(f"\n  {k:3d}  {c}" for k, c in enumerate(poly.coeffs)))
+            out.write("\n" + _report_text(row.report))
     return 0
 
 
-def _row_csv_fields(row: dict) -> list:
-    return [
-        row["family"],
-        row["m"],
-        row["n"],
-        ";".join(str(c) for c in row["coeffs"]),
-        row["unimodal"],
-        row["log_concave"],
-        ";".join(str(b) for b in row["breaks"]),
-        row["tail_ok"],
-    ]
+def _csv_fields(row: ScanRow, *coeffs: str) -> list:
+    """A row's CSV fields; poly puts its coefficients after the cell."""
+    rep = row.report
+    breaks = ";".join(map(str, rep.breaks))
+    return [row.family, row.m, row.n, *coeffs, rep.unimodal, rep.log_concave, breaks, rep.tail_ok]
 
 
 def _scan_cells(args) -> list[tuple[int, int]]:
@@ -241,12 +228,12 @@ def _scan_cells(args) -> list[tuple[int, int]]:
     return [(m, n) for m in ms for n in ns]
 
 
+def _row_of(cell: tuple[str, int, int]) -> ScanRow:
+    return scan_row(*cell)
+
+
 def cmd_scan(args) -> int:
-    families = (
-        ["t3mn", "t3mn_star"]
-        if args.family == "both"
-        else [FAMILY_ALIASES[args.family]]
-    )
+    families = ["t3mn", "t3mn_star"] if args.family == "both" else [FAMILY_ALIASES[args.family]]
     cells = _scan_cells(args)
     _check_nonnegative("m and n", min(map(min, cells)))
     top_m, top_n = max(m for m, _ in cells), max(n for _, n in cells)
@@ -257,42 +244,56 @@ def cmd_scan(args) -> int:
         raise UsageError("--jobs must be 0 or more")
     _check_output_path(args.output)
     jobs = min(args.jobs, len(work), os.cpu_count() or 1)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.starmap(scan_row, work)
-    else:
-        rows = [scan_row(*item) for item in work]
     holds = ASSERTIONS.get(args.assert_prop)
-    failures = [r for r in rows if holds and not holds(r.report)]
-    if args.format == "json":
-        _write_output(
-            json.dumps([r.to_json_dict() for r in rows], sort_keys=True), args.output
-        )
-    elif args.format == "table":
-        lines = [
-            f"{r.family:10s} m={r.m:<3d} n={r.n:<3d} unimodal={r.report.unimodal} "
-            f"log_concave={r.report.log_concave} breaks={list(r.report.breaks)} "
-            f"tail_ok={r.report.tail_ok}"
-            for r in rows
-        ]
-        _write_output("\n".join(lines), args.output)
-    else:
-        header = ["family", "m", "n", "unimodal", "log_concave", "breaks", "tail_ok"]
-        body = []
-        for r in rows:
-            rep = r.report
-            breaks = ";".join(str(b) for b in rep.breaks)
-            body.append([r.family, r.m, r.n, rep.unimodal, rep.log_concave, breaks, rep.tail_ok])
-        _write_csv(header, body, args.output)
-    if failures:
-        for r in failures:
-            sys.stderr.write(
-                f"assertion {args.assert_prop!r} fails at {r.family}({r.m},{r.n})\n"
-            )
-        return 1
-    return 0
+    failures = []
+
+    def checked(r: ScanRow) -> ScanRow:
+        if holds and not holds(r.report):
+            failures.append((r.family, r.m, r.n))
+        return r
+
+    with contextlib.ExitStack() as stack:
+        rows = map(_row_of, work)
+        if jobs > 1:
+            import multiprocessing
+
+            # in order, in the chunks Pool.starmap would use: 4 per worker
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            rows = pool.imap(_row_of, work, -(-len(work) // (4 * jobs)))
+        # Each row is checked and written before the next is computed, and no
+        # row outlives the next (each loop rebinds r).  The first comes before
+        # the output is opened, so that a scan failing there leaves no file.
+        rows = map(checked, rows)
+        r = next(rows)
+        out = stack.enter_context(_output(args.output))
+        if args.format == "json":
+            encode = json.JSONEncoder(sort_keys=True).encode
+            out.write("[" + encode(r.to_json_dict()))
+            for r in rows:
+                out.write(", " + encode(r.to_json_dict()))
+            out.write("]")
+        elif args.format == "table":
+            out.write(_table_line(r))
+            for r in rows:
+                out.write("\n" + _table_line(r))
+        else:
+            writer = csv.writer(out)
+            writer.writerow(["family", "m", "n", "unimodal", "log_concave", "breaks", "tail_ok"])
+            writer.writerow(_csv_fields(r))
+            for r in rows:
+                writer.writerow(_csv_fields(r))
+    for fam, m, n in failures:
+        sys.stderr.write(f"assertion {args.assert_prop!r} fails at {fam}({m},{n})\n")
+    return 1 if failures else 0
+
+
+def _table_line(r: ScanRow) -> str:
+    return f"{r.family:10s} m={r.m:<3d} n={r.n:<3d} {_report_text(r.report)}"
+
+
+def _report_text(rep) -> str:
+    return (f"unimodal={rep.unimodal} log_concave={rep.log_concave} "
+            f"breaks={list(rep.breaks)} tail_ok={rep.tail_ok}")
 
 
 def cmd_verify(args) -> int:
@@ -328,7 +329,8 @@ def cmd_verify(args) -> int:
     payload["reports"] = [r.to_json_dict() for r in reports]
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.output:
-        _write_output(text, args.output)
+        with _output(args.output) as out:
+            out.write(text)
     # with the JSON on stdout (-o -), the summary goes to stderr
     summary = sys.stderr if args.output == "-" else sys.stdout
     for r in reports:
@@ -345,14 +347,12 @@ def cmd_verify(args) -> int:
 
 def cmd_plotdata(args) -> int:
     fam, m, n, poly = _poly_for(args)
-    rows = []
-    for k, c in enumerate(poly.coeffs):
-        if 1 <= k <= poly.degree - 1:
-            defect = poly[k] * poly[k] - poly[k - 1] * poly[k + 1]
-        else:
-            defect = ""
-        rows.append([k, c, defect])
-    _write_csv(["k", "coefficient", "defect"], rows, args.output)
+    with _output(args.output) as out:
+        writer = csv.writer(out)
+        writer.writerow(["k", "coefficient", "defect"])
+        for k, c in enumerate(poly.coeffs):
+            defect = poly[k] * poly[k] - poly[k - 1] * poly[k + 1] if 1 <= k < poly.degree else ""
+            writer.writerow([k, c, defect])
     return 0
 
 

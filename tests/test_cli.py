@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -563,7 +564,7 @@ def test_verify_guard_overrun_is_usage_error(capsys, monkeypatch):
 def test_scan_jobs_are_bounded(capsys, monkeypatch):
     import multiprocessing
 
-    requested = []
+    requested, chunks = [], []
 
     class RecordingPool:
         def __init__(self, processes):
@@ -575,8 +576,9 @@ def test_scan_jobs_are_bounded(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, func, work):
-            return [func(*item) for item in work]
+        def imap(self, func, work, chunksize):
+            chunks.append(chunksize)
+            return map(func, work)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
@@ -590,6 +592,12 @@ def test_scan_jobs_are_bounded(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *scan, "--jobs", "-1")
     assert code == 2 and err.startswith("error: ")
     assert requested == [4, 3]
+    # the chunk size Pool.starmap picks: 100 cells in 4 chunks per worker
+    code, _, _ = run_cli(
+        capsys, "scan", "--family", "t3mn", "-m", "1..10", "-n", "1..10", "--jobs", "3"
+    )
+    assert code == 0
+    assert (requested, chunks) == ([4, 3, 3], [1, 1, 9])
 
 
 @pytest.mark.parametrize(
@@ -634,6 +642,124 @@ def test_scan_bytes_are_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "3a8158c58c91dddfdc6999ce6b35c4d0a079fb474c89480fb0918d27450e6990"
+
+
+_SCAN_GRID = ("scan", "--family", "both", "-m", "1..6", "-n", "1..6", "--assert", "log-concave")
+# Recorded at the commit before the scan wrote each row as it computed it: the
+# digest of stdout, or of the -o file, where a JSON or table scan has no final
+# newline.  Every grid scan exits 1 and names the same 22 cells on stderr.
+_PINNED_SCANS = {
+    (*_SCAN_GRID, "--format", "json"):
+        "ca00ebf84df90146f32a99564a58e79c6e52383d45ba4ef85a095a2a0af51933",
+    (*_SCAN_GRID, "--format", "json", "-o", "FILE"):
+        "8eeb22ac7f4aa5f274459f7a6f192baf193eee7bee6422413282364d7a040c69",
+    (*_SCAN_GRID, "--format", "csv"):
+        "d3e01c162c01bacc07fd63b3b843496e7d59d90acea67d41b43f5e1f747c81d9",
+    (*_SCAN_GRID, "--format", "csv", "-o", "FILE"):
+        "d3e01c162c01bacc07fd63b3b843496e7d59d90acea67d41b43f5e1f747c81d9",
+    (*_SCAN_GRID, "--format", "table"):
+        "ee836e8021ad0932b2ded13199d53ab03ec08c49f4c3e0c135a6b790c424676b",
+    (*_SCAN_GRID, "--format", "table", "-o", "FILE"):
+        "c47fa13ce175a622e6ac18ebcbddd9912b1b1c644c5cc05bbb83fbc43f6f467f",
+    ("scan", "--family", "t3mn-star", "--diag", "k,k+1", "-k", "0..9", "--format", "json"):
+        "1c4471f57e69758d2b40e9151c14e815c4521e03af8e1d6f9259c107ca9c2352",
+}
+_PINNED_SCAN_STDERR = "154dd98b9620174526d4143ab197daad7ca069963a3207273a3b058e40e22170"
+
+
+@pytest.mark.parametrize("jobs", ["0", "2"])
+@pytest.mark.parametrize("argv", list(_PINNED_SCANS))
+def test_scan_output_bytes_are_pinned(capsys, tmp_path, argv, jobs):
+    path = tmp_path / "rows"
+    code, out, err = run_cli(
+        capsys, *[str(path) if a == "FILE" else a for a in argv], "--jobs", jobs
+    )
+    if "FILE" in argv:
+        assert out == ""
+        data = path.read_bytes()
+    else:
+        data = out.encode()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_SCANS[argv]
+    if "--assert" in argv:
+        assert code == 1
+        assert hashlib.sha256(err.encode()).hexdigest() == _PINNED_SCAN_STDERR
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_scan_writes_each_row_before_computing_the_next(capsys, monkeypatch, fmt):
+    # when the cell of row k is computed, rows 1..k-1 are on stdout (each row
+    # names its family once) and no row before k-1 is still alive
+    written, rows, seen = [], [], []
+
+    def scan_row(family, m, n):
+        written.append(capsys.readouterr().out)
+        alive = sum(ref() is not None for ref in rows)
+        seen.append(("".join(written).count("t3mn"), alive <= 1))
+        row = intpoly.scan_row(family, m, n)
+        rows.append(weakref.ref(row))
+        return row
+
+    monkeypatch.setattr(cli, "scan_row", scan_row)
+    code = main(["scan", "--family", "t3mn", "-m", "1..3", "-n", "1..4", "--format", fmt])
+    written.append(capsys.readouterr().out)
+    assert code == 0
+    assert seen == [(k, True) for k in range(12)]
+    assert "".join(written).count("t3mn") == 12
+
+
+def test_interrupted_scan_leaves_the_rows_written_so_far(monkeypatch, tmp_path):
+    class Interrupted(Exception):
+        pass
+
+    calls = []
+
+    def scan_row(family, m, n):
+        calls.append((m, n))
+        if len(calls) == 3:
+            raise Interrupted
+        return intpoly.scan_row(family, m, n)
+
+    monkeypatch.setattr(cli, "scan_row", scan_row)
+    path = tmp_path / "rows.csv"
+    with pytest.raises(Interrupted):
+        main(["scan", "--family", "t3mn", "-m", "1..3", "-n", "1..3", "-o", str(path)])
+    rows = list(csv.reader(path.open(newline="")))
+    assert rows[0][:3] == ["family", "m", "n"]
+    assert [row[:3] for row in rows[1:]] == [["t3mn", "1", "1"], ["t3mn", "1", "2"]]
+
+
+# Deselected by default: `python -m pytest -m slow`.
+@pytest.mark.slow
+def test_scan_at_the_cell_limit_streams(tmp_path):
+    # The largest admitted scan, 20,000 rows and 105 MB of JSON, in a child
+    # process.  Peak memory is the child's VmHWM, read from its own
+    # /proc/self/status at exit (ru_maxrss would carry this process's peak
+    # over exec).  A scan that kept every row until the end peaked at 527 MB;
+    # streamed, what stays is the cell cache.
+    path = tmp_path / "rows.json"
+    child = (
+        "import sys\n"
+        "from treepoly.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(*[line.split()[1] for line in fh if line.startswith('VmHWM:')])\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["scan", "--family", "both", "-m", "1..100", "-n", "1..100", "--format", "json"]
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv, "-o", str(path)],
+        env=_child_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert int(done.stdout) < 200 * 1024  # kB
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    # recorded at the commit before the scan streamed
+    assert digest.hexdigest() == "d80392a6f734db050b01dfa16337b98969bd05542074b0500a8a1b6120292e0e"
 
 
 # Recorded at the commit before the coefficient recurrence, when spiders went
