@@ -64,10 +64,14 @@ def count_admissible(g: Graph) -> int:
     return total
 
 
-def _check_guard(g: Graph, guard: int) -> None:
-    """Refuse to enumerate more than guard admissible maps of g, by count."""
-    if count_admissible(g) > guard:
-        raise EnumerationGuardError(f"admissible enumeration exceeds guard of {guard} maps")
+def _check_guard(g: Graph, guard: int, name: str = "the graph") -> None:
+    """Refuse to enumerate more than guard admissible maps of g, by count;
+    the refusal calls g name and gives the count."""
+    count = count_admissible(g)
+    if count > guard:
+        raise EnumerationGuardError(
+            f"{name} has {count:,} admissible maps, more than the enumeration guard of {guard:,}"
+        )
 
 
 def admissible_maps(g: Graph, guard: int = ENUMERATION_GUARD) -> Iterator[Weights]:
@@ -483,7 +487,7 @@ def spider_suite(max_legs: int = 4) -> list[CheckReport]:
     # check_negative_spider_pairing(max_legs) enumerates the largest spider's
     # admissible maps; apply its guard before the mark-case walks, which grow
     # as fast and have no guard of their own.
-    _check_guard(spider2(max_legs), ENUMERATION_GUARD)
+    _check_guard(spider2(max_legs), ENUMERATION_GUARD, f"spider2({max_legs})")
     reports = []
     for n in range(1, max_legs + 1):
         reports.append(check_marking_bijection(n))

@@ -228,10 +228,6 @@ def _scan_cells(args) -> list[tuple[int, int]]:
     return [(m, n) for m in ms for n in ns]
 
 
-def _row_of(cell: tuple[str, int, int]) -> ScanRow:
-    return scan_row(*cell)
-
-
 def cmd_scan(args) -> int:
     families = ["t3mn", "t3mn_star"] if args.family == "both" else [FAMILY_ALIASES[args.family]]
     cells = _scan_cells(args)
@@ -239,11 +235,7 @@ def cmd_scan(args) -> int:
     top_m, top_n = max(m for m, _ in cells), max(n for _, n in cells)
     for fam in families:
         _check_family_size(fam, top_m, top_n)
-    work = [(fam, m, n) for fam in families for m, n in cells]
-    if args.jobs < 0:
-        raise UsageError("--jobs must be 0 or more")
     _check_output_path(args.output)
-    jobs = min(args.jobs, len(work), os.cpu_count() or 1)
     holds = ASSERTIONS.get(args.assert_prop)
     failures = []
 
@@ -252,20 +244,12 @@ def cmd_scan(args) -> int:
             failures.append((r.family, r.m, r.n))
         return r
 
-    with contextlib.ExitStack() as stack:
-        rows = map(_row_of, work)
-        if jobs > 1:
-            import multiprocessing
-
-            # in order, in the chunks Pool.starmap would use: 4 per worker
-            pool = stack.enter_context(multiprocessing.Pool(jobs))
-            rows = pool.imap(_row_of, work, -(-len(work) // (4 * jobs)))
-        # Each row is checked and written before the next is computed, and no
-        # row outlives the next (each loop rebinds r).  The first comes before
-        # the output is opened, so that a scan failing there leaves no file.
-        rows = map(checked, rows)
-        r = next(rows)
-        out = stack.enter_context(_output(args.output))
+    # Each row is checked and written before the next is computed, and no
+    # row outlives the next (each loop rebinds r).  The first comes before the
+    # output is opened, so that a scan failing there leaves no file.
+    rows = (checked(scan_row(fam, m, n)) for fam in families for m, n in cells)
+    r = next(rows)
+    with _output(args.output) as out:
         if args.format == "json":
             encode = json.JSONEncoder(sort_keys=True).encode
             out.write("[" + encode(r.to_json_dict()))
@@ -393,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--format", choices=["csv", "json", "table"], default="csv")
     scan.add_argument("-o", "--output")
-    scan.add_argument("--jobs", type=int, default=0, help="parallel grid workers")
     scan.set_defaults(func=cmd_scan)
     # argparse reads a token that starts with "-" as an option unless its
     # _negative_number_matcher calls it a number, so "-m -1..2" would end in

@@ -436,8 +436,11 @@ def test_verify_prop3_guard_overrun_fails_up_front(capsys, monkeypatch):
     monkeypatch.setattr(alphamaps, "check_marking_bijection", unguarded_walk)
     code, out, err = run_cli(capsys, "verify", "--suite", "prop3", "-n", "8")
     assert code == 2
-    assert err.startswith("error: ") and "guard" in err
-    assert "Traceback" not in err and out == ""
+    assert err == (
+        "error: spider2(8) has 2,076,802 admissible maps,"
+        " more than the enumeration guard of 2,000,000\n"
+    )
+    assert out == ""
 
 
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
@@ -538,16 +541,17 @@ def test_plotdata_defect_sign(capsys):
             assert int(r[2]) >= 0
 
 
-def test_scan_parallel_matches_serial(capsys):
-    code, serial, _ = run_cli(
-        capsys, "scan", "--family", "t3mn", "-m", "1..2", "-n", "1..2"
+def test_scan_takes_no_jobs_option():
+    # scan is one serial stream; the retired --jobs is an unknown argument
+    done = subprocess.run(
+        [sys.executable, "-m", "treepoly", "scan", "--family", "t3mn",
+         "-m", "1..2", "-n", "1..2", "--jobs", "2"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
-    assert code == 0
-    code, parallel, _ = run_cli(
-        capsys, "scan", "--family", "t3mn", "-m", "1..2", "-n", "1..2", "--jobs", "2"
-    )
-    assert code == 0
-    assert serial == parallel
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: treepoly [-h]")
+    assert done.stderr.endswith("error: unrecognized arguments: --jobs 2\n")
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_guard_overrun_is_usage_error(capsys, monkeypatch):
@@ -559,45 +563,6 @@ def test_verify_guard_overrun_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ") and "guard" in err
     assert "Traceback" not in err and out == ""
-
-
-def test_scan_jobs_are_bounded(capsys, monkeypatch):
-    import multiprocessing
-
-    requested, chunks = [], []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            requested.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, work, chunksize):
-            chunks.append(chunksize)
-            return map(func, work)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
-    scan = ("scan", "--family", "t3mn", "-m", "1..2", "-n", "1..2")
-    code, _, _ = run_cli(capsys, *scan, "--jobs", "1000")
-    assert code == 0
-    assert requested == [4]  # one worker per cell, never more than the CPUs
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
-    code, _, _ = run_cli(capsys, *scan, "--jobs", "1000")
-    assert requested == [4, 3]
-    code, _, err = run_cli(capsys, *scan, "--jobs", "-1")
-    assert code == 2 and err.startswith("error: ")
-    assert requested == [4, 3]
-    # the chunk size Pool.starmap picks: 100 cells in 4 chunks per worker
-    code, _, _ = run_cli(
-        capsys, "scan", "--family", "t3mn", "-m", "1..10", "-n", "1..10", "--jobs", "3"
-    )
-    assert code == 0
-    assert (requested, chunks) == ([4, 3, 3], [1, 1, 9])
 
 
 @pytest.mark.parametrize(
@@ -667,13 +632,10 @@ _PINNED_SCANS = {
 _PINNED_SCAN_STDERR = "154dd98b9620174526d4143ab197daad7ca069963a3207273a3b058e40e22170"
 
 
-@pytest.mark.parametrize("jobs", ["0", "2"])
 @pytest.mark.parametrize("argv", list(_PINNED_SCANS))
-def test_scan_output_bytes_are_pinned(capsys, tmp_path, argv, jobs):
+def test_scan_output_bytes_are_pinned(capsys, tmp_path, argv):
     path = tmp_path / "rows"
-    code, out, err = run_cli(
-        capsys, *[str(path) if a == "FILE" else a for a in argv], "--jobs", jobs
-    )
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
     if "FILE" in argv:
         assert out == ""
         data = path.read_bytes()
