@@ -388,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=["section4", "section5", "prop3"])
     verify.add_argument("-m", "--m", type=int, dest="m")
     verify.add_argument("-n", "--n", type=int, dest="n")
-    # The coverage audit is an exact count with nothing to sample or limit;
-    # these flags are still accepted, and ignored, so existing scripts that
-    # pass them keep working.
-    for flag in ("--seed", "--sample", "--audit-limit"):
+    # The coverage audit is an exact count with nothing to seed or limit.
+    # These two flags are accepted, and ignored, only because the benchmark's
+    # command lines (perfbench/workloads.py) still pass them.
+    for flag in ("--seed", "--audit-limit"):
         verify.add_argument(flag, type=int, help=argparse.SUPPRESS)
     verify.add_argument(
         "--repair-corner",

@@ -15,16 +15,17 @@ exactly.
 Negative maps are enumerated exactly for any (m, n) within the pattern guard:
 a map can only have negative shadow if some clan component is unbalanced,
 which pins the component either inside a branch slice or on the spine through
-the root, so candidates are generated from per-slice pattern buckets instead
+the root, so candidates are generated from per-slice pattern keys instead
 of sweeping all admissible maps.  A separate coverage audit counts the
 negative maps exactly, folding every combination of root value and
-slice-pattern bucket, and confirms that the generator yields exactly that
+slice-pattern key, and confirms that the generator yields exactly that
 many distinct maps, each negative under the family's own shadow engine.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product as iproduct
@@ -105,7 +106,6 @@ class FamilyContext:
         for pos, v in enumerate((lay.v0, *s1, *s2, *s3)):
             spots[v] = pos
         self.place = itemgetter(*spots)
-        self._expansions: dict[tuple[int, int, int, int], Mapping[tuple[int, int], int]] = {}
 
     @cached_property
     def graph(self) -> Graph:
@@ -143,9 +143,9 @@ class FamilyContext:
         shadow: a root value outside 0..2, a slice map that is not an
         admissible map of its slice, or a positive root and branch center of
         total 3 or more.  Those are the family tree's edges, so the
-        expansion is the family ForestShadow's expansion.  It is joined
-        once per root value and slice buckets, and it is the process-wide
-        cached object of its signature."""
+        expansion is the family ForestShadow's expansion, joined once per
+        process for each root value and three pattern keys
+        (_joined_expansion)."""
         v0 = w[0]
         allowed = _TAU_ALLOWED.get(v0)
         if allowed is None:
@@ -160,13 +160,7 @@ class FamilyContext:
             or p1.tau not in allowed or p2.tau not in allowed or p3.tau not in allowed
         ):
             return ZERO_EXPANSION, None
-        # a bucket number stands for its key within one slice shape
-        key = (v0, p1.bucket, p2.bucket, p3.bucket)
-        exp = self._expansions.get(key)
-        if exp is None:
-            acc = _join(v0, _join(v0, _join(v0, _ROOT_STATE[v0], p1), p2), p3)
-            exp = self._expansions[key] = expansion_from_signature(_close(acc))
-        return exp, (p1, p2, p3)
+        return _joined_expansion(v0, p1.key, p2.key, p3.key), (p1, p2, p3)
 
     @cached_property
     def signature_counts(self) -> dict[Signature, int]:
@@ -962,29 +956,21 @@ POSITIVE_CLASS_PREDICATES = _positive_class_predicates()
 # exact enumeration of negative maps
 
 
-class _SlicePattern:
-    """One slice map, its bucket and the spider class of its core vertices
-    (the slice without x, y): patterns with equal key (tau, comps, twos,
-    cc0, cc1) join every partial signature alike (see _join).  bucket
-    numbers the keys of one slice shape in order of first appearance."""
+class _SlicePattern(NamedTuple):
+    """One slice map, its key and the spider class of its core vertices (the
+    slice without x, y).  The key (tau, comps, twos, cc0, cc1) is all that
+    _join reads, so patterns with equal keys join every partial signature
+    alike.  d = cc0 - cc1 is the center component's imbalance (0 unless tau
+    is 1); solo_bad says it is unbalanced on its own, internal_bad that
+    some other component is."""
 
-    __slots__ = (
-        "values", "record", "tau", "comps", "twos", "cc0", "cc1", "key", "bucket", "d",
-        "solo_bad", "internal_bad",
-    )
-
-    def __init__(self, values, record, tau, comps, twos, cc0, cc1):
-        self.values = values
-        self.record = record
-        self.tau = tau
-        self.comps = comps
-        self.twos = twos
-        self.cc0 = cc0
-        self.cc1 = cc1
-        self.key = (tau, comps, twos, cc0, cc1)
-        self.d = cc0 - cc1 if tau == 1 else 0
-        self.solo_bad = tau == 1 and abs(cc0 - cc1) >= 2
-        self.internal_bad = any(p - q >= 2 for p, q in comps)
+    values: Weights
+    record: SpiderClass
+    tau: int
+    key: tuple
+    d: int
+    solo_bad: bool
+    internal_bad: bool
 
 
 @cache
@@ -998,27 +984,30 @@ def _slice_patterns(legs: int, tail: bool) -> dict[Weights, _SlicePattern]:
         x = g.n
         g = Graph(x + 2, [*g.edges(), (legs + 3, x), (x, x + 1)])
     shadow = ForestShadow(g)
-    patterns: dict[Weights, _SlicePattern] = {}
-    buckets: dict[tuple, int] = {}
-    for values in admissible_maps(g, PATTERN_GUARD):
-        p = patterns[values] = _pattern(shadow, values, 2 * legs + 1)
-        p.bucket = buckets.setdefault(p.key, len(buckets))
-    return patterns
+    return {
+        values: _pattern(shadow, values, 2 * legs + 1)
+        for values in admissible_maps(g, PATTERN_GUARD)
+    }
 
 
 def _pattern(shadow: ForestShadow, values: Weights, core: int) -> _SlicePattern:
-    """The bucket data of one slice map, and the spider class of its first
+    """The pattern of one slice map, with the spider class of its first
     core values.  The slice center is vertex 0, the root of the slice
     graph's rooted order, so its component comes first."""
     parts = shadow.components(values)
+    tau = values[0]
     cc0 = cc1 = 0
-    if values[0] == 1:
+    if tau == 1:
         # _join adds the center component to the root's, so it keeps the
         # family graph's colors: the slice graph colors its center 0, the
         # family graph colors it 1.
         cc1, cc0 = parts.pop(0)
-    record = classify_spider(values[:core])
-    return _SlicePattern(values, record, values[0], part_pairs(parts), values.count(2), cc0, cc1)
+    comps = part_pairs(parts)
+    d = cc0 - cc1
+    return _SlicePattern(
+        values, classify_spider(values[:core]), tau, (tau, comps, values.count(2), cc0, cc1),
+        d, abs(d) >= 2, any(p - q >= 2 for p, q in comps),
+    )
 
 
 _TAU_ALLOWED = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
@@ -1030,23 +1019,23 @@ _TAU_ALLOWED = {0: (0, 1, 2), 1: (0, 1), 2: (0,)}
 _ROOT_STATE = {0: ((), 0, 0, 0), 1: ((), 0, 1, 0), 2: ((), 1, 0, 0)}
 
 
-def _join(v0val: int, acc: tuple, p: _SlicePattern) -> tuple:
-    """Attach one slice pattern below the root of a partial signature: the
-    slice brings its own components and weight-2 vertices, and its center
-    component merges into the root's when v0 is 1 and stands alone
-    otherwise.  Patterns of one bucket (equal tau, comps, twos, cc0, cc1)
-    join alike.  The result is canonical, its comps sorted, so equal
+def _join(v0val: int, acc: tuple, key: tuple) -> tuple:
+    """Attach a slice pattern, given by its key, below the root of a partial
+    signature: the slice brings its own components and weight-2 vertices,
+    and its center component merges into the root's when v0 is 1 and stands
+    alone otherwise.  The result is canonical, its comps sorted, so equal
     partial signatures are equal tuples: the enumerator's memos and the
     signature counts key on it as it is."""
+    tau, pcomps, ptwos, cc0, cc1 = key
     comps, twos, c0, c1 = acc
-    comps += p.comps
-    if p.tau == 1:
+    comps += pcomps
+    if tau == 1:
         if v0val == 1:
-            c0 += p.cc0
-            c1 += p.cc1
+            c0 += cc0
+            c1 += cc1
         else:
-            comps += ((p.cc0, p.cc1) if p.cc0 >= p.cc1 else (p.cc1, p.cc0),)
-    return tuple(sorted(comps)), twos + p.twos, c0, c1
+            comps += ((cc0, cc1) if cc0 >= cc1 else (cc1, cc0),)
+    return tuple(sorted(comps)), twos + ptwos, c0, c1
 
 
 def _close(acc: tuple) -> Signature:
@@ -1057,23 +1046,31 @@ def _close(acc: tuple) -> Signature:
     return tuple(sorted(comps)), twos
 
 
+@cache
+def _joined_expansion(
+    v0val: int, key1: tuple, key2: tuple, key3: tuple
+) -> Mapping[tuple[int, int], int]:
+    """The shadow expansion of root value v0val over slice patterns with
+    these three keys, joined once per process for every context and cell:
+    the process-wide cached object of its signature."""
+    acc = _join(v0val, _join(v0val, _join(v0val, _ROOT_STATE[v0val], key1), key2), key3)
+    return expansion_from_signature(_close(acc))
+
+
 def _count_by_signature(slices: Sequence[Mapping[Weights, _SlicePattern]]) -> dict[Signature, int]:
     """Number of admissible maps per shadow signature, folded over v0 and
-    the slice-pattern buckets of every slice.  Every combination is counted,
+    the slice-pattern keys of every slice.  Every combination is counted,
     not only the unbalanced ones negative_members prunes to, so the count
     does not share the pruning argument it is used to check."""
     counts: dict[Signature, int] = {}
     for v0val in (0, 1, 2):
         states = {_ROOT_STATE[v0val]: 1}
         for patterns in slices:
-            buckets: dict[tuple, list] = {}
-            for p in patterns.values():
-                if p.tau in _TAU_ALLOWED[v0val]:
-                    buckets.setdefault(p.key, [p, 0])[1] += 1
+            sizes = Counter(p.key for p in patterns.values() if p.tau in _TAU_ALLOWED[v0val])
             folded: dict[tuple, int] = {}
-            for p, size in buckets.values():
+            for pkey, size in sizes.items():
                 for acc, c in states.items():
-                    key = _join(v0val, acc, p)
+                    key = _join(v0val, acc, pkey)
                     folded[key] = folded.get(key, 0) + c * size
             states = folded
         for acc, c in states.items():
@@ -1100,7 +1097,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
         product's order.
 
         Whether p3 closes a prefix to a negative map depends only on the
-        prefix's sorted partial signature and on p3's bucket, so the
+        prefix's sorted partial signature and on p3's key, so the
         pools[2] members that close negative, with their expansions, are
         found once per sorted partial signature.  Likewise which p2 leave
         some closing member depends only on the sorted partial signature
@@ -1110,18 +1107,18 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
         closing: dict[tuple, list[tuple[_SlicePattern, dict]]] = {}
         rows: dict[tuple, list[tuple[_SlicePattern, list]]] = {}
         for p1 in pools[0]:
-            acc1 = _join(v0val, root, p1)
+            acc1 = _join(v0val, root, p1.key)
             row = rows.get(acc1)
             if row is None:
                 row = rows[acc1] = []
                 for p2 in pools[1]:
-                    acc2 = _join(v0val, acc1, p2)
+                    acc2 = _join(v0val, acc1, p2.key)
                     members = closing.get(acc2)
                     if members is None:
                         by_key: dict[tuple, dict] = {}
                         for p3 in pools[2]:
                             if p3.key not in by_key:
-                                exp = expansion_from_signature(_close(_join(v0val, acc2, p3)))
+                                exp = expansion_from_signature(_close(_join(v0val, acc2, p3.key)))
                                 by_key[p3.key] = exp if min_coefficient(exp) < 0 else None
                         members = closing[acc2] = [
                             (p3, by_key[p3.key]) for p3 in pools[2] if by_key[p3.key] is not None
@@ -1173,7 +1170,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
 
 def _coverage_report(ctx: FamilyContext, negatives: list[bytes]) -> CheckReport:
     """Confirm that the enumerated maps are exactly the admissible maps with
-    negative shadow.  The bucket count gives the number of admissible maps,
+    negative shadow.  The signature counts give the number of admissible maps,
     checked against count_admissible, and the number of negative ones; the
     enumerated maps must be distinct, each negative under the family's own
     ForestShadow, and exactly that many.  The maps come packed, as
@@ -1301,7 +1298,7 @@ def _pairing_reports(
     spent = time.perf_counter() - t0
     for rep in reports:
         rep.elapsed = spent
-    return reports + [_diagonal_report(ctx), _coverage_report(ctx, negatives)]
+    return reports + [_diagonal_report(ctx.family, ctx.m, ctx.n), _coverage_report(ctx, negatives)]
 
 
 def _check_negative_count(ctx: FamilyContext) -> None:
@@ -1354,14 +1351,13 @@ def _diagonal_bound(m: int, n: int) -> int:
     return m + n + 5
 
 
-def _diagonal_report(ctx: FamilyContext) -> CheckReport:
+def _diagonal_report(family: str, m: int, n: int) -> CheckReport:
     """Diagonal Schur coefficients of the weight-map generating function are
     nonnegative below _diagonal_bound."""
     t0 = time.perf_counter()
-    rep = CheckReport("y-diagonal-nonnegative", ctx.m, ctx.n)
-    poly = family_poly(ctx.family, ctx.m, ctx.n)
-    exp = schur_expand(f_p_2var(poly))
-    for k in range(1, _diagonal_bound(ctx.m, ctx.n)):
+    rep = CheckReport("y-diagonal-nonnegative", m, n)
+    exp = schur_expand(f_p_2var(family_poly(family, m, n)))
+    for k in range(1, _diagonal_bound(m, n)):
         rep.cases += 1
         if exp.diagonal(k) < 0:
             rep.record(None, f"diagonal coefficient at {k} is negative")
@@ -1603,7 +1599,7 @@ def verify_chain(m: int, n: int, family: str = "t3mn") -> ChainSummary:
         family=family,
         m=m,
         n=n,
-        prefix_log_concave=_diagonal_report(FamilyContext(family, m, n)).ok,
+        prefix_log_concave=_diagonal_report(family, m, n).ok,
         tail_ok=report.tail_ok,
         direct_unimodal=report.unimodal,
         direct_log_concave=report.log_concave,

@@ -16,6 +16,7 @@ two-variable term arithmetic (sums, products, pair terms) is symfunc's.
 
 from __future__ import annotations
 
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -23,8 +24,6 @@ from .graphs import Graph, rooted_forest
 from .symfunc import add_terms, expand_terms, mul_terms, pair_terms
 
 Signature = tuple[tuple[tuple[int, int], ...], int]
-
-_SIG_EXPANSION: dict[Signature, dict[tuple[int, int], int]] = {}
 
 # The expansion of every map with zero shadow: one shared, read-only object,
 # like the cached expansion of a signature.
@@ -43,12 +42,10 @@ def _poly_from_components(comps: Sequence[tuple[int, int]], twos: int) -> dict:
     return out
 
 
+@cache
 def expansion_from_signature(sig: Signature) -> Mapping[tuple[int, int], int]:
     """Two-row expansion for a component signature (cached; do not mutate)."""
-    cached = _SIG_EXPANSION.get(sig)
-    if cached is None:
-        cached = _SIG_EXPANSION[sig] = expand_terms(_poly_from_components(*sig))
-    return cached
+    return expand_terms(_poly_from_components(*sig))
 
 
 def min_coefficient(expansion: Mapping[tuple[int, int], int]) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import functools
@@ -259,6 +260,32 @@ def test_benchmark_command_lines_are_accepted(capsys, monkeypatch, tmp_path, nam
     assert code == 0, err
 
 
+def test_hidden_verify_options_are_passed_by_the_benchmark(tmp_path):
+    # verify accepts a hidden, ignored option only while some benchmark
+    # command line passes it; the retired --sample is an unknown argument
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    hidden = {
+        flag
+        for action in sub.choices["verify"]._actions
+        if action.help == argparse.SUPPRESS
+        for flag in action.option_strings
+    }
+    passed = {
+        arg
+        for w in _benchmark_workloads().values()
+        for arg in w.argv(1, str(tmp_path / "report.json"))
+    }
+    assert hidden <= passed
+    done = subprocess.run(
+        [sys.executable, "-m", "treepoly", "verify", "--suite", "section4",
+         "-m", "1", "-n", "1", "--sample", "5"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: unrecognized arguments: --sample 5\n")
+    assert "Traceback" not in done.stderr
+
+
 # The names perfbench/child.py still wraps that the package no longer has; a
 # traced run reports each as "not traced, name is gone".
 _GONE_TRACED_NAMES = {
@@ -403,8 +430,8 @@ def test_verify_runs_on_legless_branches(capsys, tmp_path, suite):
 
 
 def test_verify_reports_are_byte_identical(capsys, tmp_path):
-    # --seed, --audit-limit and --sample are still accepted and change nothing
-    flags = [(), (), ("--seed", "9", "--audit-limit", "0", "--sample", "5")]
+    # --seed and --audit-limit are still accepted and change nothing
+    flags = [(), (), ("--seed", "9", "--audit-limit", "0")]
     paths = [tmp_path / f"{i}.json" for i in range(len(flags))]
     for extra, path in zip(flags, paths):
         code, _, _ = run_cli(

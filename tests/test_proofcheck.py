@@ -200,14 +200,10 @@ def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
     verify_star(2, 2, repair_corner=True)
     assert calls == [7, 3, 9, 5]  # only spider2(2) is new
     assert proofcheck._slice_patterns.cache_info().misses == 4
-    # each slice map keys its own pattern, and a bucket number stands for
-    # one key within a shape
+    # each slice map keys its own pattern
     ctx = FamilyContext("t3mn_star", 2, 2)
     for table in ctx.slice_patterns:
-        patterns = list(table.values())
-        assert all(table[p.values] is p for p in patterns)
-        assert len({(p.key, p.bucket) for p in patterns}) == len({p.key for p in patterns})
-        assert len({p.bucket for p in patterns}) == len({p.key for p in patterns})
+        assert all(table[p.values] is p for p in table.values())
 
     def no_pattern(*args):
         raise AssertionError("pattern built before the guard check")
@@ -217,6 +213,30 @@ def test_slice_patterns_are_built_once_per_slice_shape(monkeypatch):
     monkeypatch.setattr(proofcheck, "_pattern", no_pattern)
     with pytest.raises(EnumerationGuardError, match="guard of 10 maps"):
         FamilyContext("t3mn", 1, 1).slice_patterns
+
+
+def test_joined_expansions_are_shared_by_every_context():
+    # The join cache is keyed by the root value and the three pattern keys,
+    # which is all a joined expansion depends on, so a second context of a
+    # cell finds every partner's expansion joined by the first.
+    def realized_partners(ctx):
+        out = []
+        for _, _, a in negative_members(ctx):
+            (cls,) = negative_class_matches(a)
+            if cls != 30:
+                out.append(partner(ctx, a, cls))
+        return out
+
+    first = FamilyContext("t3mn", 2, 2)
+    partners = realized_partners(first)
+    assert len(partners) == 15070
+    looked_up = [first.pattern_expansion(beta)[0] for beta in partners]
+    misses = proofcheck._joined_expansion.cache_info().misses
+    second = FamilyContext("t3mn", 2, 2)
+    assert realized_partners(second) == partners
+    again = [second.pattern_expansion(beta)[0] for beta in partners]
+    assert proofcheck._joined_expansion.cache_info().misses == misses
+    assert all(a is b for a, b in zip(again, looked_up))
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
@@ -1050,8 +1070,8 @@ def test_verify_chain():
 def test_verify_chain_prefix_is_the_diagonal_report(monkeypatch):
     # the chain's prefix verdict is the certificate's diagonal report, not
     # a second expansion over a range of its own
-    def failing(ctx):
-        rep = CheckReport("y-diagonal-nonnegative", ctx.m, ctx.n)
+    def failing(family, m, n):
+        rep = CheckReport("y-diagonal-nonnegative", m, n)
         rep.record(None, "diagonal coefficient at 1 is negative")
         return rep
 
