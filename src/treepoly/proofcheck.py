@@ -17,9 +17,10 @@ a map can only have negative shadow if some clan component is unbalanced,
 which pins the component either inside a branch slice or on the spine through
 the root, so candidates are generated from per-slice pattern keys instead
 of sweeping all admissible maps.  A separate coverage audit counts the
-negative maps exactly, folding every combination of root value and
-slice-pattern key, and confirms that the generator yields exactly that
-many distinct maps, each negative under the family's own shadow engine.
+negative maps exactly, folding the slice-pattern keys by imbalance summary
+without the generator's join, and confirms that the generator yields
+exactly that many distinct maps, each negative under the family's own
+shadow engine.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .shadow import (
     Signature,
     add_expansions,
     expansion_from_signature,
+    imbalances,
+    imbalances_negative,
     min_coefficient,
     part_pairs,
 )
@@ -83,9 +86,9 @@ class FamilyContext:
     The enumerator, the partner shadows, the pair sums, the base target
     analysis and partner_star's refusal path all read the slice-pattern
     table: each map is the root value and three slice patterns, joined by
-    _join.  The family graph and its ForestShadow are built only on first
-    use, and only the coverage audit reads them, to confirm the table
-    independently."""
+    _join; the map counts fold it without _join.  The family graph and its
+    ForestShadow are built only on first use, and only the coverage audit
+    reads them, to confirm the table independently."""
 
     def __init__(self, family: str, m: int, n: int):
         self.layout = family_layout(family, m, n)
@@ -163,19 +166,14 @@ class FamilyContext:
         return _joined_expansion(v0, p1.key, p2.key, p3.key), (p1, p2, p3)
 
     @cached_property
-    def signature_counts(self) -> dict[Signature, int]:
-        """Number of admissible maps per shadow signature, counted once and
-        shared by the negative-map guard and the coverage audit."""
-        return _count_by_signature(self.slice_patterns)
+    def map_counts(self) -> tuple[int, int]:
+        """The numbers of admissible and of negative maps (_count_maps),
+        counted once and shared by the negative-map guard and the audit."""
+        return _count_maps(self.slice_patterns)
 
-    @cached_property
+    @property
     def negative_count(self) -> int:
-        """Number of admissible maps with negative shadow, from the counts."""
-        return sum(
-            c
-            for sig, c in self.signature_counts.items()
-            if min_coefficient(expansion_from_signature(sig)) < 0
-        )
+        return self.map_counts[1]
 
     @cached_property
     def core_steps(self) -> dict[bytes, CoreStep | str]:
@@ -1057,26 +1055,39 @@ def _joined_expansion(
     return expansion_from_signature(_close(acc))
 
 
-def _count_by_signature(slices: Sequence[Mapping[Weights, _SlicePattern]]) -> dict[Signature, int]:
-    """Number of admissible maps per shadow signature, folded over v0 and
-    the slice-pattern keys of every slice.  Every combination is counted,
-    not only the unbalanced ones negative_members prunes to, so the count
-    does not share the pruning argument it is used to check."""
-    counts: dict[Signature, int] = {}
-    for v0val in (0, 1, 2):
-        states = {_ROOT_STATE[v0val]: 1}
-        for patterns in slices:
-            sizes = Counter(p.key for p in patterns.values() if p.tau in _TAU_ALLOWED[v0val])
+def _count_maps(slices: Sequence[Mapping[Weights, _SlicePattern]]) -> tuple[int, int]:
+    """The numbers of admissible and of negative maps, folded over v0 and
+    each slice's pattern keys by (tau, imbalances of comps, cc0 - cc1).  A
+    sign needs only the imbalances, so the state is the sorted closed ones
+    and the signed imbalance of the root's component, open at v0 = 1.  It
+    counts every combination, not only those negative_members prunes to,
+    and calls neither _join nor _close, so it shares no step with it."""
+    groups = [
+        Counter(
+            (tau, imbalances(comps), cc0 - cc1)
+            for tau, comps, _, cc0, cc1 in (p.key for p in patterns.values())
+        )
+        for patterns in slices
+    ]
+    admissible = negative = 0
+    for v0val, allowed in _TAU_ALLOWED.items():
+        states = {((), int(v0val == 1)): 1}
+        for sizes in groups:
             folded: dict[tuple, int] = {}
-            for pkey, size in sizes.items():
-                for acc, c in states.items():
-                    key = _join(v0val, acc, pkey)
+            for (tau, ds, d), size in sizes.items():
+                if tau not in allowed:
+                    continue
+                if v0val != 1 and d:  # the center component closes alone
+                    ds, d = (*ds, abs(d)), 0
+                for (closed, root), c in states.items():
+                    key = (tuple(sorted(closed + ds)), root + d)
                     folded[key] = folded.get(key, 0) + c * size
             states = folded
-        for acc, c in states.items():
-            sig = _close(acc)
-            counts[sig] = counts.get(sig, 0) + c
-    return counts
+        for (closed, root), c in states.items():
+            admissible += c
+            if imbalances_negative(tuple(sorted((*closed, abs(root)))) if root else closed):
+                negative += c
+    return admissible, negative
 
 
 def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, FamilyAnalysis]]:
@@ -1118,8 +1129,9 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
                         by_key: dict[tuple, dict] = {}
                         for p3 in pools[2]:
                             if p3.key not in by_key:
-                                exp = expansion_from_signature(_close(_join(v0val, acc2, p3.key)))
-                                by_key[p3.key] = exp if min_coefficient(exp) < 0 else None
+                                sig = _close(_join(v0val, acc2, p3.key))
+                                negative = imbalances_negative(imbalances(sig[0]))
+                                by_key[p3.key] = expansion_from_signature(sig) if negative else None
                         members = closing[acc2] = [
                             (p3, by_key[p3.key]) for p3 in pools[2] if by_key[p3.key] is not None
                         ]
@@ -1157,11 +1169,9 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
                 for p in pats:
                     groups.setdefault(p.d, []).append(p)
                 by_d.append(sorted(groups.items()))
-            for d1, g1 in by_d[0]:
-                for d2, g2 in by_d[1]:
-                    for d3, g3 in by_d[2]:
-                        if abs(1 + d1 + d2 + d3) >= 2:
-                            yield from emit(1, (g1, g2, g3))
+            for (d1, g1), (d2, g2), (d3, g3) in iproduct(*by_d):
+                if abs(1 + d1 + d2 + d3) >= 2:
+                    yield from emit(1, (g1, g2, g3))
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1180,7 @@ def negative_members(ctx: FamilyContext) -> Iterator[tuple[Weights, dict, Family
 
 def _coverage_report(ctx: FamilyContext, negatives: list[bytes]) -> CheckReport:
     """Confirm that the enumerated maps are exactly the admissible maps with
-    negative shadow.  The signature counts give the number of admissible maps,
+    negative shadow.  The map counts give the number of admissible maps,
     checked against count_admissible, and the number of negative ones; the
     enumerated maps must be distinct, each negative under the family's own
     ForestShadow, and exactly that many.  The maps come packed, as
@@ -1180,18 +1190,21 @@ def _coverage_report(ctx: FamilyContext, negatives: list[bytes]) -> CheckReport:
     pattern table: the enumerator, the partner shadows, the pair sums, the
     base target analysis and partner_star's refusal path all join slice
     patterns with _join, and only this report reads the literal family
-    graph and its ForestShadow."""
+    graph and its ForestShadow.  The counts fold the table without _join,
+    so a join that loses negative maps makes them disagree."""
     t0 = time.perf_counter()
     rep = CheckReport("negative-coverage", ctx.m, ctx.n)
-    rep.cases = sum(ctx.signature_counts.values())
+    rep.cases = ctx.map_counts[0]
     admissible = count_admissible(ctx.graph)
     if rep.cases != admissible:
-        rep.record(None, f"buckets count {rep.cases} admissible maps, count_admissible {admissible}")
+        rep.record(
+            None, f"the pattern table counts {rep.cases} admissible maps, count_admissible {admissible}"
+        )
     seen: set[bytes] = set()
     for w in negatives:
         if w in seen:
             rep.record(w, "map enumerated twice")
-        elif min_coefficient(ctx.shadow.expansion(w)) >= 0:
+        elif not ctx.shadow.negative(w):
             rep.record(w, "enumerated map is not negative")
         seen.add(w)
     if len(seen) != ctx.negative_count:
@@ -1546,21 +1559,18 @@ def check_path_append_identities() -> CheckReport:
                     w = base_w + (cval, dval)
                     lhs = chromatic_multicolor_2var(gv, w)
                     if cval == 0:
-                        rep.cases += 1
-                        if lhs != by_d[dval]:
-                            rep.record(w, f"weight-0 factorization fails on {base.labels}")
-                    elif cval == 2 and not lhs.is_zero:
-                        rep.cases += 1
-                        if lhs != paired:
-                            rep.record(w, f"weight-2 factorization fails on {base.labels}")
-                    elif cval == 1 and dval == 1 and w[v] == 1:
-                        rep.cases += 1
-                        if lhs != paired:
-                            rep.record(w, f"full-path factorization fails on {base.labels}")
-                    elif cval == 1 and dval == 1 and w[v] == 0:
-                        rep.cases += 1
-                        if lhs != twice_paired:
-                            rep.record(w, f"detached-path factorization fails on {base.labels}")
+                        shape, rhs = "weight-0", by_d[dval]
+                    elif cval == 2:
+                        if lhs.is_zero:
+                            continue
+                        shape, rhs = "weight-2", paired
+                    elif w[v] == 1:  # cval, dval are 1 and w[v] is 0 or 1
+                        shape, rhs = "full-path", paired
+                    else:
+                        shape, rhs = "detached-path", twice_paired
+                    rep.cases += 1
+                    if lhs != rhs:
+                        rep.record(w, f"{shape} factorization fails on {base.labels}")
     rep.elapsed = time.perf_counter() - t0
     return rep
 

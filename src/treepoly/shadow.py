@@ -7,6 +7,7 @@ x1^p x2^q + x1^q x2^p, and each weight-2 vertex contributes x1 x2 after the
 factorial normalization.  The multiset of part pairs plus the count of
 weight-2 vertices therefore determines the shadow, and expansions are cached
 by that signature, which is what makes exhaustive verification runs cheap.
+Its sign depends on the imbalances alone (imbalances_negative).
 
 ForestShadow.expansion is the one shadow query for a map on a forest: it
 decides admissibility in the same fold that finds the signature, and every
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph, rooted_forest
 from .symfunc import add_terms, expand_terms, mul_terms, pair_terms
@@ -50,6 +51,23 @@ def expansion_from_signature(sig: Signature) -> Mapping[tuple[int, int], int]:
 
 def min_coefficient(expansion: Mapping[tuple[int, int], int]) -> int:
     return min(expansion.values(), default=0)
+
+
+def imbalances(comps: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The sorted imbalances |p - q| of the unbalanced (p, q) components."""
+    return tuple(sorted(abs(p - q) for p, q in comps if p != q))
+
+
+@cache
+def imbalances_negative(ds: tuple[int, ...]) -> bool:
+    """Whether a shadow whose components have the sorted imbalances ds has a
+    negative two-row coefficient.  Exact: pair_terms(p, q) is
+    (x1 x2)^q (x1^d + x2^d) with d = p - q, and 2 (x1 x2)^p when d = 0, so a
+    signature's shadow is 2^b (x1 x2)^Q times the product of x1^d + x2^d
+    over ds (b balanced components, Q its twos plus the sum of the q).  As
+    s_(a,c) x1 x2 = s_(a+1,c+1), its expansion is 2^b times the one of the
+    components (d, 0), shifted by (Q, Q): the signs are the same."""
+    return min_coefficient(expansion_from_signature((tuple((d, 0) for d in ds), 0))) < 0
 
 
 def part_pairs(comps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -136,3 +154,9 @@ class ForestShadow:
         if not ok:
             return ZERO_EXPANSION
         return expansion_from_signature((part_pairs(counts), twos))
+
+    def negative(self, weights: Sequence[int]) -> bool:
+        """Whether the map's expansion has a negative coefficient, from its
+        imbalances alone: never for an inadmissible map."""
+        counts, _, ok = self._fold(weights)
+        return ok and imbalances_negative(imbalances(counts))

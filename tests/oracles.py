@@ -5,18 +5,28 @@ graph, brute-force colorings, an adjacency-walk admissibility test, the
 shadow polynomial of a signature) and small graph helpers that only the
 tests use.  They share with the package only its types (Graph, SymPoly2),
 the clan numbering of graphs.clan_offsets and, for the signature
-polynomial, shadow's product of pair terms.
+polynomial, shadow's product of pair terms.  The signature-table count is
+the one exception: it joins slice patterns with proofcheck's own _join, the
+full signature fold that the package's imbalance fold replaced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from treepoly.alphamaps import Weights
 from treepoly.graphs import Graph, clan_offsets
-from treepoly.shadow import ForestShadow, Signature, _poly_from_components
+from treepoly.proofcheck import _ROOT_STATE, _TAU_ALLOWED, _close, _join
+from treepoly.shadow import (
+    ForestShadow,
+    Signature,
+    _poly_from_components,
+    expansion_from_signature,
+    min_coefficient,
+)
 from treepoly.symfunc import SymPoly2
 
 
@@ -227,3 +237,36 @@ def chromatic_2var_bruteforce(g: Graph) -> SymPoly2:
         key = (g.n - ones, ones)
         out[key] = out.get(key, 0) + 1
     return SymPoly2(out)
+
+
+# ---------------------------------------------------------------------------
+# the signature-table count
+
+
+def count_by_signature(slices: Sequence[Mapping[Weights, object]]) -> dict[Signature, int]:
+    """Number of admissible maps per shadow signature, folded over v0 and
+    the full slice-pattern keys of every slice with proofcheck's _join and
+    _close: one state per partial signature."""
+    counts: dict[Signature, int] = {}
+    for v0val in (0, 1, 2):
+        states = {_ROOT_STATE[v0val]: 1}
+        for patterns in slices:
+            sizes = Counter(p.key for p in patterns.values() if p.tau in _TAU_ALLOWED[v0val])
+            folded: dict[tuple, int] = {}
+            for pkey, size in sizes.items():
+                for acc, c in states.items():
+                    key = _join(v0val, acc, pkey)
+                    folded[key] = folded.get(key, 0) + c * size
+            states = folded
+        for acc, c in states.items():
+            sig = _close(acc)
+            counts[sig] = counts.get(sig, 0) + c
+    return counts
+
+
+def signature_table_counts(slices: Sequence[Mapping[Weights, object]]) -> tuple[int, int]:
+    """(admissible, negative) from the signature table, each signature's
+    sign read from its full expansion."""
+    counts = count_by_signature(slices)
+    negative = sum(c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0)
+    return sum(counts.values()), negative

@@ -968,3 +968,13 @@ def test_verify_refuses_too_many_negatives_before_enumerating(capsys, monkeypatc
     code, out, err = run_cli(capsys, "verify", "--suite", "section5", "-m", "1", "-n", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: t3mn_star(1,2) has 12,811 negative maps, ")
+
+
+def test_verify_refuses_star_3_4_from_its_count(capsys, monkeypatch):
+    monkeypatch.setattr(proofcheck, "negative_members", lambda ctx: pytest.fail("enumerated"))
+    code, out, err = run_cli(capsys, "verify", "--suite", "section5", "-m", "3", "-n", "4")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: t3mn_star(3,4) has 23,760,992 negative maps, "
+        f"more than the limit of {proofcheck.MAX_NEGATIVES:,}\n"
+    )

@@ -35,11 +35,17 @@ from treepoly.proofcheck import (
     verify_star,
 )
 from treepoly.reports import CheckReport, all_ok
-from treepoly.shadow import ForestShadow, expansion_from_signature, min_coefficient
+from treepoly.shadow import ForestShadow, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
 from conftest import clear_slice_patterns
-from oracles import connected_components, induced_subgraph, is_admissible, sym_one
+from oracles import (
+    connected_components,
+    induced_subgraph,
+    is_admissible,
+    signature_table_counts,
+    sym_one,
+)
 
 
 def brute_negatives(ctx):
@@ -56,11 +62,30 @@ def test_negative_enumeration_matches_bruteforce(family, m, n):
     engine = {w for w, _, _ in negative_members(ctx)}
     brute = brute_negatives(ctx)
     assert engine == brute
-    # the coverage audit's bucket count, against the exhaustive sweep
-    counts = proofcheck._count_by_signature(ctx.slice_patterns)
-    assert sum(counts.values()) == count_admissible(ctx.graph)
-    negative = sum(c for sig, c in counts.items() if min_coefficient(expansion_from_signature(sig)) < 0)
+    # the coverage audit's map counts, against the exhaustive sweep
+    admissible, negative = proofcheck._count_maps(ctx.slice_patterns)
+    assert admissible == count_admissible(ctx.graph)
     assert negative == len(brute)
+
+
+@pytest.mark.parametrize(
+    "family,m,n",
+    [("t3mn", 1, 1), ("t3mn", 2, 1), ("t3mn", 2, 2), ("t3mn", 3, 3),
+     ("t3mn_star", 1, 1), ("t3mn_star", 1, 2), ("t3mn_star", 2, 2)],
+)
+def test_imbalance_fold_matches_the_signature_table(family, m, n):
+    # the fold keeps one state per imbalance summary, the oracle one per
+    # partial signature joined with _join; both count every combination
+    slices = FamilyContext(family, m, n).slice_patterns
+    assert proofcheck._count_maps(slices) == signature_table_counts(slices)
+
+
+@pytest.mark.parametrize(
+    "family,m,n,negatives",
+    [("t3mn_star", 3, 4, 23_760_992), ("t3mn", 5, 5, 1_636_513_548), ("t3mn_star", 5, 5, 8_424_169_172)],
+)
+def test_negative_counts_past_the_limit(family, m, n, negatives):
+    assert FamilyContext(family, m, n).negative_count == negatives > proofcheck.MAX_NEGATIVES
 
 
 def test_negative_expansions_are_exact():
@@ -404,13 +429,13 @@ def test_slice_patterns_match_the_family_graph_slices(family):
 
 def test_signatures_are_counted_once_per_context(monkeypatch):
     calls = []
-    real = proofcheck._count_by_signature
+    real = proofcheck._count_maps
 
     def counting(slices):
         calls.append(len(slices))
         return real(slices)
 
-    monkeypatch.setattr(proofcheck, "_count_by_signature", counting)
+    monkeypatch.setattr(proofcheck, "_count_maps", counting)
     verify_base(1, 1)
     assert calls == [3]  # shared by the negative-map guard and the audit
 
@@ -464,6 +489,40 @@ def test_coverage_audit_catches_a_faulty_enumeration(monkeypatch, fault):
         "duplicate": "map enumerated twice",
     }[fault]
     assert expected in reasons
+
+
+def test_coverage_audit_names_the_pattern_table_count(monkeypatch):
+    real = proofcheck.count_admissible
+    monkeypatch.setattr(proofcheck, "count_admissible", lambda g: real(g) + 1)
+    rep = {r.lemma: r for r in verify_base(1, 1)}["negative-coverage"]
+    reasons = [v.reason for v in rep.violations]
+    assert reasons == ["the pattern table counts 121165 admissible maps, count_admissible 121166"]
+
+
+@pytest.fixture
+def fresh_joins():
+    """Empty the process-wide joined-expansion cache before and after, so
+    a patched _join neither reads nor leaves joined expansions."""
+    proofcheck._joined_expansion.cache_clear()
+    yield
+    proofcheck._joined_expansion.cache_clear()
+
+
+def test_coverage_audit_catches_a_join_that_loses_negatives(monkeypatch, fresh_joins):
+    # a join that balances every imbalance-2 slice-center component standing
+    # on its own loses negative maps from the enumeration; the count folds
+    # the pattern keys without _join, so it keeps them
+    real = proofcheck._join
+
+    def mutant(v0val, acc, key):
+        tau, comps, twos, cc0, cc1 = key
+        if tau == 1 and v0val != 1 and abs(cc0 - cc1) == 2:
+            key = (tau, comps, twos, min(cc0, cc1), min(cc0, cc1))
+        return real(v0val, acc, key)
+
+    monkeypatch.setattr(proofcheck, "_join", mutant)
+    rep = {r.lemma: r for r in verify_base(2, 2)}["negative-coverage"]
+    assert "enumerated 14521 negative maps, counted 15197" in [v.reason for v in rep.violations]
 
 
 @pytest.mark.parametrize("verify,m,n", [(verify_base, 2, 2), (verify_star, 1, 2)])

@@ -17,15 +17,19 @@ from treepoly.shadow import (
     ForestShadow,
     add_expansions,
     expansion_from_signature,
+    imbalances,
+    imbalances_negative,
     min_coefficient,
     part_pairs,
 )
+from treepoly.proofcheck import FamilyContext
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand
 
 from conftest import random_tree, shuffled_forest
 from oracles import (
     complete_graph,
     connected_components,
+    count_by_signature,
     is_admissible,
     poly_from_signature,
     shadow_poly,
@@ -83,6 +87,7 @@ def test_expansion_of_any_map_matches_literal_shadow(rng):
         for w in itertools.product((0, 1, 2, 3), repeat=t.n):
             literal = schur_expand(chromatic_multicolor_2var(t, w)).coeffs
             assert dict(ctx.expansion(w)) == literal
+            assert ctx.negative(w) == (min(literal.values(), default=0) < 0)
 
 
 def walk_components(g, colors, weights):
@@ -155,6 +160,23 @@ def test_balanced_signatures_are_positive(rng):
         twos = rng.randint(0, 3)
         exp = expansion_from_signature((comps, twos))
         assert min_coefficient(exp) >= 0, (comps, twos)
+
+
+@pytest.mark.parametrize("family,m,n", [("t3mn", 2, 2), ("t3mn_star", 1, 2)])
+def test_expansion_factors_through_the_imbalances(family, m, n):
+    # pair_terms(p, q) = (x1 x2)^q (x1^d + x2^d): every signature's
+    # expansion is 2^b times that of its imbalances alone, shifted by (Q, Q)
+    sigs = count_by_signature(FamilyContext(family, m, n).slice_patterns)
+    assert len(sigs) == {"t3mn": 1517, "t3mn_star": 1812}[family]
+    for comps, twos in sigs:
+        ds = imbalances(comps)
+        reduced = expansion_from_signature((tuple((d, 0) for d in ds), 0))
+        b = sum(p == q for p, q in comps)
+        shift = twos + sum(q for _, q in comps)
+        expected = {(x + shift, y + shift): 2**b * c for (x, y), c in reduced.items()}
+        exp = expansion_from_signature((comps, twos))
+        assert exp == expected
+        assert imbalances_negative(ds) == (min_coefficient(exp) < 0)
 
 
 def test_caches_are_stable():
