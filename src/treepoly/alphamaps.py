@@ -26,9 +26,9 @@ from .graphs import Graph, disjoint_union, rooted_forest, spider2, spider12
 from .reports import CheckReport
 from .shadow import (
     ForestShadow,
-    Signature,
     add_expansions,
-    expansion_from_signature,
+    imbalances,
+    imbalances_negative,
     min_coefficient,
 )
 
@@ -245,7 +245,7 @@ def classify_spider(local: Weights) -> SpiderClass:
     process by the map alone, on which the class depends."""
     n = (len(local) - 1) // 2
     shadow = _spider_shadow(n)
-    positive = min_coefficient(shadow.expansion(local)) >= 0
+    positive = not shadow.negative(local)
     return SpiderClass(
         local=local,
         k=bare_leg_count(local),
@@ -352,14 +352,14 @@ def check_negative_spider_pairing(n: int) -> CheckReport:
     rep = CheckReport("negative-spider-pairing", n=n)
     ctx = _spider_shadow(n)
     for w in admissible_maps(ctx.graph):
-        exp = ctx.expansion(w)
-        if min_coefficient(exp) >= 0:
+        if not ctx.negative(w):
             continue
         rep.cases += 1
         k = anchored_bare(w)
         if k is None or k < 3:
             rep.record(w, f"negative map not anchored with >=3 bare legs (k={k})")
             continue
+        exp = ctx.expansion(w)
         for j in range(1, k + 1):
             total = add_expansions(exp, ctx.expansion(mark_legs(w, (j,))))
             if min_coefficient(total) < 0:
@@ -446,33 +446,33 @@ def check_no_singleton_when_deficient(max_legs: int = 3, max_components: int = 3
 
     The forests are disjoint unions of up to max_components spiders with 1 to
     max_legs legs, at most 15 vertices.  A union's admissible maps are the
-    products of its parts' maps, and its signature joins their signatures,
-    so the walk is over products of signatures, each spider's maps grouped
-    by signature: a qualifying product counts the product of its group
-    sizes as cases, and only a failing one is expanded back into its maps."""
+    products of its parts' maps, and its components join theirs.  The sign
+    reads the imbalances alone, so the walk is over products of component
+    tuples, each spider's maps grouped by theirs: a qualifying product
+    counts the product of its group sizes as cases, and only a failing one
+    is expanded back into its maps."""
     t0 = time.perf_counter()
     rep = CheckReport("no-singleton-when-deficient", n=max_legs)
     pool = []
     for legs in range(1, max_legs + 1):
         shadow = _spider_shadow(legs)
-        groups: dict[Signature, list[Weights]] = {}
+        groups: dict[tuple[tuple[int, int], ...], list[Weights]] = {}
         for w in admissible_maps(shadow.graph):
-            groups.setdefault(shadow.signature(w), []).append(w)
+            groups.setdefault(shadow.signature(w)[0], []).append(w)
         pool.append((shadow.n, list(groups.items())))
     for count in range(1, max_components + 1):
         for shape in combinations_with_replacement(pool, count):
             if sum(size for size, _ in shape) > 15:
                 continue
             for picks in iproduct(*(groups for _, groups in shape)):
-                comps = tuple(sorted(c for (part, _), _ in picks for c in part))
+                comps = tuple(sorted(c for part, _ in picks for c in part))
                 unbalanced = [c for c in comps if c[0] - c[1] >= 2]
                 if len(unbalanced) != 1:
                     continue
                 p, q = unbalanced[0]
                 if p != q + 2 or q < 1:
                     continue
-                twos = sum(t for (_, t), _ in picks)
-                if min_coefficient(expansion_from_signature((comps, twos))) >= 0:
+                if not imbalances_negative(imbalances(comps)):
                     continue
                 rep.cases += math.prod(len(maps) for _, maps in picks)
                 if (1, 0) in comps:

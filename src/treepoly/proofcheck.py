@@ -1234,10 +1234,13 @@ def _pairing_reports(
     A partner's shadow comes from the pattern table (see
     FamilyContext.pattern_expansion), and whether the partner's shadow and
     the pair sum have a negative coefficient is decided once per (negative
-    signature, partner signature) pair; for the base family the target
-    analysis joins the partner's pattern records.  All of these share _join
-    and the records with the enumerator, so they are not independent of
-    it: the coverage audit confirms the table against the family graph."""
+    signature, partner signature) pair, keyed by the ids of the two cached
+    expansions: the pair sum reads their coefficients, and a key of the two
+    signatures was measured slower (ROADMAP, dead ends).  For the base
+    family the target analysis joins the partner's pattern records.  All
+    of these share _join and the records with the enumerator, so they are
+    not independent of it: the coverage audit confirms the table against
+    the family graph."""
     t0 = time.perf_counter()
     m, n = ctx.m, ctx.n
     bound = _diagonal_bound(m, n)
@@ -1421,8 +1424,9 @@ def partner_star(
     verbatim, which leaves that corner's pairing bound falsifiable.
 
     The core step is read from core_ctx.core_steps.  A core map missing
-    there is refused; its pattern-table shadow then tells a positive core
-    map from a negative one the core enumeration missed.
+    there is refused; its pattern-table shadow, which the lookup returns
+    anyway, then tells a positive core map from a negative one the core
+    enumeration missed.
     """
     lay = ctx.layout
     core_n = core_ctx.layout.size

@@ -7,7 +7,11 @@ x1^p x2^q + x1^q x2^p, and each weight-2 vertex contributes x1 x2 after the
 factorial normalization.  The multiset of part pairs plus the count of
 weight-2 vertices therefore determines the shadow, and expansions are cached
 by that signature, which is what makes exhaustive verification runs cheap.
-Its sign depends on the imbalances alone (imbalances_negative).
+Its sign depends on the imbalances alone, and every question that reads only
+the sign asks imbalances_negative: the spider classes (classify_spider),
+prop3's negative-spider pairing and no-singleton checks, the negative-map
+enumeration and count, and the coverage audit.  An expansion is built only
+where its coefficients are read.
 
 ForestShadow.expansion is the one shadow query for a map on a forest: it
 decides admissibility in the same fold that finds the signature, and every
@@ -66,8 +70,14 @@ def imbalances_negative(ds: tuple[int, ...]) -> bool:
     signature's shadow is 2^b (x1 x2)^Q times the product of x1^d + x2^d
     over ds (b balanced components, Q its twos plus the sum of the q).  As
     s_(a,c) x1 x2 = s_(a+1,c+1), its expansion is 2^b times the one of the
-    components (d, 0), shifted by (Q, Q): the signs are the same."""
-    return min_coefficient(expansion_from_signature((tuple((d, 0) for d in ds), 0))) < 0
+    components (d, 0), shifted by (Q, Q): the signs are the same.  That
+    reduced expansion is built here and dropped, so the cache holds one bool
+    per multiset and expansion_from_signature only what callers read.
+
+    With one imbalance d >= 2 and a imbalance-1 components, the shadow is
+    negative exactly when a < T(d) = d^2 - 3: checked for 2 <= d <= 14, not
+    proved."""
+    return min_coefficient(expand_terms(_poly_from_components(tuple((d, 0) for d in ds), 0))) < 0
 
 
 def part_pairs(comps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from treepoly import alphamaps
+from treepoly import alphamaps, shadow
 from treepoly.alphamaps import (
     EnumerationGuardError,
     admissible_maps,
@@ -29,7 +29,7 @@ from treepoly.alphamaps import (
     vacated_signature,
 )
 from treepoly.graphs import path_graph, spider2
-from treepoly.shadow import ForestShadow, min_coefficient
+from treepoly.shadow import ForestShadow, imbalances_negative, min_coefficient
 from treepoly.symfunc import chromatic_multicolor_2var, schur_expand, y_g_2var
 
 from conftest import random_forest, random_tree
@@ -204,10 +204,50 @@ def test_classify_spider_sign_is_the_literal_shadow_sign(rng):
     for _ in range(300):
         n = rng.randint(1, 4)
         maps.append(tuple(rng.randint(0, 3) for _ in range(2 * n + 1)))
+    # and exactly: every map with values 0..3 on the spiders of up to two
+    # legs, and every admissible map of the three- and four-leg spiders
+    for n in range(3):
+        maps.extend(itertools.product(range(4), repeat=2 * n + 1))
+    for n in (3, 4):
+        maps.extend(admissible_maps(spider2(n)))
+    assert len(maps) == 301 + 3462
     for local in maps:
         n = (len(local) - 1) // 2
         literal = schur_expand(chromatic_multicolor_2var(spider2(n), local)).coeffs
         assert classify_spider(local).positive == (min_coefficient(literal) >= 0), local
+
+
+@pytest.fixture
+def fresh_sign_caches():
+    """Empty the spider-class and sign caches before and after a test, so
+    that every class and sign it asks for is computed while it runs."""
+    classify_spider.cache_clear()
+    imbalances_negative.cache_clear()
+    yield
+    classify_spider.cache_clear()
+    imbalances_negative.cache_clear()
+
+
+def test_sign_questions_build_no_expansion(monkeypatch, fresh_sign_caches):
+    # the spider classes and the no-singleton check read only shadow signs,
+    # which the imbalance rule decides without any signature's expansion
+    expansions = shadow.expansion_from_signature
+
+    def refuse(sig):
+        raise AssertionError(f"expansion of {sig} built for a sign")
+
+    monkeypatch.setattr(shadow, "expansion_from_signature", refuse)
+    for n in range(5):
+        for local in admissible_maps(spider2(n)):
+            classify_spider(local)
+    assert check_no_singleton_when_deficient().cases == 463
+    monkeypatch.undo()
+    # and the sign cache stores nothing in the signature cache
+    before = expansions.cache_info().currsize
+    for d in range(2, 8):
+        for a in range(d * d):
+            imbalances_negative((1,) * a + (d,))
+    assert expansions.cache_info().currsize == before
 
 
 def test_isolated_clan_vertices():
@@ -300,10 +340,10 @@ def test_check_cases_nonempty():
 
 
 def test_no_singleton_check_counts_maps(monkeypatch):
-    # with every shadow made negative, the signature walk must count the
+    # with every shadow made negative, the component walk must count the
     # cases and violations a walk over the forests' maps counts, and report
     # maps as its examples
-    monkeypatch.setattr(alphamaps, "expansion_from_signature", lambda sig: {(0, 0): -1})
+    monkeypatch.setattr(alphamaps, "imbalances_negative", lambda ds: True)
     rep = check_no_singleton_when_deficient(max_legs=3, max_components=2)
     cases, violations = 0, []
     shadows = [ForestShadow(spider2(legs)) for legs in (1, 2, 3)]

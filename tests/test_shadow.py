@@ -179,6 +179,15 @@ def test_expansion_factors_through_the_imbalances(family, m, n):
         assert imbalances_negative(ds) == (min_coefficient(exp) < 0)
 
 
+def test_one_imbalance_threshold():
+    # T(d) = d^2 - 3 for d = 2..14: one imbalance d with fewer than T(d)
+    # imbalance-1 components is negative, and with T(d) of them is not
+    for d in range(2, 15):
+        t = d * d - 3
+        assert imbalances_negative((1,) * (t - 1) + (d,)), d
+        assert not imbalances_negative((1,) * t + (d,)), d
+
+
 def test_caches_are_stable():
     sig = (((2, 1), (1, 1)), 1)
     first = expansion_from_signature(sig)
