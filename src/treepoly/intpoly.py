@@ -250,25 +250,42 @@ def family_poly(family: str, m: int, n: int) -> IntPoly:
         B_m B_n = P(0, m+n) + x [P(m, n) + P(n, m)] + x^2 P(m+n, 0),
 
     so every product is a factor of degree at most 5 times one long sum of
-    rows.  Branches 2 and 3 are alike, so (m, n) and (n, m) are one tree
-    and one entry of the cell cache.
+    rows.  All but the middle term depend on the family and m + n alone:
+    they and the root term are one entry of the diagonal cache, and the
+    cell adds x times branch 1's factor times P(m, n) + P(n, m).  Branches
+    2 and 3 are alike, so (m, n) and (n, m) are one tree and one entry of
+    the cell cache.
     """
     lay = family_layout(family, m, n)
     return _cell_poly(lay.star, min(m, n), max(m, n))
 
 
+# I(P4) of the star's leg (1,3), and branch 1's factor by star: B_3, or the
+# star's (1+2x)^2 I(P4) + x (1+x)^2 (1+3x+x^2).
+_PATH4 = IntPoly((1, 4, 3))
+_BRANCH1 = (
+    spider_poly(0, 3),
+    _row(0, 2) * _PATH4 + (_row(2, 0) * IntPoly((1, 3, 1))).shifted(),
+)
+
+
 @lru_cache(maxsize=None)
 def _cell_poly(star: bool, m: int, n: int) -> IntPoly:
-    """family_poly of the cell (m, n), m <= n, of the base or star family."""
+    """family_poly of the cell (m, n), m <= n, of the base or star family:
+    its diagonal's part plus x branch1 [P(m, n) + P(n, m)]."""
+    own = _BRANCH1[star] * (_row(m, n) + _row(n, m))
+    return _diagonal_poly(star, m + n) + own.shifted()
+
+
+@lru_cache(maxsize=None)
+def _diagonal_poly(star: bool, total: int) -> IntPoly:
+    """The part of family_poly shared by every cell with m + n = total:
+    branch1 [P(0, total) + x^2 P(total, 0)] plus the root term."""
     if star:
-        path4, headless = IntPoly((1, 4, 3)), IntPoly((1, 3, 1))
-        branch1 = _row(0, 2) * path4 + (_row(2, 0) * headless).shifted()
-        root = (path4 * _row(0, 2 + m + n)).shifted()
+        root = (_PATH4 * _row(0, 2 + total)).shifted()
     else:
-        branch1 = spider_poly(0, 3)
-        root = _row(0, 3 + m + n).shifted()
-    pair = _row(0, m + n) + (_row(m, n) + _row(n, m)).shifted() + _row(m + n, 0).shifted(2)
-    return branch1 * pair + root
+        root = _row(0, 3 + total).shifted()
+    return _BRANCH1[star] * (_row(0, total) + _row(total, 0).shifted(2)) + root
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,10 @@ def shuffled_forest(rng: random.Random, n: int) -> Graph:
 
 
 def clear_cell_cache() -> None:
-    """Empty family_poly's cell cache, so the next call of every cell
-    computes its closed form afresh."""
+    """Empty family_poly's cell and diagonal caches, so the next call of
+    every cell computes its closed form afresh."""
     intpoly._cell_poly.cache_clear()
+    intpoly._diagonal_poly.cache_clear()
 
 
 def clear_slice_patterns() -> None:

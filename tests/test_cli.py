@@ -16,10 +16,17 @@ from pathlib import Path
 import pytest
 
 import treepoly
-from treepoly import cli, intpoly, proofcheck
+from treepoly import alphamaps, cli, intpoly, proofcheck
 from treepoly.cli import main
 
 from conftest import clear_cell_cache, clear_slice_patterns
+
+
+def patch_batteries(monkeypatch, battery) -> None:
+    """Replace the three verify batteries where cmd_verify imports them."""
+    for name in ("verify_base", "verify_star"):
+        monkeypatch.setattr(proofcheck, name, battery)
+    monkeypatch.setattr(alphamaps, "spider_suite", battery)
 
 
 def run_cli(capsys, *argv):
@@ -228,8 +235,7 @@ def test_verify_usage_error_for_an_ignored_flag(capsys, monkeypatch, argv, messa
     def no_run(*args, **kwargs):
         raise AssertionError("battery ran despite a usage error")
 
-    for name in ("verify_base", "verify_star", "spider_suite"):
-        monkeypatch.setattr(cli, name, no_run)
+    patch_batteries(monkeypatch, no_run)
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith(message)
@@ -252,8 +258,8 @@ def test_benchmark_command_lines_are_accepted(capsys, monkeypatch, tmp_path, nam
     # the batteries and the scan replaced by cheap stand-ins, so a removed
     # flag or a new usage error cannot break a workload unnoticed
     row = cli.scan_row("t3mn", 1, 1)
-    monkeypatch.setattr(cli, "verify_base", lambda m, n: [])
-    monkeypatch.setattr(cli, "verify_star", lambda m, n, repair_corner=False: [])
+    monkeypatch.setattr(proofcheck, "verify_base", lambda m, n: [])
+    monkeypatch.setattr(proofcheck, "verify_star", lambda m, n, repair_corner=False: [])
     monkeypatch.setattr(cli, "scan_row", lambda family, m, n: row)
     argv = _benchmark_workloads()[name].argv(1, str(tmp_path / "report.json"))
     code, _, err = run_cli(capsys, *argv)
@@ -320,15 +326,17 @@ def test_benchmark_scan_check_passes_on_cold_and_warm_tables(capsys):
     argv = bench["WORKLOADS"]["scan-grid"].argv(1, "unused")
     expected = bench["load_expected"]()["scan-grid"]
     clear_cell_cache()
-    outputs, cells = [], []
+    outputs, cells, diagonals = [], [], []
     for cache in ("cold", "warm"):
         code, out, _ = run_cli(capsys, *argv)
         outcome = bench["check_scan"](expected, code, out)
         assert outcome.failed == 0, (cache, outcome.problems)
         outputs.append(out)
         cells.append(intpoly._cell_poly.cache_info().currsize)
+        diagonals.append(intpoly._diagonal_poly.cache_info().currsize)
     assert outputs[0] == outputs[1]
     assert 0 < cells[0] == cells[1]  # the warm run added no entry
+    assert 0 < diagonals[0] == diagonals[1]
 
 
 def _child_env() -> dict:
@@ -345,6 +353,64 @@ def test_python_dash_m_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "all checks passed" in done.stdout
+
+
+# The modules of the certificate, which only verify loads.
+_CERTIFICATE = {"treepoly.alphamaps", "treepoly.proofcheck", "treepoly.reports", "treepoly.shadow"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "-m", "0..3", "-n", "0..3", "--format", "json"),
+        ("poly", "--family", "t3mn-star", "-m", "2", "-n", "3"),
+        ("plotdata", "--family", "spider12", "-k", "1", "-r", "2"),
+        ("verify", "--suite", "prop3", "-n", "1"),
+    ],
+    ids=["scan", "poly", "plotdata", "verify"],
+)
+def test_only_verify_loads_the_certificate(argv):
+    # a fresh interpreter runs one command, then names on its last stderr
+    # line the treepoly modules it loaded
+    script = (
+        "import sys\n"
+        "from treepoly.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "names = sorted(m for m in sys.modules if m.startswith('treepoly.'))\n"
+        "sys.stderr.write('\\n' + ' '.join(names) + '\\n')\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.splitlines()[-1].split())
+    if argv[0] == "verify":
+        assert _CERTIFICATE <= loaded
+    else:
+        assert loaded == {"treepoly.cli", "treepoly.graphs", "treepoly.intpoly", "treepoly.symfunc"}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("section4", "-m", "7", "-n", "1"),
+         "t3mn(7,1): slice spider2(7) has more admissible maps than the pattern guard of 300,000 maps"),
+        (("section4", "-m", "3", "-n", "4"),
+         "t3mn(3,4) has 4,692,665 negative maps, more than the limit of 4,000,000"),
+        (("prop3", "-n", "8"),
+         "spider2(8) has 2,076,802 admissible maps, more than the enumeration guard of 2,000,000"),
+    ],
+    ids=["pattern-guard", "negative-count", "enumeration-guard"],
+)
+def test_certificate_refusals_exit_2_without_a_traceback(argv, message):
+    # the certificate's own refusals, raised after cmd_verify loads it
+    done = subprocess.run(
+        [sys.executable, "-m", "treepoly", "verify", "--suite", *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -455,8 +521,6 @@ def test_verify_prop3_rejects_legs_below_one(capsys):
 
 
 def test_verify_prop3_guard_overrun_fails_up_front(capsys, monkeypatch):
-    from treepoly import alphamaps
-
     def unguarded_walk(n):
         raise AssertionError("mark-case walk started before the guard check")
 
@@ -514,8 +578,7 @@ def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, s
     def no_run(*args, **kwargs):
         raise AssertionError("battery ran before the output path was checked")
 
-    for name in ("verify_base", "verify_star", "spider_suite"):
-        monkeypatch.setattr(cli, name, no_run)
+    patch_batteries(monkeypatch, no_run)
     path = str(tmp_path / "missing" / "r.json")
     code, out, err = run_cli(capsys, "verify", "--suite", suite, *cells, "-o", path)
     assert code == 2 and out == ""
@@ -817,11 +880,9 @@ def no_polynomial(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("cell built despite its size")
 
-    for name in (
-        "scan_row", "family_poly", "spider_poly",
-        "verify_base", "verify_star", "spider_suite",
-    ):
+    for name in ("scan_row", "family_poly", "spider_poly"):
         monkeypatch.setattr(cli, name, no_run)
+    patch_batteries(monkeypatch, no_run)
     for name in ("family_poly", "family_graph", "indpoly_tree"):
         monkeypatch.setattr(intpoly, name, no_run)
 

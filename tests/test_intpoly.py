@@ -146,10 +146,17 @@ def test_mirrored_cell_adds_no_shape(family):
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
-def test_family_poly_matches_the_graph_dp(family):
-    for m in range(13):
-        for n in range(13):
-            assert family_poly(family, m, n) == indpoly_tree(family_graph(family, m, n))
+def test_family_poly_matches_the_graph_dp(family, rng):
+    # every cell of the 13x13 grid, in shuffled order from emptied caches:
+    # a cell's diagonal part, cached by m + n, is right whichever cell of
+    # the diagonal built it, and is built once per diagonal
+    cells = [(m, n) for m in range(13) for n in range(13)]
+    rng.shuffle(cells)
+    clear_cell_cache()
+    for m, n in cells:
+        assert family_poly(family, m, n) == indpoly_tree(family_graph(family, m, n))
+    info = intpoly._diagonal_poly.cache_info()
+    assert info.currsize == info.misses == 25
 
 
 @pytest.mark.parametrize("family", ["t3mn", "t3mn_star"])
