@@ -7,10 +7,11 @@ every class but the last with a disjoint target class of positive maps via an
 explicit injection, and check that each map-plus-partner shadow sum is
 nonnegative while the final class contributes only to the top diagonal
 coefficient.  Every piece of that argument is checked here on concrete (m, n)
-rather than assumed: the classes are evaluated as independent predicates with
-an exclusivity audit, the injections are applied and their images audited
-against the target predicates, and all shadow inequalities are recomputed
-exactly.
+rather than assumed: each class is its key in one dispatch table (the root
+value, and for root value 1 the branch pattern) plus a predicate on the
+slices, and every class matching a map is reported to an exclusivity audit;
+the injections are applied and their images audited against the target
+predicates, and all shadow inequalities are recomputed exactly.
 
 Negative maps are enumerated exactly for any (m, n) within the pattern guard:
 a map can only have negative shadow if some clan component is unbalanced,
@@ -307,202 +308,121 @@ def _heads_all_zero(a: FamilyAnalysis) -> bool:
 # the 30 negative classes
 
 
-def _branch_is(a: FamilyAnalysis, b1: int, b2: int, b3: int) -> bool:
-    return a.branch == (b1, b2, b3)
+def _full_weight(a: FamilyAnalysis) -> bool:
+    """Class 30's predicate: no bare leg, some weight-1 head, and core
+    weight equal to the core vertex count."""
+    return a.ksum == 0 and a.weighted_heads > 0 and a.total == a.full_weight
 
 
-def _negative_class_predicates():
+def _negative_classes():
+    """The dispatch table of the 30 negative classes.  A class is its key
+    (root value 0 for classes 1-9; root value 1 and a branch pattern for
+    classes 10-30) plus its predicate, which reads the slices only."""
+
     def n1(a):
-        return a.a0 == 0 and not a.pos(1) and a.pos(2) and a.pos(3)
+        return not a.pos(1) and a.pos(2) and a.pos(3)
 
     def n2(a):
-        return a.a0 == 0 and not a.pos(2) and a.pos(1) and a.pos(3) and a.k(2) == 3
+        return not a.pos(2) and a.pos(1) and a.pos(3) and a.k(2) == 3
 
     def n3(a):
-        return a.a0 == 0 and not a.pos(3) and a.pos(1) and a.pos(2) and a.k(3) == 3
+        return not a.pos(3) and a.pos(1) and a.pos(2) and a.k(3) == 3
 
     def n4(a):
-        return a.a0 == 0 and not a.pos(2) and a.pos(1) and a.pos(3) and a.k(2) >= 4
+        return not a.pos(2) and a.pos(1) and a.pos(3) and a.k(2) >= 4
 
     def n5(a):
-        return a.a0 == 0 and not a.pos(3) and a.pos(1) and a.pos(2) and a.k(3) >= 4
+        return not a.pos(3) and a.pos(1) and a.pos(2) and a.k(3) >= 4
 
     def n6(a):
-        return a.a0 == 0 and not a.pos(1) and not a.pos(2) and a.pos(3)
+        return not a.pos(1) and not a.pos(2) and a.pos(3)
 
     def n7(a):
-        return a.a0 == 0 and not a.pos(1) and not a.pos(3) and a.pos(2)
+        return not a.pos(1) and not a.pos(3) and a.pos(2)
 
     def n8(a):
-        return a.a0 == 0 and not a.pos(2) and not a.pos(3) and a.pos(1)
+        return not a.pos(2) and not a.pos(3) and a.pos(1)
 
     def n9(a):
-        return a.a0 == 0 and not a.pos(1) and not a.pos(2) and not a.pos(3)
+        return not a.pos(1) and not a.pos(2) and not a.pos(3)
 
     def n10(a):
-        return a.a0 == 1 and _branch_is(a, 1, 0, 0) and a.k(1) == 2
+        return a.k(1) == 2
 
     def n11(a):
-        return a.a0 == 1 and _branch_is(a, 1, 0, 0) and a.k(1) == 3
+        return a.k(1) == 3
 
     def n12(a):
-        return a.a0 == 1 and _branch_is(a, 0, 1, 0) and a.k(2) == 2
+        return a.k(2) == 2
 
     def n13(a):
-        return a.a0 == 1 and _branch_is(a, 0, 1, 0) and a.k(2) >= 3
+        return a.k(2) >= 3
 
     def n14(a):
-        return a.a0 == 1 and _branch_is(a, 0, 0, 1) and a.k(3) == 2
+        return a.k(3) == 2
 
     def n15(a):
-        return a.a0 == 1 and _branch_is(a, 0, 0, 1) and a.k(3) >= 3
+        return a.k(3) >= 3
 
     def n16(a):
-        return a.a0 == 1 and _branch_is(a, 0, 1, 1)
+        return True
 
     def n17(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 0, 1)
-            and not a.slice(2).in_family((1,))
-            and a.k(3) >= 1
-        )
+        return not a.slice(2).in_family((1,)) and a.k(3) >= 1
 
     def n18(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 0, 1)
-            and not a.slice(2).in_family((1,))
-            and a.k(3) == 0
-        )
+        return not a.slice(2).in_family((1,)) and a.k(3) == 0
 
     def n19(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 0, 1)
-            and a.slice(2).in_family((1,))
-            and a.k(1) >= 2
-        )
+        return a.slice(2).in_family((1,)) and a.k(1) >= 2
 
     def n20(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 0, 1)
-            and a.slice(2).in_family((1,))
-            and a.k(1) <= 1
-        )
+        return a.slice(2).in_family((1,)) and a.k(1) <= 1
 
     def n21(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 0)
-            and not a.slice(3).in_family((1,))
-            and a.k(2) >= 2
-        )
+        return not a.slice(3).in_family((1,)) and a.k(2) >= 2
 
     def n22(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 0)
-            and not a.slice(3).in_family((1,))
-            and a.k(2) <= 1
-            and a.k(1) == 2
-        )
+        return not a.slice(3).in_family((1,)) and a.k(2) <= 1 and a.k(1) == 2
 
     def n23(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 0)
-            and not a.slice(3).in_family((1,))
-            and a.k(2) <= 1
-            and a.k(1) == 3
-        )
+        return not a.slice(3).in_family((1,)) and a.k(2) <= 1 and a.k(1) == 3
 
     def n24(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 0)
-            and a.slice(3).in_family((1,))
-            and a.k(2) >= 1
-        )
+        return a.slice(3).in_family((1,)) and a.k(2) >= 1
 
     def n25(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 0)
-            and a.slice(3).in_family((1,))
-            and a.k(2) == 0
-        )
+        return a.slice(3).in_family((1,)) and a.k(2) == 0
 
     def n26(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 1)
-            and a.ksum >= 4
-            and (a.k(1) == 3 or a.k(2) >= 2 or a.k(3) >= 2)
-        )
+        return a.ksum >= 4 and (a.k(1) == 3 or a.k(2) >= 2 or a.k(3) >= 2)
 
     def n27(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 1)
-            and (a.k(1), a.k(2), a.k(3)) == (2, 1, 1)
-        )
+        return (a.k(1), a.k(2), a.k(3)) == (2, 1, 1)
 
     def n28(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 1)
-            and a.ksum == 0
-            and a.weighted_heads > 0
-            and a.total < a.full_weight
-        )
+        return a.ksum == 0 and a.weighted_heads > 0 and a.total < a.full_weight
 
-    def n29(a):
-        return a.a0 == 1 and _branch_is(a, 1, 1, 1) and a.weighted_heads == 0 and _heads_all_zero(a)
-
-    def n30(a):
-        return (
-            a.a0 == 1
-            and _branch_is(a, 1, 1, 1)
-            and a.ksum == 0
-            and a.weighted_heads > 0
-            and a.total == a.full_weight
-        )
-
-    return (
-        n1, n2, n3, n4, n5, n6, n7, n8, n9, n10,
-        n11, n12, n13, n14, n15, n16, n17, n18, n19, n20,
-        n21, n22, n23, n24, n25, n26, n27, n28, n29, n30,
-    )
+    root_zero = ((1, n1), (2, n2), (3, n3), (4, n4), (5, n5), (6, n6), (7, n7), (8, n8), (9, n9))
+    root_one = {
+        (1, 0, 0): ((10, n10), (11, n11)),
+        (0, 1, 0): ((12, n12), (13, n13)),
+        (0, 0, 1): ((14, n14), (15, n15)),
+        (0, 1, 1): ((16, n16),),
+        (1, 0, 1): ((17, n17), (18, n18), (19, n19), (20, n20)),
+        (1, 1, 0): ((21, n21), (22, n22), (23, n23), (24, n24), (25, n25)),
+        (1, 1, 1): ((26, n26), (27, n27), (28, n28), (29, _heads_all_zero), (30, _full_weight)),
+    }
+    return root_zero, root_one
 
 
-NEGATIVE_CLASS_PREDICATES = _negative_class_predicates()
-
-
-def _guarded(classes: Sequence[int]) -> tuple:
-    return tuple((c, NEGATIVE_CLASS_PREDICATES[c - 1]) for c in classes)
-
-
-# The classes whose guard can hold: classes 1-9 need a0 == 0, and each class
-# from 10 on needs a0 == 1 and one branch pattern.  Every predicate still
-# checks its own guard, so this table can only prune.
-_ROOT_ZERO_CLASSES = _guarded(range(1, 10))
-_ROOT_ONE_CLASSES = {
-    (1, 0, 0): _guarded((10, 11)),
-    (0, 1, 0): _guarded((12, 13)),
-    (0, 0, 1): _guarded((14, 15)),
-    (0, 1, 1): _guarded((16,)),
-    (1, 0, 1): _guarded((17, 18, 19, 20)),
-    (1, 1, 0): _guarded((21, 22, 23, 24, 25)),
-    (1, 1, 1): _guarded((26, 27, 28, 29, 30)),
-}
+_ROOT_ZERO_CLASSES, _ROOT_ONE_CLASSES = _negative_classes()
 
 
 def negative_class_matches(a: FamilyAnalysis) -> tuple[int, ...]:
-    """All class predicates matching a map; exactly one is expected for a map
-    with negative shadow.  Only the predicates whose guard can hold on a's
-    root and branch values are evaluated."""
+    """Every class matching a map; exactly one is expected for a map with
+    negative shadow.  A class matches when a's root and branch values are
+    its key in the dispatch table and its predicate holds on the slices."""
     if a.a0 == 0:
         group = _ROOT_ZERO_CLASSES
     elif a.a0 == 1:
@@ -513,8 +433,9 @@ def negative_class_matches(a: FamilyAnalysis) -> tuple[int, ...]:
 
 
 def is_full_weight_class(a: FamilyAnalysis) -> bool:
-    """The predicate of class 30, evaluated structurally."""
-    return NEGATIVE_CLASS_PREDICATES[29](a)
+    """Membership in class 30: its key (root 1, branches (1, 1, 1)) and its
+    predicate."""
+    return a.a0 == 1 and a.branch == (1, 1, 1) and _full_weight(a)
 
 
 def only_gap_at_leg_13(a: FamilyAnalysis) -> bool:

@@ -574,16 +574,36 @@ def test_recorded_violations_serialize_maps_as_lists_of_ints():
 
 
 # Both (3,3) certificates, deselected by default: `python -m pytest -m slow`.
+# They are the only cells that run classes 8 and 9.  The digests are the
+# sha256 of the sorted-key report JSON, as in test_report_bytes_are_pinned,
+# recorded before each class's guard moved into the dispatch table.
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "verify,kwargs,prefix,negatives",
-    [(verify_base, {}, "", 644_015), (verify_star, dict(repair_corner=True), "star-", 3_178_818)],
+    "verify,kwargs,prefix,negatives,digest",
+    [
+        (
+            verify_base,
+            {},
+            "",
+            644_015,
+            "a469113f673e174d1b3de80f79166e6c245ca42898c006a1e0340e988b4c92d0",
+        ),
+        (
+            verify_star,
+            dict(repair_corner=True),
+            "star-",
+            3_178_818,
+            "6be5d807f64d554df975ebc19f3e78bd1e4b50508cce6570b98232421e61c24c",
+        ),
+    ],
     ids=["base", "star-repaired"],
 )
-def test_3_3_certificate_holds(verify, kwargs, prefix, negatives):
+def test_3_3_certificate_holds(verify, kwargs, prefix, negatives, digest):
     reports = verify(3, 3, **kwargs)
     assert [r.lemma for r in reports if r.violation_count] == []
     assert {r.lemma: r for r in reports}[prefix + "class-partition"].cases == negatives
+    dump = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 def test_star_partition_covers_xy_patterns():
@@ -761,23 +781,38 @@ def test_negative_members_order_is_pinned(family, m, n, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("family,m,n", [("t3mn", 2, 2), ("t3mn_star", 1, 2)])
-def test_class_dispatch_matches_full_scan(family, m, n):
-    # negative_class_matches evaluates only the predicates whose guard can
-    # hold; the scan over all 30 is the reference, also with the root value
-    # replaced, which moves maps between the guard groups
-    def full_scan(a):
-        return tuple(
-            i + 1 for i, pred in enumerate(proofcheck.NEGATIVE_CLASS_PREDICATES) if pred(a)
-        )
+def test_class_table_keys_each_class_once():
+    keyed = [c for c, _ in proofcheck._ROOT_ZERO_CLASSES]
+    for group in proofcheck._ROOT_ONE_CLASSES.values():
+        keyed.extend(c for c, _ in group)
+    assert sorted(keyed) == list(range(1, 31))
 
-    seen = set()
+
+def test_class_counts_at_base_2_2():
+    # recorded before each class's guard moved into the dispatch table
+    counts = Counter()
+    for _, _, a in negative_members(FamilyContext("t3mn", 2, 2)):
+        (cls,) = negative_class_matches(a)
+        counts[cls] += 1
+    assert counts == {
+        1: 676, 10: 2304, 11: 1296, 12: 1024, 14: 1024, 16: 984, 17: 1377, 18: 90,
+        19: 567, 20: 162, 21: 621, 22: 540, 23: 306, 24: 675, 25: 54, 26: 986,
+        27: 324, 28: 1932, 29: 128, 30: 127,
+    }
+    assert sum(counts.values()) == 15_197
+
+
+@pytest.mark.parametrize("family,m,n", [("t3mn", 2, 2), ("t3mn_star", 1, 2)])
+def test_class_table_outside_its_keys(family, m, n):
+    # with the root value replaced, maps move between the table's keys; no
+    # key has root value 2, and class 30's own statement of its guard agrees
+    # with the table's
     for _, _, a in negative_members(FamilyContext(family, m, n)):
-        for b in (a, a._replace(a0=0), a._replace(a0=1), a._replace(a0=2)):
+        for b in (a._replace(a0=0), a._replace(a0=1), a._replace(a0=2)):
             matches = negative_class_matches(b)
-            assert matches == full_scan(b)
-            seen.update(matches)
-    assert {1, 10, 16, 30} <= seen  # both guard groups, several branch patterns
+            if b.a0 == 2:
+                assert matches == ()
+            assert is_full_weight_class(b) == (30 in matches)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1209,7 +1244,10 @@ def test_star_final_class_diagonals_start_at_the_bound():
 # partner_star's core steps were cached; star classes 1/2 and 3 read the
 # same core-step table.  The base (0, 2) and star (2, 0) cells, whose
 # branch 2 or 3 is a slice of one vertex, were recorded before the partial
-# signatures came sorted out of _join.
+# signatures came sorted out of _join.  The base (3, 1), (1, 3), (4, 0) and
+# (0, 4) cells, which run classes 2-7, 13 and 15 (classes 8 and 9 need
+# m, n >= 3), were recorded before each class's guard moved into the
+# dispatch table.
 @pytest.mark.parametrize(
     "verify,m,n,kwargs,digest",
     [
@@ -1262,10 +1300,38 @@ def test_star_final_class_diagonals_start_at_the_bound():
             dict(repair_corner=False),
             "ab42bb739089c5ab5f0dbca0f7cb51a5c0fca68e24d45bf727cb8764532ce562",
         ),
+        (
+            verify_base,
+            3,
+            1,
+            {},
+            "51bb8b199d2f2f240a65dfcefe52f13281cd93373acd1c4e069c57f02babf64d",
+        ),
+        (
+            verify_base,
+            1,
+            3,
+            {},
+            "604ae2324cb61050da9a39efeda4d7b0128955ab2181bfbcb6afddc2f85952bb",
+        ),
+        (
+            verify_base,
+            4,
+            0,
+            {},
+            "929a090b8cbad19ba768594b444259801abfb4f9ab6aa3fd6034afed85ecdcaa",
+        ),
+        (
+            verify_base,
+            0,
+            4,
+            {},
+            "e7b27c3e0c6c7fa6c8e08b5e14f7d315b12f443955cbcf17f624dae63732352e",
+        ),
     ],
     ids=[
         "base", "base-2-1", "star-published", "star-repaired", "star-1-2-published",
-        "base-0-2", "star-2-0-published",
+        "base-0-2", "star-2-0-published", "base-3-1", "base-1-3", "base-4-0", "base-0-4",
     ],
 )
 def test_report_bytes_are_pinned(verify, m, n, kwargs, digest):
